@@ -2,9 +2,9 @@
 binary logistic regression, a linear SVM, a random forest, stratified
 cross-validation and pooled confusion metrics.
 
-No fitted-model library is used anywhere; the eigen solver is a cyclic Jacobi
-sweep so results can be checked against an independent dense eigendecomposition
-in the tests.
+No fitted-model library is used anywhere.  PCA takes its spectrum from
+numpy's LAPACK symmetric eigensolver; the tests check it against an SVD of the
+centered matrix, which shares no code path with it.
 """
 
 from __future__ import annotations
@@ -75,10 +75,15 @@ def standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     means = X.mean(axis=0)
     stds = X.std(axis=0)
+    return _rescale(X, means, stds), means, stds
+
+
+def _rescale(X: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """(X - means) / stds, with zero-variance columns set to zero."""
     safe = np.where(stds == 0.0, 1.0, stds)
     Xp = (X - means) / safe
     Xp[:, stds == 0.0] = 0.0
-    return Xp, means, stds
+    return Xp
 
 
 def assemble_feature_sets(
@@ -146,49 +151,6 @@ class PcaResult:
     projected: np.ndarray  # (n, 2) = X @ components.T
 
 
-def _jacobi_eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns (eigenvalues descending, eigenvectors as columns).  Converges to
-    near machine precision; intended for matrices up to a few hundred rows.
-    """
-    A = np.array(S, dtype=np.float64)
-    m = A.shape[0]
-    V = np.eye(m)
-    if m == 1:
-        return A[0, :1].copy(), V
-    scale = max(1.0, float(np.abs(A).max()))
-    for _ in range(60):
-        off = math.sqrt(float((np.tril(A, -1) ** 2).sum()))
-        if off <= 1e-15 * scale * m:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = A[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for M in (A,):
-                    col_p = M[:, p].copy()
-                    col_q = M[:, q].copy()
-                    M[:, p] = c * col_p - s * col_q
-                    M[:, q] = s * col_p + c * col_q
-                    row_p = M[p, :].copy()
-                    row_q = M[q, :].copy()
-                    M[p, :] = c * row_p - s * row_q
-                    M[q, :] = s * row_p + c * row_q
-                col_p = V[:, p].copy()
-                col_q = V[:, q].copy()
-                V[:, p] = c * col_p - s * col_q
-                V[:, q] = s * col_p + c * col_q
-    vals = np.diag(A).copy()
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], V[:, order]
-
-
 def _fix_sign(w: np.ndarray) -> np.ndarray:
     i = int(np.argmax(np.abs(w)))
     return -w if w[i] < 0 else w
@@ -197,12 +159,14 @@ def _fix_sign(w: np.ndarray) -> np.ndarray:
 def pca2(X: np.ndarray) -> PcaResult:
     """Top-2 principal components of the sample covariance of X.
 
-    Columns are centered internally; the covariance divisor is n-1.  When the
-    feature count exceeds the row count the decomposition runs on the Gram
-    matrix instead, which shares the nonzero spectrum.  Component signs are
-    fixed by making each one's largest-magnitude loading positive.  The
-    `projected` coordinates are X @ components.T on the input as given (for
-    standardized input the centering is a no-op).
+    Columns are centered internally; the covariance divisor is n-1.  The
+    spectrum comes from one `np.linalg.eigh` (LAPACK's symmetric solver) call
+    on the d x d covariance, or, when the feature count exceeds the row count,
+    on the n x n Gram matrix, which shares the nonzero spectrum; its
+    eigenvectors are mapped back through Xc.T.  Component signs are fixed by
+    making each one's largest-magnitude loading positive.  The `projected`
+    coordinates are X @ components.T on the input as given (for standardized
+    input the centering is a no-op).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 2:
@@ -210,21 +174,18 @@ def pca2(X: np.ndarray) -> PcaResult:
     n, d = X.shape
     Xc = X - X.mean(axis=0)
     denom = n - 1
+    wide = d > n
 
-    if d <= n:
-        cov = (Xc.T @ Xc) / denom
-        if float(np.trace(cov)) <= 0.0:
-            raise MlError("pca2: zero-variance input")
-        vals, vecs = _jacobi_eigh(cov)
+    S = (Xc @ Xc.T if wide else Xc.T @ Xc) / denom
+    if float(np.trace(S)) <= 0.0:
+        raise MlError("pca2: zero-variance input")
+    vals, vecs = np.linalg.eigh(S)
+    vals, vecs = vals[::-1], vecs[:, ::-1]  # eigh sorts ascending
+    variance = np.maximum(vals[:2], 0.0)
+    if not wide:
         components = np.vstack([_fix_sign(vecs[:, 0]), _fix_sign(vecs[:, 1])])
-        variance = np.maximum(vals[:2], 0.0)
     else:
-        gram = (Xc @ Xc.T) / denom
-        if float(np.trace(gram)) <= 0.0:
-            raise MlError("pca2: zero-variance input")
-        vals, vecs = _jacobi_eigh(gram)
         comps = []
-        variance = np.maximum(vals[:2], 0.0)
         for i in range(2):
             lam = float(vals[i])
             if lam > 1e-12 * max(1.0, float(vals[0])):
@@ -617,9 +578,7 @@ def cross_validate(
             pred = model.predict(X_test)
         else:
             X_std, means, stds = standardize(X_train)
-            safe = np.where(stds == 0.0, 1.0, stds)
-            X_test_std = (X_test - means) / safe
-            X_test_std[:, stds == 0.0] = 0.0
+            X_test_std = _rescale(X_test, means, stds)
             if classifier == "blr":
                 model = train_blr(X_std, y_train)
                 if not model.converged:

@@ -1,8 +1,8 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately written the slow, obvious way (explicit
-permutation minimization, triple loops, dense eigendecomposition) and shares
-no code with the package beyond the documented bit layout.
+permutation minimization, triple loops, dense SVD) and shares no code with
+the package beyond the documented bit layout.
 """
 
 import itertools
@@ -151,23 +151,21 @@ def brute_global_metrics(g):
     return values, defined
 
 
-def eigh_pca2(X):
-    """Top-2 PCA via numpy's dense symmetric eigendecomposition.
+def svd_pca2(X):
+    """Top-2 PCA via numpy's dense SVD of the centered matrix.
 
     Same conventions as the library: center, n-1 divisor, sign fixed by the
     largest-magnitude loading.
     """
     X = np.asarray(X, dtype=np.float64)
     Xc = X - X.mean(axis=0)
-    C = Xc.T @ Xc / (X.shape[0] - 1)
-    vals, vecs = np.linalg.eigh(C)
-    order = np.argsort(vals)[::-1]
+    _, s, Vt = np.linalg.svd(Xc, full_matrices=False)
+    vals = s**2 / (X.shape[0] - 1)
     comps = []
-    for idx in order[:2]:
-        w = vecs[:, idx]
+    for w in Vt[:2]:
         i = int(np.argmax(np.abs(w)))
         comps.append(-w if w[i] < 0 else w)
-    return np.vstack(comps), vals[order[:2]], float(vals.sum())
+    return np.vstack(comps), vals[:2], float(vals.sum())
 
 
 def loglik_and_grad(w, X, y):

@@ -21,7 +21,7 @@ from termnet.ml import (
 )
 from termnet.ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
 
-from oracles import eigh_pca2, loglik_and_grad
+from oracles import loglik_and_grad, svd_pca2
 
 
 # ---------------------------------------------------------------- standardize
@@ -53,7 +53,7 @@ def test_standardize_random(rng):
 def test_pca2_matches_eigh(rng, shape):
     X = rng.normal(size=shape) @ rng.normal(size=(shape[1], shape[1]))
     res = pca2(X)
-    comps, vals, _ = eigh_pca2(X)
+    comps, vals, _ = svd_pca2(X)
     # up to sign: the shared convention should line them up exactly, but a
     # loading that is zero at the anchor index may flip
     for i in range(2):
@@ -77,12 +77,24 @@ def test_pca2_projection_identity(rng):
     assert res.projected.shape == (15, 2)
 
 
-def test_pca2_collinear_plane():
-    t = np.linspace(-3.0, 3.0, 11)
-    X = np.column_stack([t, 2.0 * t])  # exactly rank one
+_T = np.linspace(-3.0, 3.0, 11)
+_V = np.arange(1.0, 11.0)
+
+
+@pytest.mark.parametrize(
+    "X, expect",
+    [
+        # exactly rank one; tall takes the covariance route, wide the Gram
+        # route and its fallback for the second component
+        (np.column_stack([_T, 2.0 * _T]), np.array([1.0, 2.0]) / math.sqrt(5.0)),
+        (np.outer(np.linspace(-3.0, 3.0, 4), _V), _V / np.linalg.norm(_V)),
+    ],
+    ids=["tall", "wide"],
+)
+def test_pca2_collinear_plane(X, expect):
     res = pca2(X)
-    expect = np.array([1.0, 2.0]) / math.sqrt(5.0)
     assert np.allclose(res.components[0], expect, atol=1e-12)
+    assert np.allclose(res.components[0], svd_pca2(X)[0][0], atol=1e-12)
     assert res.explained_variance[1] < 1e-12
     # second component still unit length and orthogonal
     assert abs(float(res.components[0] @ res.components[1])) < 1e-10
@@ -93,7 +105,7 @@ def test_pca2_gram_route_wide(rng):
     # more columns than rows forces the Gram-matrix path
     X = rng.normal(size=(9, 120))
     res = pca2(X)
-    comps, vals, _ = eigh_pca2(X)
+    comps, vals, _ = svd_pca2(X)
     for i in range(2):
         direct = float(np.abs(res.components[i] - comps[i]).max())
         flipped = float(np.abs(res.components[i] + comps[i]).max())

@@ -7,10 +7,25 @@ undirected skeleton is connected are grouped into isomorphism classes.  That
 yields 13 size-3 and 199 size-4 classes, 212 in total, indexed by ascending
 canonical code with the size-3 block first.
 
-Counting walks every skeleton-connected node subset exactly once (ESU
-enumeration rooted at each node, extending only through higher-indexed
-exclusive neighbors) and classifies each induced code with an O(1) table
-lookup.  One traversal to depth 4 emits both the 3- and 4-subsets.
+Counting does not enumerate subsets.  Every connected 3- or 4-node subgraph
+has one of eight skeleton shapes (wedge, triangle, 3-path, claw, 4-cycle,
+paw, diamond, K4), and its class is fixed by the dyad types (out, in or
+mutual) of its edges.  Nodes are ranked by descending degree.
+
+* Triangles, K4s and induced 4-cycles are listed, each once from its
+  lowest-ranked node; only each one's labeled code is tallied.
+* The other shapes are counted from per-node dyad-type tallies: wedges and
+  claws from products of a center's out, in and mutual neighbor counts;
+  induced 3-paths through an edge (b, c) as typed |N(b) - N[c]| times typed
+  |N(c) - N[b]|; diamonds from pairs of an edge's common neighbors; and paws
+  per triangle vertex x as deg_t(x) - common_t(x, y) - common_t(x, z).
+* Those counts include larger shapes, so corrections follow: triangles fix
+  the wedges, 4-cycles the 3-paths, K4s the diamonds and paws, and paws,
+  diamonds and K4s the claws.  A table built on the first census call maps
+  each tally slot to its class plus the corrections it implies.
+
+A hub with D leaves therefore costs O(D), not the C(D, 3) claws that
+enumerating subsets would visit.
 """
 
 from __future__ import annotations
@@ -19,9 +34,10 @@ import csv
 import hashlib
 import itertools
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +53,6 @@ __all__ = [
     "build_class_table",
     "census",
     "census_parallel",
-    "enumerate_connected_subsets",
     "get_class_table",
     "render_class",
 ]
@@ -313,99 +328,266 @@ def get_class_table() -> CanonicalClassTable:
     return _TABLE_SINGLETON
 
 
-def enumerate_connected_subsets(g: DirectedGraph, k: int) -> Iterator[tuple[int, ...]]:
-    """Yield every k-node subset with weakly-connected skeleton exactly once.
+# Dyad types, seen from the first node of a pair: bit 0 is u->v, bit 1 is v->u,
+# so 1 = out, 2 = in, 3 = mutual.
+_WEDGES = tuple(itertools.combinations_with_replacement((1, 2, 3), 2))
+_CLAWS = tuple(itertools.combinations_with_replacement((1, 2, 3), 3))
 
-    ESU scheme: root at each node v, extend through exclusive neighbors with
-    index greater than v (an exclusive neighbor of the partial subset is one
-    not in the subset and not adjacent to it).
+# Offsets of the term sections in one flat tally list.  A signature s = 3a + b - 4
+# (0..8) packs the types a = (x, z) and b = (y, z) of a common neighbor z of the
+# edge (x, y); tau is the type of (x, y) itself.
+_WEDGE = 0  # 6 type pairs at a center
+_CLAW = _WEDGE + len(_WEDGES)  # 10 type triples at a center
+_PATH = _CLAW + len(_CLAWS)  # (tau, x-end type, y-end type): 27
+_TRI = _PATH + 27  # (tau, s): 27
+_PAW = _TRI + 27  # (tau, s, triangle vertex holding the pendant, pendant type): 243
+_DIAMOND = _PAW + 243  # (tau, s, s2), s <= s2: 243
+_K4 = _DIAMOND + 243  # (tau, s, s2, type of the apex pair): 729
+_C4 = _K4 + 729  # types around the cycle a-b-c-d-a: 81
+_TALLY_SIZE = _C4 + 81
+
+
+def _term_deltas(class3, class4) -> list[array]:
+    """Per tally slot, the flat (class, coefficient, ...) change one unit makes.
+
+    Every counted shape carries the corrections its count implies: each induced
+    paw or diamond removes the claws it contains from the star products, and
+    each listed triangle, C4 and K4 removes what the products over-counted.
+    Shapes are built as labeled codes (see `graphs`), so dropping an edge or
+    keeping only the edges at one node is a bit mask.
     """
-    if k not in (3, 4):
-        raise ValueError(f"subgraph size must be 3 or 4, got {k}")
-    adj = g.skeleton_adjacency
+    shift = {k: {pair: k * (k - 1) - 1 - p for p, pair in enumerate(pair_order(k))} for k in (3, 4)}
 
-    def extend(sub: list[int], ext: list[int], seen: set[int], root: int):
-        if len(sub) == k:
-            yield tuple(sorted(sub))
-            return
-        while ext:
-            w = ext.pop()
-            nb_w = adj[w]
-            new_ext = ext + [u for u in nb_w if u > root and u not in seen]
-            yield from extend(sub + [w], new_ext, seen | set(nb_w), root)
+    def dyad(k, i, j, t):  # code bits of a type-t dyad from i to j
+        return ((t & 1) << shift[k][(i, j)]) | ((t >> 1) << shift[k][(j, i)])
 
-    for v in range(g.node_count):
-        nb = adj[v]
-        ext0 = [u for u in nb if u > v]
-        yield from extend([v], ext0, set(nb) | {v}, v)
+    pair = {(i, j): dyad(4, i, j, 3) for i, j in itertools.combinations(range(4), 2)}
+    star = [sum(m for p, m in pair.items() if v in p) for v in range(4)]
+    # a K4 holds a paw at v for each other node w: cut w's edges to the remaining two
+    paw_cuts = [
+        (v, sum(m for p, m in pair.items() if w in p and v not in p))
+        for w, v in itertools.permutations(range(4), 2)
+    ]
+    deltas = [array("h")] * _TALLY_SIZE  # slots no count reaches stay empty
+
+    def put(key, shapes, k=4):  # shapes: (labeled code, coefficient) pairs
+        table = class3 if k == 3 else class4
+        merged: dict[int, int] = {}
+        for code, coeff in shapes:
+            merged[table[code]] = merged.get(table[code], 0) + coeff
+        deltas[key] = array("h", itertools.chain.from_iterable((c, n) for c, n in merged.items() if n))
+
+    def paw(code, v):  # v: the vertex of degree 3
+        return [(code, 1), (code & star[v], -1)]
+
+    def diamond(code, x, y, coeff=1):  # (x, y): the shared edge
+        return [(code, coeff), (code & star[x], -coeff), (code & star[y], -coeff)]
+
+    for j, (t1, t2) in enumerate(_WEDGES):
+        put(_WEDGE + j, [(dyad(3, 0, 1, t1) | dyad(3, 0, 2, t2), 1)], k=3)
+    for j, (t1, t2, t3) in enumerate(_CLAWS):
+        put(_CLAW + j, [(dyad(4, 0, 1, t1) | dyad(4, 0, 2, t2) | dyad(4, 0, 3, t3), 1)])
+    for tau, t1, t2 in itertools.product((1, 2, 3), repeat=3):
+        path = dyad(4, 0, 1, tau) | dyad(4, 0, 2, t1) | dyad(4, 1, 3, t2)
+        put(_PATH + 9 * (tau - 1) + 3 * (t1 - 1) + t2 - 1, [(path, 1)])
+    for tau, s in itertools.product((1, 2, 3), range(9)):
+        a, b = s // 3 + 1, s % 3 + 1
+        tri = dyad(3, 0, 1, tau) | dyad(3, 0, 2, a) | dyad(3, 1, 2, b)
+        wedges = [(tri & ~dyad(3, i, j, 3), -1) for i, j in ((0, 1), (0, 2), (1, 2))]
+        put(_TRI + 9 * (tau - 1) + s, [(tri, 1)] + wedges, k=3)
+        tri = dyad(4, 0, 1, tau) | dyad(4, 0, 2, a) | dyad(4, 1, 2, b)
+        for v, t in itertools.product(range(3), (1, 2, 3)):
+            put(_PAW + 81 * (tau - 1) + 9 * s + 3 * v + t - 1, paw(tri | dyad(4, v, 3, t), v))
+        for s2 in range(9):
+            apexes = tri | dyad(4, 0, 3, s2 // 3 + 1) | dyad(4, 1, 3, s2 % 3 + 1)
+            if s <= s2:
+                put(_DIAMOND + 81 * (tau - 1) + 9 * s + s2, diamond(apexes, 0, 1))
+            for e in (1, 2, 3):
+                k4 = apexes | dyad(4, 2, 3, e)
+                shapes = [(k4, 1)] + [(k4 & star[v], -1) for v in range(4)]
+                for (x, y), (z, w) in zip(pair, reversed(pair)):  # each edge with its opposite
+                    shapes += diamond(k4 & ~pair[(z, w)], x, y, -1)
+                for v, cut in paw_cuts:
+                    shapes += paw(k4 & ~cut, v)
+                put(_K4 + 243 * (tau - 1) + 27 * s + 3 * s2 + e - 1, shapes)
+    edges = ((0, 1), (1, 2), (2, 3), (0, 3))
+    for types in itertools.product((1, 2, 3), repeat=4):
+        cycle = sum(dyad(4, i, j, t) for (i, j), t in zip(edges, types))
+        paths = [(cycle & ~pair[e], -1) for e in edges]
+        key = _C4 + 27 * (types[0] - 1) + 9 * (types[1] - 1) + 3 * (types[2] - 1) + types[3] - 1
+        put(key, [(cycle, 1)] + paths)
+    return deltas
+
+
+_DELTAS: tuple = (None, None, [])
+
+
+def _deltas_for(class3, class4) -> list[array]:
+    """`_term_deltas` for these class tables, built once per process and table."""
+    global _DELTAS
+    c3, c4, deltas = _DELTAS
+    if not ((c3 is class3 or c3 == class3) and (c4 is class4 or c4 == class4)):
+        deltas = _term_deltas(class3, class4)
+        _DELTAS = (class3, class4, deltas)
+    return deltas
 
 
 def _count_from_roots(g: DirectedGraph, roots, class3, class4) -> list[int]:
-    """ESU traversal over the given roots, counting 3- and 4-subset classes.
+    """Census counts of the work owned by the given roots.
 
-    Hand-unrolled to depth 4: the recursion levels become nested while loops
-    popping from per-level extension stacks.  This is the hot path; adjacency
-    is read from the precomputed skeleton lists and out-neighbor sets.
+    Nodes are ranked by descending skeleton degree (ties by id).  A root owns
+    its own star products, every edge to a higher-ranked neighbor, and every
+    listed triangle, K4 and induced C4 whose lowest-ranked node it is.  Each
+    piece of work has exactly one owner, so partial counts over any partition
+    of the nodes sum to the census (a single part may hold negative counts).
     """
     adj = g.skeleton_adjacency
     outs = g._out_sets
-    counts = [0] * TOTAL_CLASSES
-    for v in roots:
-        nb_v = adj[v]
-        if not nb_v:
-            continue
-        ov = outs[v]
-        seen0 = set(nb_v)
-        seen0.add(v)
-        ext0 = [u for u in nb_v if u > v]
-        while ext0:
-            b = ext0.pop()
-            nb_b = adj[b]
-            ext1 = ext0 + [u for u in nb_b if u > v and u not in seen0]
-            if not ext1:
+    n = g.node_count
+    # typed degrees: out-only, in-only and mutual neighbors
+    deg_out = [0] * n
+    deg_in = [0] * n
+    deg_mut = [0] * n
+    for v in range(n):
+        nv, no, ni = len(adj[v]), len(g.out_adjacency[v]), len(g.in_adjacency[v])
+        deg_out[v], deg_in[v], deg_mut[v] = nv - ni, nv - no, no + ni - nv
+    rank = [0] * n
+    for r, v in enumerate(sorted(range(n), key=lambda v: -len(adj[v]))):  # stable: ties by id
+        rank[v] = r
+
+    tally = [0] * _TALLY_SIZE
+    for x in roots:
+        nx = adj[x]
+        if len(nx) < 2:
+            continue  # centers nothing; its one edge is its neighbor's or counts nothing
+        # star products: wedges, then claws, in `_WEDGES` and `_CLAWS` order
+        d1, d2, d3 = deg_out[x], deg_in[x], deg_mut[x]
+        p1, p2, p3 = d1 * (d1 - 1) // 2, d2 * (d2 - 1) // 2, d3 * (d3 - 1) // 2
+        tally[0] += p1
+        tally[1] += d1 * d2
+        tally[2] += d1 * d3
+        tally[3] += p2
+        tally[4] += d2 * d3
+        tally[5] += p3
+        tally[6] += p1 * (d1 - 2) // 3
+        tally[7] += p1 * d2
+        tally[8] += p1 * d3
+        tally[9] += d1 * p2
+        tally[10] += d1 * d2 * d3
+        tally[11] += d1 * p3
+        tally[12] += p2 * (d2 - 2) // 3
+        tally[13] += p2 * d3
+        tally[14] += d2 * p3
+        tally[15] += p3 * (d3 - 2) // 3
+
+        rx = rank[x]
+        ox = outs[x]
+        sx = set(nx)
+        for y in nx:
+            ny = adj[y]
+            if rank[y] < rx or len(ny) < 2:
+                continue  # owned by y, or a pendant edge on no path, triangle or C4
+            oy = outs[y]
+            tau = (y in ox) + 2 * (x in oy)
+            common = sx.intersection(ny)
+            cx1 = cx2 = cx3 = cy1 = cy2 = cy3 = 0
+            if common:
+                # each common neighbor z closes a triangle x-y-z.  Paws on it start
+                # from deg_t(z); this edge subtracts common_t(x, y) from the paws
+                # hanging on x and common_t(y, x) from those hanging on y.
+                ry = rank[y]
+                sig = [0] * 9
+                later = []
+                apex = _PAW + 81 * tau - 75  # the pendant hangs on the common neighbor
+                for z in common:
+                    oz = outs[z]
+                    s = 3 * ((z in ox) + 2 * (x in oz)) + (z in oy) + 2 * (y in oz) - 4
+                    sig[s] += 1
+                    k = apex + 9 * s
+                    tally[k] += deg_out[z]
+                    tally[k + 1] += deg_in[z]
+                    tally[k + 2] += deg_mut[z]
+                    if rank[z] > ry:
+                        later.append((z, oz, s))
+                cx1, cx2, cx3 = sig[0] + sig[1] + sig[2], sig[3] + sig[4] + sig[5], sig[6] + sig[7] + sig[8]
+                cy1, cy2, cy3 = sig[0] + sig[3] + sig[6], sig[1] + sig[4] + sig[7], sig[2] + sig[5] + sig[8]
+                present = [s for s in range(9) if sig[s]]
+                paw = _PAW + 81 * tau - 81
+                diamond = _DIAMOND + 81 * tau - 81
+                for i, s in enumerate(present):
+                    c = sig[s]
+                    k = paw + 9 * s
+                    tally[k] -= c * cx1
+                    tally[k + 1] -= c * cx2
+                    tally[k + 2] -= c * cx3
+                    tally[k + 3] -= c * cy1
+                    tally[k + 4] -= c * cy2
+                    tally[k + 5] -= c * cy3
+                    # diamonds on this edge: pairs of common neighbors (an adjacent
+                    # pair is a K4, which the K4 listing corrects)
+                    k = diamond + 9 * s
+                    tally[k + s] += c * (c - 1) // 2
+                    for s2 in present[i + 1 :]:
+                        tally[k + s2] += c * sig[s2]
+                # triangles and K4s are listed from their two lowest-ranked nodes
+                tri = _TRI + 9 * tau - 9
+                k4 = _K4 + 243 * tau - 244
+                for i, (z, oz, s) in enumerate(later):
+                    tally[tri + s] += 1
+                    k = k4 + 27 * s
+                    for w, ow, s2 in later[i + 1 :]:
+                        e = (w in oz) + 2 * (z in ow)
+                        if e:
+                            tally[k + 3 * s2 + e] += 1
+            # induced 3-paths a-x-y-d through the edge: a in N(x) minus N[y], d in N(y) minus N[x]
+            a1 = d1 - cx1 - (tau == 1)
+            a2 = d2 - cx2 - (tau == 2)
+            a3 = d3 - cx3 - (tau == 3)
+            b1 = deg_out[y] - cy1 - (tau == 2)
+            b2 = deg_in[y] - cy2 - (tau == 1)
+            b3 = deg_mut[y] - cy3 - (tau == 3)
+            if (a1 or a2 or a3) and (b1 or b2 or b3):
+                k = _PATH + 9 * tau - 9
+                tally[k] += a1 * b1
+                tally[k + 1] += a1 * b2
+                tally[k + 2] += a1 * b3
+                tally[k + 3] += a2 * b1
+                tally[k + 4] += a2 * b2
+                tally[k + 5] += a2 * b3
+                tally[k + 6] += a3 * b1
+                tally[k + 7] += a3 * b2
+                tally[k + 8] += a3 * b3
+
+        # induced 4-cycles x-b-c-d-x with x lowest-ranked: 2-paths x-b-c grouped by c
+        ends: dict[int, list[int]] = {}
+        for b in nx:
+            if rank[b] > rx:
+                for c in adj[b]:
+                    if rank[c] > rx and c not in sx:
+                        if c in ends:
+                            ends[c].append(b)
+                        else:
+                            ends[c] = [b]
+        for c, mids in ends.items():
+            if len(mids) < 2:
                 continue
-            seen1 = seen0.union(nb_b)
-            ob = outs[b]
-            vb = b in ov
-            bv = v in ob
-            while ext1:
-                c = ext1.pop()
-                oc = outs[c]
-                counts[
-                    class3[
-                        (vb << 5)
-                        | ((c in ov) << 4)
-                        | (bv << 3)
-                        | ((c in ob) << 2)
-                        | ((v in oc) << 1)
-                        | (b in oc)
-                    ]
-                ] += 1
-                ext2 = ext1 + [u for u in adj[c] if u > v and u not in seen1]
-                if not ext2:
-                    continue
-                base = (
-                    (vb << 11)
-                    | ((c in ov) << 10)
-                    | (bv << 8)
-                    | ((c in ob) << 7)
-                    | ((v in oc) << 5)
-                    | ((b in oc) << 4)
-                )
-                while ext2:
-                    d = ext2.pop()
+            oc = outs[c]
+            for i, b in enumerate(mids):
+                ob = outs[b]
+                k = _C4 - 40 + 27 * ((b in ox) + 2 * (x in ob)) + 9 * ((c in ob) + 2 * (b in oc))
+                for d in mids[i + 1 :]:
                     od = outs[d]
-                    counts[
-                        class4[
-                            base
-                            | ((d in ov) << 9)
-                            | ((d in ob) << 6)
-                            | ((d in oc) << 3)
-                            | ((v in od) << 2)
-                            | ((b in od) << 1)
-                            | (c in od)
-                        ]
-                    ] += 1
+                    if d in ob or b in od:
+                        continue  # chord b-d: a diamond, counted per edge
+                    tally[k + 3 * ((d in oc) + 2 * (c in od)) + (d in ox) + 2 * (x in od)] += 1
+
+    counts = [0] * TOTAL_CLASSES
+    deltas = _deltas_for(class3, class4)
+    for key, units in enumerate(tally):
+        if units:
+            delta = deltas[key]
+            for i in range(0, len(delta), 2):
+                counts[delta[i]] += delta[i + 1] * units
     return counts
 
 
@@ -427,10 +609,10 @@ def _census_worker(args) -> list[int]:
 def census_parallel(
     g: DirectedGraph, workers: int, table: CanonicalClassTable | None = None
 ) -> CensusVector:
-    """census(g) with ESU roots sharded round-robin across worker processes.
+    """census(g) with its roots sharded round-robin across worker processes.
 
-    Integer partial counts are summed, so the result is identical for every
-    worker count.
+    Integer partial counts (one shard's may be negative) are summed, so the
+    result is identical for every worker count.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

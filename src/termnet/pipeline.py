@@ -326,8 +326,8 @@ def classify_datasets(
         load_path = os.path.join(str(outdir), f"pca-{set_name}-loadings.csv")
         with open(load_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# manifest_sha256={manifest_hash}\n")
-            fh.write(f"# explained_variance_pc1={res.explained_variance[0]!r}\n")
-            fh.write(f"# explained_variance_pc2={res.explained_variance[1]!r}\n")
+            fh.write(f"# explained_variance_pc1={float(res.explained_variance[0])!r}\n")
+            fh.write(f"# explained_variance_pc2={float(res.explained_variance[1])!r}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["feature", "pc1", "pc2"])
             for j, name in enumerate(ds.col_names):

@@ -81,24 +81,136 @@ def _canon_map(k):
     return _CANON_MAPS[k]
 
 
+_CLASS_LOOKUP = []
+
+
+def _class_lookup():
+    """(class3, class4, class count): code -> class id, -1 for a disconnected code.
+
+    Classes are indexed by ascending canonical code, size 3 first; the only
+    convention shared with the library is the bit layout.
+    """
+    if not _CLASS_LOOKUP:
+        classes3, classes4 = class_universe()
+        index = {(3, c): i for i, c in enumerate(classes3)}
+        index.update({(4, c): len(classes3) + i for i, c in enumerate(classes4)})
+        lookups = [[index.get((k, c), -1) for c in _canon_map(k)] for k in (3, 4)]
+        _CLASS_LOOKUP.extend(lookups + [len(index)])
+    return _CLASS_LOOKUP
+
+
 def brute_census(g):
     """212-vector by iterating every 3- and 4-node subset of g.
 
-    Uses its own canonicalization and class indexing (ascending canonical
-    code, size 3 first); the only shared convention is the bit layout.
+    Uses the oracle's own canonicalization and class indexing; the only shared
+    convention is the bit layout.
     """
-    classes3, classes4 = class_universe()
-    index = {(3, c): i for i, c in enumerate(classes3)}
-    index.update({(4, c): len(classes3) + i for i, c in enumerate(classes4)})
+    class3, class4, total = _class_lookup()
     edge_set = set(g.edges)
-    counts = [0] * (len(classes3) + len(classes4))
-    for k in (3, 4):
-        cmap = _canon_map(k)
+    counts = [0] * total
+    for k, lookup in ((3, class3), (4, class4)):
         for nodes in itertools.combinations(range(g.node_count), k):
-            code = subgraph_code(edge_set, nodes)
-            if not skeleton_connected(code, k):
+            cid = lookup[subgraph_code(edge_set, nodes)]
+            if cid >= 0:
+                counts[cid] += 1
+    return counts
+
+
+def enumerate_connected_subsets(g, k):
+    """Yield every k-node subset with weakly-connected skeleton exactly once.
+
+    ESU scheme: root at each node v, extend through exclusive neighbors with
+    index greater than v (an exclusive neighbor of the partial subset is one
+    not in the subset and not adjacent to it).
+    """
+    if k not in (3, 4):
+        raise ValueError(f"subgraph size must be 3 or 4, got {k}")
+    adj = g.skeleton_adjacency
+
+    def extend(sub, ext, seen, root):
+        if len(sub) == k:
+            yield tuple(sorted(sub))
+            return
+        while ext:
+            w = ext.pop()
+            nb_w = adj[w]
+            new_ext = ext + [u for u in nb_w if u > root and u not in seen]
+            yield from extend(sub + [w], new_ext, seen | set(nb_w), root)
+
+    for v in range(g.node_count):
+        nb = adj[v]
+        ext0 = [u for u in nb if u > v]
+        yield from extend([v], ext0, set(nb) | {v}, v)
+
+
+def esu_census(g):
+    """212-vector by ESU: every connected 3- and 4-subset visited once.
+
+    The depth-4 traversal is unrolled into nested loops over per-level
+    extension stacks; each subset is classified with the oracle's own
+    canonical-code lookup.  Cost grows with the number of connected subsets,
+    so use it on graphs without large hubs.
+    """
+    class3, class4, total = _class_lookup()
+    adj = g.skeleton_adjacency
+    outs = [set(ns) for ns in g.out_adjacency]
+    counts = [0] * total
+    for v in range(g.node_count):
+        nb_v = adj[v]
+        if not nb_v:
+            continue
+        ov = outs[v]
+        seen0 = set(nb_v)
+        seen0.add(v)
+        ext0 = [u for u in nb_v if u > v]
+        while ext0:
+            b = ext0.pop()
+            nb_b = adj[b]
+            ext1 = ext0 + [u for u in nb_b if u > v and u not in seen0]
+            if not ext1:
                 continue
-            counts[index[(k, cmap[code])]] += 1
+            seen1 = seen0.union(nb_b)
+            ob = outs[b]
+            vb = b in ov
+            bv = v in ob
+            while ext1:
+                c = ext1.pop()
+                oc = outs[c]
+                counts[
+                    class3[
+                        (vb << 5)
+                        | ((c in ov) << 4)
+                        | (bv << 3)
+                        | ((c in ob) << 2)
+                        | ((v in oc) << 1)
+                        | (b in oc)
+                    ]
+                ] += 1
+                ext2 = ext1 + [u for u in adj[c] if u > v and u not in seen1]
+                if not ext2:
+                    continue
+                base = (
+                    (vb << 11)
+                    | ((c in ov) << 10)
+                    | (bv << 8)
+                    | ((c in ob) << 7)
+                    | ((v in oc) << 5)
+                    | ((b in oc) << 4)
+                )
+                while ext2:
+                    d = ext2.pop()
+                    od = outs[d]
+                    counts[
+                        class4[
+                            base
+                            | ((d in ov) << 9)
+                            | ((d in ob) << 6)
+                            | ((d in oc) << 3)
+                            | ((v in od) << 2)
+                            | ((b in od) << 1)
+                            | (c in od)
+                        ]
+                    ] += 1
     return counts
 
 

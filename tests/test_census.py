@@ -1,17 +1,21 @@
 import itertools
+import time
+from math import comb, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termnet.census import (
     CLASS_COUNT_3,
     CLASS_COUNT_4,
     TOTAL_CLASSES,
     CensusVector,
+    _count_from_roots,
     build_class_table,
     census,
     census_parallel,
-    enumerate_connected_subsets,
     render_class,
 )
 from termnet.graphs import DirectedGraph, build_graph
@@ -73,14 +77,14 @@ def test_class_edges_reproduce_code(class_table):
 
 def test_enumerate_subsets_examples():
     cycle = build_graph([("a", "b"), ("b", "c"), ("c", "a")])
-    assert list(enumerate_connected_subsets(cycle, 3)) == [(0, 1, 2)]
+    assert list(oracles.enumerate_connected_subsets(cycle, 3)) == [(0, 1, 2)]
 
     k4 = DirectedGraph(4, [(i, j) for i in range(4) for j in range(4) if i != j])
-    assert len(list(enumerate_connected_subsets(k4, 3))) == 4
-    assert list(enumerate_connected_subsets(k4, 4)) == [(0, 1, 2, 3)]
+    assert len(list(oracles.enumerate_connected_subsets(k4, 3))) == 4
+    assert list(oracles.enumerate_connected_subsets(k4, 4)) == [(0, 1, 2, 3)]
 
     disjoint = build_graph([("a", "b"), ("c", "d")])
-    assert list(enumerate_connected_subsets(disjoint, 3)) == []
+    assert list(oracles.enumerate_connected_subsets(disjoint, 3)) == []
 
 
 def test_enumerate_subsets_unique_and_connected(rng):
@@ -89,7 +93,7 @@ def test_enumerate_subsets_unique_and_connected(rng):
         g = gen_random_digraph(n, float(rng.uniform(0.1, 0.4)), int(rng.integers(1 << 30)))
         edge_set = set(g.edges)
         for k in (3, 4):
-            subsets = list(enumerate_connected_subsets(g, k))
+            subsets = list(oracles.enumerate_connected_subsets(g, k))
             assert len(subsets) == len(set(subsets))
             expected = [
                 nodes
@@ -156,8 +160,8 @@ def test_census_isomorphism_invariance(class_table, rng):
 def test_census_completeness_vs_enumeration(class_table):
     g = gen_random_digraph(15, 0.2, seed=5)
     vec = census(g, class_table)
-    n3 = len(list(enumerate_connected_subsets(g, 3)))
-    n4 = len(list(enumerate_connected_subsets(g, 4)))
+    n3 = len(list(oracles.enumerate_connected_subsets(g, 3)))
+    n4 = len(list(oracles.enumerate_connected_subsets(g, 4)))
     assert sum(vec.counts[:CLASS_COUNT_3]) == n3
     assert sum(vec.counts[CLASS_COUNT_3:]) == n4
     assert vec.total == n3 + n4
@@ -180,6 +184,107 @@ def test_census_parallel_matches_serial(class_table):
     assert census_parallel(build_graph([]), 4, class_table).total == 0
     with pytest.raises(ValueError):
         census_parallel(g, 0, class_table)
+
+
+# dyad types as drawn below: 1 = out (u -> v), 2 = in (v -> u), 3 = mutual
+def _dyad_edges(u, v, t):
+    return ([(u, v)] if t & 1 else []) + ([(v, u)] if t & 2 else [])
+
+
+@st.composite
+def random_digraphs(draw):
+    n = draw(st.integers(0, 14))
+    pairs = list(itertools.combinations(range(n), 2))
+    types = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    return DirectedGraph(n, [e for (u, v), t in zip(pairs, types) for e in _dyad_edges(u, v, t)])
+
+
+@st.composite
+def hub_digraphs(draw):
+    """1-3 hubs with out/in/mutual leaves, a few leaf-leaf edges and leaves
+    shared between hubs, under a random relabeling."""
+    hubs = draw(st.integers(1, 3))
+    leaves = draw(st.lists(st.tuples(st.integers(0, hubs - 1), st.integers(1, 3)), min_size=1, max_size=45))
+    n = hubs + len(leaves)
+    edges = []
+    for h, g in itertools.combinations(range(hubs), 2):
+        edges += _dyad_edges(h, g, draw(st.integers(0, 3)))
+    for i, (h, t) in enumerate(leaves):
+        edges += _dyad_edges(h, hubs + i, t)
+    leaf = st.integers(hubs, n - 1)
+    for h, v, t in draw(st.lists(st.tuples(st.integers(0, hubs - 1), leaf, st.integers(1, 3)), max_size=6)):
+        edges += _dyad_edges(h, v, t)  # shared leaves
+    for u, v, t in draw(st.lists(st.tuples(leaf, leaf, st.integers(1, 3)), max_size=6)):
+        if u != v:
+            edges += _dyad_edges(u, v, t)
+    perm = draw(st.permutations(range(n)))
+    return DirectedGraph(n, {(perm[u], perm[v]) for u, v in edges})
+
+
+@st.composite
+def dense_digraphs(draw):
+    """Near-complete graphs like the community networks of the paper corpus."""
+    n = draw(st.integers(4, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    types = draw(st.lists(st.integers(1, 3), min_size=len(pairs), max_size=len(pairs)))
+    missing = draw(st.sets(st.integers(0, len(pairs) - 1), max_size=n))
+    edges = [e for p, ((u, v), t) in enumerate(zip(pairs, types)) if p not in missing for e in _dyad_edges(u, v, t)]
+    return DirectedGraph(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_digraphs())
+def test_census_equals_esu_on_random_digraphs(class_table, g):
+    assert list(census(g, class_table).counts) == oracles.esu_census(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hub_digraphs())
+def test_census_equals_esu_on_hub_graphs(class_table, g):
+    assert list(census(g, class_table).counts) == oracles.esu_census(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_digraphs())
+def test_census_equals_esu_on_dense_graphs(class_table, g):
+    assert list(census(g, class_table).counts) == oracles.esu_census(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_digraphs(), hub_digraphs()), st.data())
+def test_root_partition_sums_to_census(class_table, g, data):
+    # every piece of work has one owning root, so any partition of the roots sums exactly
+    part_of = data.draw(st.lists(st.integers(0, 3), min_size=g.node_count, max_size=g.node_count))
+    total = [0] * TOTAL_CLASSES
+    for part in range(4):
+        roots = [v for v in range(g.node_count) if part_of[v] == part]
+        partial = _count_from_roots(g, roots, class_table.class_of_code3, class_table.class_of_code4)
+        total = [a + b for a, b in zip(total, partial)]
+    assert total == list(census(g, class_table).counts)
+
+
+def test_census_hub_star_closed_form(class_table):
+    # 3000 leaves, no leaf-leaf edges: ESU would visit C(3000, 3), about 4.5e9 claws
+    n_type = {1: 1400, 2: 1000, 3: 600}
+    kinds = [t for t, k in n_type.items() for _ in range(k)]
+    edges = [e for leaf, t in enumerate(kinds, start=1) for e in _dyad_edges(0, leaf, t)]
+    g = DirectedGraph(len(kinds) + 1, edges)
+
+    expected = [0] * TOTAL_CLASSES
+    for types in itertools.combinations_with_replacement((1, 2, 3), 2):
+        code = oracles.subgraph_code(set(_dyad_edges(0, 1, types[0]) + _dyad_edges(0, 2, types[1])), [0, 1, 2])
+        expected[class_table.class_id(3, code)] += prod([comb(n_type[t], types.count(t)) for t in set(types)])
+    for types in itertools.combinations_with_replacement((1, 2, 3), 3):
+        star = set(_dyad_edges(0, 1, types[0]) + _dyad_edges(0, 2, types[1]) + _dyad_edges(0, 3, types[2]))
+        code = oracles.subgraph_code(star, [0, 1, 2, 3])
+        expected[class_table.class_id(4, code)] += prod([comb(n_type[t], types.count(t)) for t in set(types)])
+
+    start = time.perf_counter()
+    vec = census(g, class_table)
+    elapsed = time.perf_counter() - start
+    assert list(vec.counts) == expected
+    assert vec.total == comb(3000, 2) + comb(3000, 3)
+    assert elapsed <= 5.0
 
 
 def test_census_vector_normalization():

@@ -4,12 +4,15 @@ import os
 import numpy as np
 import pytest
 
-from termnet import ml
+from termnet import ml, pipeline
+from termnet.census import census_parallel
 from termnet.cli import main
-from termnet.ingest import build_corpus, parse_records, read_terms_file
+from termnet.graphs import build_graph
+from termnet.ingest import InteractionKind, TermNetworkSet, build_corpus, parse_records, read_terms_file
 from termnet.pipeline import (
     CLASSIFIER_ORDER,
     FEATURE_SET_ORDER,
+    PARALLEL_CENSUS_MIN_NODES,
     PipelineError,
     compute_features,
     filter_records_window,
@@ -21,7 +24,7 @@ from termnet.pipeline import (
     write_networks,
 )
 from termnet.ranking import read_labels_csv
-from termnet.synth import SynthSpec, generate_corpus, write_corpus
+from termnet.synth import SynthSpec, gen_random_digraph_m, generate_corpus, write_corpus
 
 
 # ---------------------------------------------------------------- helpers
@@ -249,8 +252,15 @@ def test_cli_full_flow(tmp_path, capsys):
     # PCA exports for every feature set
     for set_name in FEATURE_SET_ORDER:
         assert (outdir / f"pca-{set_name}-projection.csv").exists()
-        assert (outdir / f"pca-{set_name}-loadings.csv").exists()
         assert report["pca"][set_name]["error"] is None
+        # the variance header holds bare floats, whatever the numpy version prints
+        header = (outdir / f"pca-{set_name}-loadings.csv").read_text().splitlines()[1:3]
+        assert [line.split("=")[0] for line in header] == [
+            "# explained_variance_pc1",
+            "# explained_variance_pc2",
+        ]
+        variances = [float(line.split("=")[1]) for line in header]
+        assert variances == report["pca"][set_name]["explained_variance"]
 
 
 def test_cli_classify_matches_library(tmp_path, capsys):
@@ -279,19 +289,37 @@ def test_cli_classify_matches_library(tmp_path, capsys):
         assert entry["metrics"] == {k: ref.metrics[k] for k in ml.METRIC_KEYS}
 
 
-def test_cli_features_byte_identical_across_workers(tmp_path, capsys):
+def test_cli_features_byte_identical_across_workers(tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "corpus"
     nets = tmp_path / "nets"
     run_cli("synth", "-o", corpus, "--terms", 3, "--records", 25, "--seed", 2)
-    run_cli("networks", corpus / "records.jsonl", corpus / "terms.txt", "-o", nets)
-    f1, f4 = tmp_path / "f1.csv", tmp_path / "f4.csv"
+    records = parse_records((corpus / "records.jsonl").read_text()).records
+    networks = build_corpus(records, read_terms_file(corpus / "terms.txt"))
+    # one network large enough for the root-sharded census, next to the synthetic ones
+    big = gen_random_digraph_m(900, 3000, seed=4)
+    graphs = {kind: build_graph([]) for kind in InteractionKind}
+    graphs[InteractionKind.MENTION] = build_graph((f"u{u}", f"u{v}") for u, v in big.sorted_edges())
+    networks.append(TermNetworkSet(term="#big", graphs=graphs, matched_records=3000))
+    write_networks(networks, nets, manifest_hash="c" * 64)
+    assert max(ref.graph.node_count for ref in read_networks(nets)) >= PARALLEL_CENSUS_MIN_NODES
+
+    sharded = []
+
+    def spy(g, workers, table=None):
+        sharded.append((g.node_count, workers))
+        return census_parallel(g, workers, table)
+
+    monkeypatch.setattr(pipeline, "census_parallel", spy)
+    f1, f3 = tmp_path / "f1.csv", tmp_path / "f3.csv"
     assert run_cli("features", nets, "-o", f1, "--workers", 1) == 0
-    assert run_cli("features", nets, "-o", f4, "--workers", 4) == 0
+    assert sharded == []
+    assert run_cli("features", nets, "-o", f3, "--workers", 3) == 0
     capsys.readouterr()
-    assert f1.read_bytes() == f4.read_bytes()
+    assert [workers for _, workers in sharded] == [3]
+    assert f1.read_bytes() == f3.read_bytes()
     m1 = json.loads((tmp_path / "f1.csv.manifest.json").read_text())
-    m4 = json.loads((tmp_path / "f4.csv.manifest.json").read_text())
-    assert m1 == m4  # worker count must not enter the manifest
+    m3 = json.loads((tmp_path / "f3.csv.manifest.json").read_text())
+    assert m1 == m3  # worker count must not enter the manifest
 
 
 def test_cli_window_excludes_everything(tmp_path, capsys):

@@ -15,7 +15,6 @@ from .ingest import (
     InteractionRecord,
     TermNetworkSet,
     build_corpus,
-    build_term_networks,
     parse_records,
     term_matches,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "TermNetworkSet",
     "parse_records",
     "term_matches",
-    "build_term_networks",
     "build_corpus",
     "aggregate_ratings",
     "partition_terms",

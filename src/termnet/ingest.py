@@ -27,7 +27,6 @@ __all__ = [
     "ParseResult",
     "TermNetworkSet",
     "build_corpus",
-    "build_term_networks",
     "parse_records",
     "parse_timestamp",
     "read_records_file",
@@ -170,11 +169,9 @@ def read_records_file(path, max_bad_fraction: float = 0.10) -> ParseResult:
 def _term_pattern(term: str) -> re.Pattern:
     if term.startswith("#"):
         # hashtag token: exact tag, ended by end-of-string or a non-word char
-        return re.compile(re.escape(term) + r"(?![A-Za-z0-9_])", re.IGNORECASE)
+        return re.compile(re.escape(term) + r"(?!\w)", re.IGNORECASE)
     # keyword: delimited on both sides by non-alphanumerics or boundaries
-    return re.compile(
-        r"(?<![A-Za-z0-9])" + re.escape(term) + r"(?![A-Za-z0-9])", re.IGNORECASE
-    )
+    return re.compile(r"(?<![^\W_])" + re.escape(term) + r"(?![^\W_])", re.IGNORECASE)
 
 
 def term_matches(text: str, term: str) -> bool:
@@ -183,30 +180,57 @@ def term_matches(text: str, term: str) -> bool:
     return _term_pattern(term).search(text) is not None
 
 
-def build_term_networks(records: list[InteractionRecord], term: str) -> TermNetworkSet:
-    """Three graphs for one term from the records whose text matches it."""
-    mention_pairs: list[tuple[str, str]] = []
-    reply_pairs: list[tuple[str, str]] = []
-    quote_pairs: list[tuple[str, str]] = []
-    matched = 0
-    for rec in records:
-        if not term_matches(rec.text, term):
-            continue
-        matched += 1
-        for m in rec.mentioned:
-            mention_pairs.append((rec.author, m))
-        if rec.reply_to_author is not None:
-            reply_pairs.append((rec.author, rec.reply_to_author))
-        if rec.quoted_author is not None:
-            quote_pairs.append((rec.author, rec.quoted_author))
+# A token is a maximal run of Unicode letters and digits; `-`, `_`, `#` and
+# spaces end it, exactly as they end a keyword match.
+_TOKEN = re.compile(r"[^\W_]+")
+
+
+class _KeyTable(dict):
+    """`str.translate` table from each character to its one-character key.
+
+    re.IGNORECASE calls two characters equal when their simple lowercase
+    forms are equal or listed as equivalent (s/ſ, i/ı/İ, µ/μ, k/K, σ/ς, ...).
+    upper() unites those variants (ſ -> S, ı -> I, µ -> Μ), casefold()
+    unites what upper() leaves apart (ẞ -> ss), and the first character of
+    the result keys İ (casefold 'i̇') as i.  Two letters or digits a term
+    pattern treats as equal always get the same key; the key may also unite
+    characters the pattern tells apart, which only adds candidates.
+
+    Only letters and digits are folded, and their keys are letters or
+    digits; every other character is its own key.  A key therefore keeps
+    its character's class, so the tokens of a translated text are the
+    translated tokens of the text.
+    """
+
+    def __missing__(self, codepoint: int) -> str:
+        char = chr(codepoint)
+        key = self[codepoint] = char.upper().casefold()[0] if char.isalnum() else char
+        return key
+
+
+_KEYS = _KeyTable()
+
+# Keys of the characters IGNORECASE equates across the letter/non-letter
+# line: U+0345 (combining ypogegrammeni, not a letter) equals the letter
+# iota, so a term holding either can match text whose tokens split where the
+# term's do not.  Such terms are checked against every record.
+_SPLIT_KEYS = frozenset("ι\u0345")
+
+
+def _term_networks(term: str, matching: list[InteractionRecord]) -> TermNetworkSet:
+    """Three graphs for one term from its matching records, in record order."""
     return TermNetworkSet(
         term=term,
         graphs={
-            InteractionKind.MENTION: build_graph(mention_pairs),
-            InteractionKind.REPLY: build_graph(reply_pairs),
-            InteractionKind.QUOTE_RETWEET: build_graph(quote_pairs),
+            InteractionKind.MENTION: build_graph((r.author, m) for r in matching for m in r.mentioned),
+            InteractionKind.REPLY: build_graph(
+                (r.author, r.reply_to_author) for r in matching if r.reply_to_author is not None
+            ),
+            InteractionKind.QUOTE_RETWEET: build_graph(
+                (r.author, r.quoted_author) for r in matching if r.quoted_author is not None
+            ),
         },
-        matched_records=matched,
+        matched_records=len(matching),
     )
 
 
@@ -214,15 +238,51 @@ def build_corpus(records: list[InteractionRecord], terms: list[str]) -> list[Ter
     """One TermNetworkSet per term, input order preserved.
 
     Terms must be distinct after lowercasing; a record matching several terms
-    contributes to each of them.
+    contributes to each of them.  A record matches a term when the term's
+    pattern (`term_matches`) finds it in the text.  The records are read once:
+    each text is split into tokens, the tokens' keys look up the terms whose
+    first token has the same key, and only those terms' patterns run.  A
+    term's first token always lines up with one whole token of any text it
+    matches, so the lookup skips only terms that cannot match.
     """
     seen: set[str] = set()
     for term in terms:
+        if not term:
+            raise IngestError("term must be non-empty")
         low = term.lower()
         if low in seen:
             raise IngestError(f"duplicate term (case-insensitive): {term!r}")
         seen.add(low)
-    return [build_term_networks(records, term) for term in terms]
+
+    # first-token key -> indices of the terms starting with that token
+    hashtags: dict[str, list[int]] = {}
+    keywords: dict[str, list[int]] = {}
+    every_record: list[int] = []  # no token, or a token that may split
+    for i, term in enumerate(terms):
+        first = _TOKEN.search(term)
+        if first is None or not _SPLIT_KEYS.isdisjoint(term.translate(_KEYS)):
+            every_record.append(i)
+        else:
+            table = hashtags if term.startswith("#") else keywords
+            table.setdefault(first.group().translate(_KEYS), []).append(i)
+
+    patterns = [_term_pattern(term) for term in terms]
+    matching: list[list[InteractionRecord]] = [[] for _ in terms]
+    for rec in records:
+        text = rec.text
+        keys = _TOKEN.findall(text.translate(_KEYS))
+        candidates = set(every_record)
+        for found in map(keywords.get, keys):
+            if found:
+                candidates.update(found)
+        if "#" in text:
+            for found in map(hashtags.get, keys):
+                if found:
+                    candidates.update(found)
+        for i in candidates:
+            if patterns[i].search(text) is not None:
+                matching[i].append(rec)
+    return [_term_networks(term, recs) for term, recs in zip(terms, matching)]
 
 
 def read_terms_file(path) -> list[str]:

@@ -2,12 +2,18 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 permutation minimization, triple loops, dense SVD) and shares no code with
-the package beyond the documented bit layout.
+the package beyond the documented bit layout.  The one exception is the
+term scan, which calls the package's `term_matches` and `build_graph`: the
+term pattern is the definition of a match, and what the scan checks is the
+package's single-pass candidate index, not the pattern.
 """
 
 import itertools
 
 import numpy as np
+
+from termnet.graphs import build_graph
+from termnet.ingest import InteractionKind, TermNetworkSet, term_matches
 
 # row-major ordered pairs (i, j), i != j; bit 0 of the code is the LAST pair
 def ordered_pairs(k):
@@ -288,3 +294,28 @@ def loglik_and_grad(w, X, y):
     p = 1.0 / (1.0 + np.exp(-z))
     grad = Xa.T @ (y - p) / X.shape[0]
     return ll, grad
+
+
+def scan_corpus(records, terms):
+    """Per term, every record's text searched with that term's pattern.
+
+    Returns one TermNetworkSet per term, in term order; pairs are collected
+    in record order, as the package does.
+    """
+    corpus = []
+    for term in terms:
+        pairs = {kind: [] for kind in InteractionKind}
+        matched = 0
+        for rec in records:
+            if not term_matches(rec.text, term):
+                continue
+            matched += 1
+            for m in rec.mentioned:
+                pairs[InteractionKind.MENTION].append((rec.author, m))
+            if rec.reply_to_author is not None:
+                pairs[InteractionKind.REPLY].append((rec.author, rec.reply_to_author))
+            if rec.quoted_author is not None:
+                pairs[InteractionKind.QUOTE_RETWEET].append((rec.author, rec.quoted_author))
+        graphs = {kind: build_graph(p) for kind, p in pairs.items()}
+        corpus.append(TermNetworkSet(term=term, graphs=graphs, matched_records=matched))
+    return corpus

@@ -26,6 +26,8 @@ from termnet.pipeline import (
 from termnet.ranking import read_labels_csv
 from termnet.synth import SynthSpec, gen_random_digraph_m, generate_corpus, write_corpus
 
+import oracles
+
 
 # ---------------------------------------------------------------- helpers
 
@@ -333,6 +335,28 @@ def test_cli_window_excludes_everything(tmp_path, capsys):
     assert rc == 0
     refs = read_networks(nets)
     assert all(r.graph.node_count == 0 and r.matched_records == 0 for r in refs)
+
+
+def test_cli_networks_window_matches_per_term_scan(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    nets = tmp_path / "nets"
+    run_cli("synth", "-o", corpus, "--terms", 8, "--records", 60, "--seed", 3)
+    window = ("--from", "2020-11-15", "--to", "2020-11-30")
+    assert run_cli("networks", corpus / "records.jsonl", corpus / "terms.txt", "-o", nets, *window) == 0
+    capsys.readouterr()
+
+    records = parse_records((corpus / "records.jsonl").read_text()).records
+    kept = filter_records_window(
+        records, parse_window_bound(window[1], end_of_day=False), parse_window_bound(window[3], end_of_day=True)
+    )
+    assert 0 < len(kept) < len(records)
+    want = tmp_path / "want"
+    manifest_hash = json.loads((nets / "manifest.json").read_text())["manifest_sha256"]
+    write_networks(oracles.scan_corpus(kept, read_terms_file(corpus / "terms.txt")), want, manifest_hash)
+    names = sorted(os.listdir(want))
+    assert sorted(os.listdir(nets)) == sorted(names + ["manifest.json"])
+    for name in names:
+        assert (nets / name).read_bytes() == (want / name).read_bytes(), name
 
 
 def test_cli_manifest_dry_run(tmp_path, capsys):

@@ -21,7 +21,7 @@ from .ingest import (
 from .ranking import aggregate_ratings, label_distribution, partition_terms
 from .metrics import GlobalFeatures, global_feature_vector
 from .census import CensusVector, build_class_table, census, census_parallel
-from .ml import cross_validate, pca2, standardize
+from .ml import assemble_feature_sets, cross_validate, pca2, standardize
 from .synth import SynthSpec, gen_random_digraph, generate_corpus
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "build_class_table",
     "census",
     "census_parallel",
+    "assemble_feature_sets",
     "standardize",
     "pca2",
     "cross_validate",

@@ -31,6 +31,7 @@ enumerating subsets would visit.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import os
@@ -318,14 +319,10 @@ def _load_cached(cache_path: str) -> CanonicalClassTable | None:
     return table
 
 
-_TABLE_SINGLETON: CanonicalClassTable | None = None
-
-
+@functools.cache
 def get_class_table() -> CanonicalClassTable:
-    global _TABLE_SINGLETON
-    if _TABLE_SINGLETON is None:
-        _TABLE_SINGLETON = build_class_table()
-    return _TABLE_SINGLETON
+    """The process's one class table, built (or loaded) on first use."""
+    return build_class_table()
 
 
 # Dyad types, seen from the first node of a pair: bit 0 is u->v, bit 1 is v->u,
@@ -347,15 +344,18 @@ _C4 = _K4 + 729  # types around the cycle a-b-c-d-a: 81
 _TALLY_SIZE = _C4 + 81
 
 
-def _term_deltas(class3, class4) -> list[array]:
+@functools.cache
+def _term_deltas() -> list[array]:
     """Per tally slot, the flat (class, coefficient, ...) change one unit makes.
 
     Every counted shape carries the corrections its count implies: each induced
     paw or diamond removes the claws it contains from the star products, and
     each listed triangle, C4 and K4 removes what the products over-counted.
     Shapes are built as labeled codes (see `graphs`), so dropping an edge or
-    keeping only the edges at one node is a bit mask.
+    keeping only the edges at one node is a bit mask.  Built once per process
+    from `get_class_table()`.
     """
+    table = get_class_table()
     shift = {k: {pair: k * (k - 1) - 1 - p for p, pair in enumerate(pair_order(k))} for k in (3, 4)}
 
     def dyad(k, i, j, t):  # code bits of a type-t dyad from i to j
@@ -371,10 +371,10 @@ def _term_deltas(class3, class4) -> list[array]:
     deltas = [array("h")] * _TALLY_SIZE  # slots no count reaches stay empty
 
     def put(key, shapes, k=4):  # shapes: (labeled code, coefficient) pairs
-        table = class3 if k == 3 else class4
+        classes = table.class_of_code3 if k == 3 else table.class_of_code4
         merged: dict[int, int] = {}
         for code, coeff in shapes:
-            merged[table[code]] = merged.get(table[code], 0) + coeff
+            merged[classes[code]] = merged.get(classes[code], 0) + coeff
         deltas[key] = array("h", itertools.chain.from_iterable((c, n) for c, n in merged.items() if n))
 
     def paw(code, v):  # v: the vertex of degree 3
@@ -419,20 +419,7 @@ def _term_deltas(class3, class4) -> list[array]:
     return deltas
 
 
-_DELTAS: tuple = (None, None, [])
-
-
-def _deltas_for(class3, class4) -> list[array]:
-    """`_term_deltas` for these class tables, built once per process and table."""
-    global _DELTAS
-    c3, c4, deltas = _DELTAS
-    if not ((c3 is class3 or c3 == class3) and (c4 is class4 or c4 == class4)):
-        deltas = _term_deltas(class3, class4)
-        _DELTAS = (class3, class4, deltas)
-    return deltas
-
-
-def _count_from_roots(g: DirectedGraph, roots, class3, class4) -> list[int]:
+def _count_from_roots(g: DirectedGraph, roots) -> list[int]:
     """Census counts of the work owned by the given roots.
 
     Nodes are ranked by descending skeleton degree (ties by id).  A root owns
@@ -582,7 +569,7 @@ def _count_from_roots(g: DirectedGraph, roots, class3, class4) -> list[int]:
                     tally[k + 3 * ((d in oc) + 2 * (c in od)) + (d in ox) + 2 * (x in od)] += 1
 
     counts = [0] * TOTAL_CLASSES
-    deltas = _deltas_for(class3, class4)
+    deltas = _term_deltas()
     for key, units in enumerate(tally):
         if units:
             delta = deltas[key]
@@ -591,24 +578,14 @@ def _count_from_roots(g: DirectedGraph, roots, class3, class4) -> list[int]:
     return counts
 
 
-def census(g: DirectedGraph, table: CanonicalClassTable | None = None) -> CensusVector:
+def census(g: DirectedGraph) -> CensusVector:
     """Exact 212-class census of g; graphs with under 3 nodes yield zeros."""
-    if table is None:
-        table = get_class_table()
     if g.node_count < 3:
         return CensusVector.from_counts([0] * TOTAL_CLASSES)
-    counts = _count_from_roots(g, range(g.node_count), table.class_of_code3, table.class_of_code4)
-    return CensusVector.from_counts(counts)
+    return CensusVector.from_counts(_count_from_roots(g, range(g.node_count)))
 
 
-def _census_worker(args) -> list[int]:
-    g, roots, class3, class4 = args
-    return _count_from_roots(g, roots, class3, class4)
-
-
-def census_parallel(
-    g: DirectedGraph, workers: int, table: CanonicalClassTable | None = None
-) -> CensusVector:
+def census_parallel(g: DirectedGraph, workers: int) -> CensusVector:
     """census(g) with its roots sharded round-robin across worker processes.
 
     Integer partial counts (one shard's may be negative) are summed, so the
@@ -616,15 +593,12 @@ def census_parallel(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if table is None:
-        table = get_class_table()
     if workers == 1 or g.node_count < 3:
-        return census(g, table)
+        return census(g)
     shards = [range(w, g.node_count, workers) for w in range(workers)]
-    args = [(g, shard, table.class_of_code3, table.class_of_code4) for shard in shards]
     totals = [0] * TOTAL_CLASSES
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for partial in pool.map(_census_worker, args):
+        for partial in pool.map(_count_from_roots, [g] * workers, shards):
             for i, c in enumerate(partial):
                 totals[i] += c
     return CensusVector.from_counts(totals)

@@ -73,9 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_feat = sub.add_parser("features", help="global metrics and subgraph census per network")
     p_feat.add_argument("networks_dir")
     p_feat.add_argument("-o", "--out", required=True)
-    p_feat.add_argument("--global", dest="want_global", action="store_true", help="emit the 9 global metrics (default: both blocks)")
-    p_feat.add_argument("--local", dest="want_local", action="store_true", help="emit the 212-class census block (default: both blocks)")
-    p_feat.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p_feat.add_argument("--workers", type=int, default=1, help="processes sharing the census of each network of 800+ nodes")
     p_feat.add_argument("--manifest", action="store_true", help="print the run manifest and exit")
 
     p_rank = sub.add_parser("rank", help="aggregate ratings and label terms")
@@ -149,21 +147,18 @@ def _networks_input_hashes(networks_dir: str) -> dict[str, str]:
 
 
 def _cmd_features(args) -> int:
-    want_global = args.want_global or not (args.want_global or args.want_local)
-    want_local = args.want_local or not (args.want_global or args.want_local)
     if args.workers < 1:
         raise PipelineError("--workers must be >= 1")
     manifest = RunManifest(
         command="features",
         tool_version=__version__,
-        parameters={"global": want_global, "local": want_local},
         input_hashes=_networks_input_hashes(args.networks_dir),
-        class_table_hash=get_class_table().content_hash if want_local else None,
+        class_table_hash=get_class_table().content_hash,
     )
     if args.manifest:
         return _emit_manifest(manifest)
     refs = read_networks(args.networks_dir)
-    rows = compute_features(refs, want_global, want_local, workers=args.workers)
+    rows = compute_features(refs, workers=args.workers)
     write_features_csv(rows, args.out, manifest.sha256)
     manifest.write(args.out + ".manifest.json")
     print(f"wrote {len(rows)} feature rows to {args.out}")

@@ -237,22 +237,26 @@ def _term_networks(term: str, matching: list[InteractionRecord]) -> TermNetworkS
 def build_corpus(records: list[InteractionRecord], terms: list[str]) -> list[TermNetworkSet]:
     """One TermNetworkSet per term, input order preserved.
 
-    Terms must be distinct after lowercasing; a record matching several terms
-    contributes to each of them.  A record matches a term when the term's
-    pattern (`term_matches`) finds it in the text.  The records are read once:
+    No term may equal another one under re.IGNORECASE (`stop` and `ſtop`
+    match the same records); a record matching several terms contributes to
+    each of them.  A record matches a term when the term's pattern
+    (`term_matches`) finds it in the text.  The records are read once:
     each text is split into tokens, the tokens' keys look up the terms whose
     first token has the same key, and only those terms' patterns run.  A
     term's first token always lines up with one whole token of any text it
     matches, so the lookup skips only terms that cannot match.
     """
-    seen: set[str] = set()
+    # terms the patterns equate share a key: every character folds the way `_KEYS`
+    # folds letters and digits, so U+0345 and cased symbols such as Ⓐ fold too
+    by_key: dict[str, list[str]] = {}
     for term in terms:
         if not term:
             raise IngestError("term must be non-empty")
-        low = term.lower()
-        if low in seen:
-            raise IngestError(f"duplicate term (case-insensitive): {term!r}")
-        seen.add(low)
+        same_key = by_key.setdefault("".join(c.upper().casefold()[0] for c in term), [])
+        for other in same_key:
+            if _term_pattern(other).fullmatch(term):
+                raise IngestError(f"duplicate term (case-insensitive): {term!r} equals {other!r}")
+        same_key.append(term)
 
     # first-token key -> indices of the terms starting with that token
     hashtags: dict[str, list[int]] = {}

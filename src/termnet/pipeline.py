@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime
 
 from . import ml
-from .census import TOTAL_CLASSES, CensusVector, census, census_parallel, get_class_table
+from .census import TOTAL_CLASSES, CensusVector, census, census_parallel
 from .graphs import DirectedGraph, read_edge_csv, write_edge_csv
 from .ingest import InteractionKind, TermNetworkSet, parse_timestamp
 from .metrics import METRIC_NAMES, GlobalFeatures, global_feature_vector
@@ -165,9 +165,11 @@ def read_networks(networks_dir) -> list[NetworkRef]:
 
 # ---------------------------------------------------------------- features
 
-_GLOBAL_COLS = list(METRIC_NAMES) + [f"{m}_defined" for m in METRIC_NAMES]
-_CENSUS_COLS = (
-    ["total"]
+_FEATURES_HEADER = (
+    ["term", "interaction"]
+    + list(METRIC_NAMES)
+    + [f"{m}_defined" for m in METRIC_NAMES]
+    + ["total"]
     + [f"c{i:03d}" for i in range(TOTAL_CLASSES)]
     + [f"n{i:03d}" for i in range(TOTAL_CLASSES)]
 )
@@ -177,28 +179,20 @@ _CENSUS_COLS = (
 class FeatureRow:
     term: str
     kind: str
-    global_features: GlobalFeatures | None
-    census: CensusVector | None
+    global_features: GlobalFeatures
+    census: CensusVector
 
 
-def compute_features(
-    refs: list[NetworkRef],
-    include_global: bool,
-    include_local: bool,
-    workers: int = 1,
-) -> list[FeatureRow]:
+def compute_features(refs: list[NetworkRef], workers: int = 1) -> list[FeatureRow]:
     """Feature rows ordered term-ascending, interaction in fixed kind order."""
-    table = get_class_table() if include_local else None
     ordered = sorted(refs, key=lambda r: (r.term, KINDS.index(r.kind)))
     rows = []
     for ref in ordered:
-        gf = global_feature_vector(ref.graph) if include_global else None
-        cv = None
-        if include_local:
-            if workers > 1 and ref.graph.node_count >= PARALLEL_CENSUS_MIN_NODES:
-                cv = census_parallel(ref.graph, workers, table)
-            else:
-                cv = census(ref.graph, table)
+        gf = global_feature_vector(ref.graph)
+        if workers > 1 and ref.graph.node_count >= PARALLEL_CENSUS_MIN_NODES:
+            cv = census_parallel(ref.graph, workers)
+        else:
+            cv = census(ref.graph)
         rows.append(FeatureRow(term=ref.term, kind=ref.kind, global_features=gf, census=cv))
     return rows
 
@@ -206,64 +200,45 @@ def compute_features(
 def write_features_csv(rows: list[FeatureRow], path, manifest_hash: str) -> None:
     if not rows:
         raise PipelineError("no feature rows to write")
-    has_global = rows[0].global_features is not None
-    has_local = rows[0].census is not None
-    header = ["term", "interaction"]
-    if has_global:
-        header += _GLOBAL_COLS
-    if has_local:
-        header += _CENSUS_COLS
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# manifest_sha256={manifest_hash}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(_FEATURES_HEADER)
         for row in rows:
-            out = [row.term, row.kind]
-            if has_global:
-                gf = row.global_features
-                out += [repr(v) for v in gf.as_vector()]
-                out += [int(flag) for flag in gf.defined]
-            if has_local:
-                cv = row.census
-                out += [cv.total]
-                out += [str(c) for c in cv.counts]
-                out += [repr(v) for v in cv.normalized]
-            writer.writerow(out)
+            gf, cv = row.global_features, row.census
+            writer.writerow(
+                [row.term, row.kind]
+                + [repr(v) for v in gf.as_vector()]
+                + [int(flag) for flag in gf.defined]
+                + [cv.total]
+                + [str(c) for c in cv.counts]
+                + [repr(v) for v in cv.normalized]
+            )
 
 
 def read_features_csv(path):
     """Returns (global_vecs, local_vecs): dicts keyed by (term, kind).
 
     global_vecs values are the 9 metrics; local_vecs values are the 212
-    normalized census frequencies.  Either dict is empty when its block is
-    absent from the file.
+    normalized census frequencies.  The file must hold both blocks.
     """
+    metrics_end = 2 + len(METRIC_NAMES)
+    normalized_start = len(_FEATURES_HEADER) - TOTAL_CLASSES
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(line for line in fh if not line.startswith("# "))
-        header = next(reader, None)
-        if header is None or header[:2] != ["term", "interaction"]:
-            raise PipelineError(f"{path}: not a features file (header {header!r})")
-        cols = {name: i for i, name in enumerate(header)}
-        has_global = all(c in cols for c in _GLOBAL_COLS)
-        has_local = all(c in cols for c in _CENSUS_COLS)
-        if not has_global and not has_local:
-            raise PipelineError(f"{path}: neither global nor census feature block present")
-        g_idx = [cols[m] for m in METRIC_NAMES] if has_global else []
-        n_idx = [cols[f"n{i:03d}"] for i in range(TOTAL_CLASSES)] if has_local else []
-
+        if next(reader, None) != _FEATURES_HEADER:
+            raise PipelineError(f"{path}: not a features file with both the global and the census block")
         global_vecs: dict[tuple[str, str], list[float]] = {}
         local_vecs: dict[tuple[str, str], list[float]] = {}
         for row in reader:
             if not row:
                 continue
-            if len(row) != len(header) or row[1] not in KINDS:
+            if len(row) != len(_FEATURES_HEADER) or row[1] not in KINDS:
                 raise PipelineError(f"{path}: malformed row starting {row[:2]!r}")
             key = (row[0], row[1])
             try:
-                if has_global:
-                    global_vecs[key] = [float(row[i]) for i in g_idx]
-                if has_local:
-                    local_vecs[key] = [float(row[i]) for i in n_idx]
+                global_vecs[key] = [float(v) for v in row[2:metrics_end]]
+                local_vecs[key] = [float(v) for v in row[normalized_start:]]
             except ValueError as exc:
                 raise PipelineError(f"{path}: bad numeric cell in row for {key}: {exc}") from exc
     return global_vecs, local_vecs

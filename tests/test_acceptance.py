@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 from termnet import ml
-from termnet.census import build_class_table, census, census_parallel, get_class_table
+from termnet.census import build_class_table, census, census_parallel
 from termnet.cli import main as cli_main
 from termnet.ingest import build_corpus, parse_records
 from termnet.metrics import global_feature_vector
@@ -54,7 +54,7 @@ def test_acceptance_1_class_universe(capsys):
 # ---------------------------------------------------------------- 2
 
 
-def test_acceptance_2_census_oracle(capsys, class_table):
+def test_acceptance_2_census_oracle(capsys):
     t0 = time.perf_counter()
     mismatches = 0
     sizes, probs = set(), set()
@@ -64,7 +64,7 @@ def test_acceptance_2_census_oracle(capsys, class_table):
         sizes.add(n)
         probs.add(round(p, 2))
         g = gen_random_digraph(n, p, seed=1000 + i)
-        if list(census(g, class_table).counts) != list(oracles.brute_census(g)):
+        if list(census(g).counts) != list(oracles.brute_census(g)):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 120.0 and max(sizes) == 25 and len(probs) == 10
@@ -79,13 +79,13 @@ def test_acceptance_2_census_oracle(capsys, class_table):
 # ---------------------------------------------------------------- 3
 
 
-def test_acceptance_3_census_performance(capsys, class_table):
+def test_acceptance_3_census_performance(capsys):
     g = gen_random_digraph_m(2000, 10000, seed=42)
     t0 = time.perf_counter()
-    serial = census(g, class_table)
+    serial = census(g)
     t_serial = time.perf_counter() - t0
     t0 = time.perf_counter()
-    parallel = census_parallel(g, 8, class_table)
+    parallel = census_parallel(g, 8)
     t_parallel = time.perf_counter() - t0
     identical = serial.counts == parallel.counts and serial.total == parallel.total
     ok = identical and t_serial < 120.0 and t_parallel < 40.0
@@ -127,12 +127,11 @@ def _corpus_datasets(seed: int, signal: float):
     corpus = generate_corpus(SynthSpec(n_terms=60, records_per_term=150, seed=seed, signal=signal))
     records = parse_records(corpus.records_jsonl).records
     terms = corpus.terms_txt.splitlines()
-    table = get_class_table()
     gv, lv = {}, {}
     for ts in build_corpus(records, terms):
         for kind, g in ts.graphs.items():
             gv[(ts.term, kind.value)] = global_feature_vector(g).as_vector()
-            lv[(ts.term, kind.value)] = list(census(g, table).normalized)
+            lv[(ts.term, kind.value)] = list(census(g).normalized)
     rows = [
         RatingRow(*line.rsplit(",", 2)[:2], int(line.rsplit(",", 2)[2]))
         for line in corpus.ratings_csv.splitlines()[1:]

@@ -105,7 +105,7 @@ def test_enumerate_subsets_unique_and_connected(rng):
 
 def test_census_directed_cycle(class_table):
     g = build_graph([("a", "b"), ("b", "c"), ("c", "a")])
-    vec = census(g, class_table)
+    vec = census(g)
     assert vec.total == 1
     nonzero = [(i, c) for i, c in enumerate(vec.counts) if c]
     assert len(nonzero) == 1
@@ -118,7 +118,7 @@ def test_census_directed_cycle(class_table):
 
 def test_census_out_star(class_table):
     g = build_graph([("c", "x"), ("c", "y"), ("c", "z")])
-    vec = census(g, class_table)
+    vec = census(g)
     star3 = class_table.class_id(3, oracles.subgraph_code({(0, 1), (0, 2)}, [0, 1, 2]))
     star4 = class_table.class_id(4, oracles.subgraph_code({(0, 1), (0, 2), (0, 3)}, [0, 1, 2, 3]))
     assert vec.counts[star3] == 3
@@ -129,37 +129,37 @@ def test_census_out_star(class_table):
     assert sum(vec.counts) == 4
 
 
-def test_census_er_graph_matches_oracle(class_table):
+def test_census_er_graph_matches_oracle():
     g = gen_random_digraph(8, 0.3, seed=42)
-    assert list(census(g, class_table).counts) == oracles.brute_census(g)
+    assert list(census(g).counts) == oracles.brute_census(g)
 
 
-def test_census_oracle_equivalence_batch(class_table, rng):
+def test_census_oracle_equivalence_batch(rng):
     for trial in range(12):
         n = int(rng.integers(3, 14))
         p = float(rng.uniform(0.05, 0.5))
         g = gen_random_digraph(n, p, seed=1000 + trial)
-        assert list(census(g, class_table).counts) == oracles.brute_census(g), (n, p, trial)
+        assert list(census(g).counts) == oracles.brute_census(g), (n, p, trial)
 
 
-def test_census_small_graphs_zero(class_table):
-    assert census(build_graph([]), class_table).total == 0
-    assert census(build_graph([("a", "b")]), class_table).total == 0
-    assert census(build_graph([("a", "b")]), class_table).counts == (0,) * TOTAL_CLASSES
+def test_census_small_graphs_zero():
+    assert census(build_graph([])).total == 0
+    assert census(build_graph([("a", "b")])).total == 0
+    assert census(build_graph([("a", "b")])).counts == (0,) * TOTAL_CLASSES
 
 
-def test_census_isomorphism_invariance(class_table, rng):
+def test_census_isomorphism_invariance(rng):
     g = gen_random_digraph(12, 0.25, seed=7)
-    base = census(g, class_table).counts
+    base = census(g).counts
     for _ in range(3):
         perm = list(rng.permutation(g.node_count))
         relabeled = DirectedGraph(g.node_count, [(perm[u], perm[v]) for u, v in g.edges])
-        assert census(relabeled, class_table).counts == base
+        assert census(relabeled).counts == base
 
 
-def test_census_completeness_vs_enumeration(class_table):
+def test_census_completeness_vs_enumeration():
     g = gen_random_digraph(15, 0.2, seed=5)
-    vec = census(g, class_table)
+    vec = census(g)
     n3 = len(list(oracles.enumerate_connected_subsets(g, 3)))
     n4 = len(list(oracles.enumerate_connected_subsets(g, 4)))
     assert sum(vec.counts[:CLASS_COUNT_3]) == n3
@@ -167,23 +167,23 @@ def test_census_completeness_vs_enumeration(class_table):
     assert vec.total == n3 + n4
 
 
-def test_census_unchanged_by_far_disjoint_edge(class_table):
+def test_census_unchanged_by_far_disjoint_edge():
     g = gen_random_digraph(10, 0.3, seed=11)
-    base = census(g, class_table).counts
+    base = census(g).counts
     extended = DirectedGraph(g.node_count + 2, list(g.edges) + [(g.node_count, g.node_count + 1)])
-    assert census(extended, class_table).counts == base
+    assert census(extended).counts == base
 
 
-def test_census_parallel_matches_serial(class_table):
+def test_census_parallel_matches_serial():
     g = gen_random_digraph(60, 0.1, seed=9)
-    serial = census(g, class_table)
+    serial = census(g)
     for workers in (1, 2, 5):
-        par = census_parallel(g, workers, class_table)
+        par = census_parallel(g, workers)
         assert par.counts == serial.counts
         assert par.normalized == serial.normalized
-    assert census_parallel(build_graph([]), 4, class_table).total == 0
+    assert census_parallel(build_graph([]), 4).total == 0
     with pytest.raises(ValueError):
-        census_parallel(g, 0, class_table)
+        census_parallel(g, 0)
 
 
 # dyad types as drawn below: 1 = out (u -> v), 2 = in (v -> u), 3 = mutual
@@ -234,33 +234,33 @@ def dense_digraphs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(random_digraphs())
-def test_census_equals_esu_on_random_digraphs(class_table, g):
-    assert list(census(g, class_table).counts) == oracles.esu_census(g)
+def test_census_equals_esu_on_random_digraphs(g):
+    assert list(census(g).counts) == oracles.esu_census(g)
 
 
 @settings(max_examples=100, deadline=None)
 @given(hub_digraphs())
-def test_census_equals_esu_on_hub_graphs(class_table, g):
-    assert list(census(g, class_table).counts) == oracles.esu_census(g)
+def test_census_equals_esu_on_hub_graphs(g):
+    assert list(census(g).counts) == oracles.esu_census(g)
 
 
 @settings(max_examples=60, deadline=None)
 @given(dense_digraphs())
-def test_census_equals_esu_on_dense_graphs(class_table, g):
-    assert list(census(g, class_table).counts) == oracles.esu_census(g)
+def test_census_equals_esu_on_dense_graphs(g):
+    assert list(census(g).counts) == oracles.esu_census(g)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(random_digraphs(), hub_digraphs()), st.data())
-def test_root_partition_sums_to_census(class_table, g, data):
+def test_root_partition_sums_to_census(g, data):
     # every piece of work has one owning root, so any partition of the roots sums exactly
     part_of = data.draw(st.lists(st.integers(0, 3), min_size=g.node_count, max_size=g.node_count))
     total = [0] * TOTAL_CLASSES
     for part in range(4):
         roots = [v for v in range(g.node_count) if part_of[v] == part]
-        partial = _count_from_roots(g, roots, class_table.class_of_code3, class_table.class_of_code4)
+        partial = _count_from_roots(g, roots)
         total = [a + b for a, b in zip(total, partial)]
-    assert total == list(census(g, class_table).counts)
+    assert total == list(census(g).counts)
 
 
 def test_census_hub_star_closed_form(class_table):
@@ -280,7 +280,7 @@ def test_census_hub_star_closed_form(class_table):
         expected[class_table.class_id(4, code)] += prod([comb(n_type[t], types.count(t)) for t in set(types)])
 
     start = time.perf_counter()
-    vec = census(g, class_table)
+    vec = census(g)
     elapsed = time.perf_counter() - start
     assert list(vec.counts) == expected
     assert vec.total == comb(3000, 2) + comb(3000, 3)

@@ -1,3 +1,4 @@
+import functools
 import gzip
 import json
 import re
@@ -197,6 +198,29 @@ def test_build_corpus_rejects_duplicate_terms():
         build_corpus([], ["Tag", "tag"])
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [["stop", "ſtop"], ["#STOP", "#ſtop"], ["kin", "\u212ain"], ["ıs", "is"], ["İs", "is"], ["aι", "a\u0345"]],
+)
+def test_build_corpus_rejects_terms_ignorecase_equates(terms):
+    with pytest.raises(IngestError, match="duplicate term"):
+        build_corpus([], terms)
+
+
+def test_build_corpus_keeps_terms_ignorecase_tells_apart():
+    terms = ["vax", "vax pass", "tag", "#tag", "ss", "ß"]
+    assert [ts.term for ts in build_corpus([], terms)] == terms
+
+
+def test_build_corpus_rejects_every_pair_the_pattern_equates():
+    cased = _cased_characters()
+    haystack = "".join(cased)
+    for c in cased:
+        for x in set(re.findall(re.escape(c), haystack, re.IGNORECASE)) - {c}:
+            with pytest.raises(IngestError, match="duplicate term"):
+                build_corpus([], [c, x])
+
+
 def test_build_corpus_rejects_empty_term():
     with pytest.raises(IngestError):
         build_corpus([], ["tag", ""])
@@ -231,6 +255,7 @@ def assert_same_corpus(got, want):
             assert g.graphs[kind].edges == w.graphs[kind].edges, (g.term, kind)
 
 
+@functools.cache
 def _cased_characters():
     """Every character with a case mapping, plus the lowercase forms of those.
 
@@ -323,9 +348,11 @@ def property_records(draw):
 
 @st.composite
 def property_terms(draw):
-    extra = draw(st.lists(st.text(ALPHABET, min_size=1, max_size=4), max_size=4, unique_by=str.lower))
-    fixed = {t.lower() for t in PROPERTY_TERMS}
-    terms = PROPERTY_TERMS + [t for t in extra if t.lower() not in fixed]
+    # build_corpus rejects a term IGNORECASE equates with another one
+    terms = list(PROPERTY_TERMS)
+    for term in draw(st.lists(st.text(ALPHABET, min_size=1, max_size=4), max_size=4)):
+        if not any(re.fullmatch(re.escape(t), term, re.IGNORECASE) for t in terms):
+            terms.append(term)
     return draw(st.permutations(terms))
 
 

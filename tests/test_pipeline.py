@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -130,7 +131,7 @@ def test_features_csv_round_trip(tmp_path, corpus_dir):
     outdir = tmp_path / "nets"
     write_networks(corpus, outdir, manifest_hash="e" * 64)
     refs = read_networks(outdir)
-    rows = compute_features(refs, include_global=True, include_local=True)
+    rows = compute_features(refs)
     path = tmp_path / "features.csv"
     write_features_csv(rows, path, manifest_hash="e" * 64)
 
@@ -149,7 +150,7 @@ def test_features_csv_header_layout(tmp_path, corpus_dir):
     corpus = build_corpus(records, read_terms_file(corpus_dir / "terms.txt"))
     outdir = tmp_path / "nets"
     write_networks(corpus, outdir, manifest_hash="d" * 64)
-    rows = compute_features(read_networks(outdir), True, True)
+    rows = compute_features(read_networks(outdir))
     path = tmp_path / "features.csv"
     write_features_csv(rows, path, manifest_hash="d" * 64)
     lines = path.read_text().splitlines()
@@ -180,7 +181,7 @@ def test_read_features_rejects_garbage(tmp_path):
     with pytest.raises(PipelineError):
         read_features_csv(p)
     p.write_text("term,interaction,other\nfoo,mention,1\n")
-    with pytest.raises(PipelineError, match="neither"):
+    with pytest.raises(PipelineError, match="both the global and the census block"):
         read_features_csv(p)
 
 
@@ -189,7 +190,7 @@ def test_read_features_rejects_bad_cell(tmp_path, corpus_dir):
     corpus = build_corpus(records, read_terms_file(corpus_dir / "terms.txt"))
     outdir = tmp_path / "nets"
     write_networks(corpus, outdir, manifest_hash="a" * 64)
-    rows = compute_features(read_networks(outdir), True, False)
+    rows = compute_features(read_networks(outdir))
     path = tmp_path / "features.csv"
     write_features_csv(rows, path, manifest_hash="a" * 64)
     text = path.read_text().splitlines()
@@ -291,37 +292,64 @@ def test_cli_classify_matches_library(tmp_path, capsys):
         assert entry["metrics"] == {k: ref.metrics[k] for k in ml.METRIC_KEYS}
 
 
-def test_cli_features_byte_identical_across_workers(tmp_path, capsys, monkeypatch):
+@pytest.fixture()
+def big_nets(tmp_path, capsys):
+    """Small synthetic networks plus one mention network above the sharding threshold."""
     corpus = tmp_path / "corpus"
     nets = tmp_path / "nets"
     run_cli("synth", "-o", corpus, "--terms", 3, "--records", 25, "--seed", 2)
+    capsys.readouterr()
     records = parse_records((corpus / "records.jsonl").read_text()).records
     networks = build_corpus(records, read_terms_file(corpus / "terms.txt"))
-    # one network large enough for the root-sharded census, next to the synthetic ones
     big = gen_random_digraph_m(900, 3000, seed=4)
     graphs = {kind: build_graph([]) for kind in InteractionKind}
     graphs[InteractionKind.MENTION] = build_graph((f"u{u}", f"u{v}") for u, v in big.sorted_edges())
     networks.append(TermNetworkSet(term="#big", graphs=graphs, matched_records=3000))
     write_networks(networks, nets, manifest_hash="c" * 64)
     assert max(ref.graph.node_count for ref in read_networks(nets)) >= PARALLEL_CENSUS_MIN_NODES
+    return nets
 
-    sharded = []
 
-    def spy(g, workers, table=None):
-        sharded.append((g.node_count, workers))
-        return census_parallel(g, workers, table)
+@pytest.fixture()
+def sharded(monkeypatch):
+    """(nodes, workers) of every root-sharded census the features stage runs."""
+    calls = []
+
+    def spy(g, workers):
+        calls.append((g.node_count, workers))
+        return census_parallel(g, workers)
 
     monkeypatch.setattr(pipeline, "census_parallel", spy)
+    return calls
+
+
+def test_cli_features_byte_identical_across_workers(tmp_path, capsys, big_nets, sharded):
     f1, f3 = tmp_path / "f1.csv", tmp_path / "f3.csv"
-    assert run_cli("features", nets, "-o", f1, "--workers", 1) == 0
+    assert run_cli("features", big_nets, "-o", f1, "--workers", 1) == 0
     assert sharded == []
-    assert run_cli("features", nets, "-o", f3, "--workers", 3) == 0
+    assert run_cli("features", big_nets, "-o", f3, "--workers", 3) == 0
     capsys.readouterr()
     assert [workers for _, workers in sharded] == [3]
     assert f1.read_bytes() == f3.read_bytes()
     m1 = json.loads((tmp_path / "f1.csv.manifest.json").read_text())
     m3 = json.loads((tmp_path / "f3.csv.manifest.json").read_text())
     assert m1 == m3  # worker count must not enter the manifest
+    assert m1["parameters"] == {} and len(m1["class_table_hash"]) == 64
+
+
+def test_cli_features_census_serial_by_default(tmp_path, capsys, big_nets, sharded):
+    assert run_cli("features", big_nets, "-o", tmp_path / "features.csv") == 0
+    capsys.readouterr()
+    assert sharded == []
+
+
+def test_cli_features_has_no_block_options(tmp_path, capsys, corpus_dir):
+    nets = tmp_path / "nets"
+    assert run_cli("networks", corpus_dir / "records.jsonl", corpus_dir / "terms.txt", "-o", nets) == 0
+    for option in ("--global", "--local"):
+        assert run_cli("features", nets, "-o", tmp_path / "features.csv", option) == 1
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not (tmp_path / "features.csv").exists()
 
 
 def test_cli_window_excludes_everything(tmp_path, capsys):
@@ -410,11 +438,22 @@ def test_cli_classify_needs_both_blocks(tmp_path, capsys):
     labels = tmp_path / "labels.csv"
     run_cli("synth", "-o", corpus, "--terms", 4, "--records", 20, "--seed", 3)
     run_cli("networks", corpus / "records.jsonl", corpus / "terms.txt", "-o", nets)
-    run_cli("features", nets, "-o", features, "--global")  # census block omitted
+    assert run_cli("features", nets, "-o", features) == 0
     run_cli("rank", corpus / "ratings.csv", "-o", labels)
-    rc = run_cli("classify", features, labels, "-o", tmp_path / "cls", "--folds", 2)
+    # the census block (`total` onward) cut out of a full features file
+    with open(features, encoding="utf-8", newline="") as fh:
+        manifest_line = fh.readline()
+        rows = list(csv.reader(fh))
+    cut = rows[0].index("total")
+    global_only = tmp_path / "global-only.csv"
+    with open(global_only, "w", encoding="utf-8", newline="") as fh:
+        fh.write(manifest_line)
+        csv.writer(fh, lineterminator="\n").writerows(row[:cut] for row in rows)
+    capsys.readouterr()
+    rc = run_cli("classify", global_only, labels, "-o", tmp_path / "cls", "--folds", 2)
     assert rc == 1
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(global_only) in err
 
 
 def test_cli_internal_error_is_exit_2(tmp_path, capsys, monkeypatch):
@@ -463,7 +502,7 @@ def test_compute_features_order(tmp_path, corpus_dir):
     corpus = build_corpus(records, read_terms_file(corpus_dir / "terms.txt"))
     outdir = tmp_path / "nets"
     write_networks(corpus, outdir, manifest_hash="b" * 64)
-    rows = compute_features(read_networks(outdir), True, False)
+    rows = compute_features(read_networks(outdir))
     keys = [(r.term, r.kind) for r in rows]
     terms = sorted({r.term for r in rows})
     assert keys == [(t, k) for t in terms for k in ("mention", "reply", "quote")]

@@ -91,9 +91,6 @@ class DirectedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
-
     def handle(self, node: int) -> str:
         if self.handles is None:
             return str(node)

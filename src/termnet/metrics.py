@@ -78,9 +78,7 @@ def transitivity(g: DirectedGraph) -> tuple[float, bool]:
     is distinct from u and w automatically since self-loops cannot exist.
     """
     outs = g._out_sets
-    ins = [set() for _ in range(g.node_count)]
-    for u, v in g.edges:
-        ins[v].add(u)
+    ins = [set(ns) for ns in g.in_adjacency]
 
     total = 0
     for v in range(g.node_count):

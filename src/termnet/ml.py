@@ -222,15 +222,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class LogisticModel:
-    weights: np.ndarray  # (d+1,), last entry is the intercept
-    converged: bool
-    iterations: int
+class _LinearModel:
+    """Sign of X @ w + b, with `weights` = (w, b) of length d+1."""
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         z = X @ self.weights[:-1] + self.weights[-1]
         return (z >= 0.0).astype(np.int64)
+
+
+@dataclass(frozen=True)
+class LogisticModel(_LinearModel):
+    weights: np.ndarray  # (d+1,), last entry is the intercept
+    converged: bool
+    iterations: int
 
 
 def train_blr(X: np.ndarray, y: np.ndarray, tol: float = BLR_TOL, max_iter: int = BLR_MAX_ITER) -> LogisticModel:
@@ -274,12 +278,8 @@ def train_blr(X: np.ndarray, y: np.ndarray, tol: float = BLR_TOL, max_iter: int 
 
 
 @dataclass(frozen=True)
-class SvmModel:
+class SvmModel(_LinearModel):
     weights: np.ndarray  # (d+1,), last entry is the (regularized) bias
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        z = X @ self.weights[:-1] + self.weights[-1]
-        return (z >= 0.0).astype(np.int64)
 
 
 def train_svm(X: np.ndarray, y: np.ndarray, C: float = SVM_C, iterations: int = SVM_ITERATIONS) -> SvmModel:
@@ -307,104 +307,75 @@ def train_svm(X: np.ndarray, y: np.ndarray, C: float = SVM_C, iterations: int = 
     return SvmModel(weights=w)
 
 
-class _Tree:
-    """CART classification tree stored as parallel arrays."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[int] = []
-
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(-1)
-        return len(self.feature) - 1
-
-    def predict_one(self, x: np.ndarray) -> int:
-        nid = 0
-        while self.feature[nid] >= 0:
-            nid = self.left[nid] if x[self.feature[nid]] <= self.threshold[nid] else self.right[nid]
-        return self.value[nid]
-
-
 def _best_split(X, y, idx, feats):
     """Lowest weighted-Gini (feature, threshold) over the candidate features.
 
-    Split points sit halfway between consecutive distinct sorted values; ties
-    resolve to the earliest candidate feature and position.
+    All candidate columns are sorted and scored at once.  Split points sit
+    halfway between consecutive distinct sorted values; ties resolve to the
+    earliest candidate feature and then the earliest position, because the
+    argmin runs over the scores feature by feature.  Returns (feature,
+    threshold), feature -1 when no candidate column varies.
     """
     n = idx.shape[0]
-    best = (math.inf, -1, 0.0)
     ys = y[idx]
-    for f in feats:
-        x = X[idx, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        valid = xs[1:] > xs[:-1]
-        if not valid.any():
-            continue
-        cum1 = np.cumsum(ys[order])[:-1].astype(np.float64)
-        nl = np.arange(1, n, dtype=np.float64)
-        nr = n - nl
-        l1 = cum1
-        r1 = float(ys.sum()) - cum1
-        gini_l = 1.0 - (l1 / nl) ** 2 - ((nl - l1) / nl) ** 2
-        gini_r = 1.0 - (r1 / nr) ** 2 - ((nr - r1) / nr) ** 2
-        score = (nl * gini_l + nr * gini_r) / n
-        score[~valid] = math.inf
-        k = int(np.argmin(score))
-        if score[k] < best[0]:
-            best = (float(score[k]), int(f), float((xs[k] + xs[k + 1]) / 2.0))
-    return best
+    cols = X[np.ix_(idx, feats)]
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = cols[order, np.arange(cols.shape[1])]
+    valid = xs[1:] > xs[:-1]
+    if not valid.any():
+        return -1, 0.0
+    l1 = np.cumsum(ys[order], axis=0)[:-1].astype(np.float64)
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    nr = n - nl
+    r1 = float(ys.sum()) - l1
+    gini_l = 1.0 - (l1 / nl) ** 2 - ((nl - l1) / nl) ** 2
+    gini_r = 1.0 - (r1 / nr) ** 2 - ((nr - r1) / nr) ** 2
+    score = (nl * gini_l + nr * gini_r) / n
+    score[~valid] = math.inf
+    j, k = divmod(int(np.argmin(score.T)), n - 1)
+    return int(feats[j]), float((xs[k, j] + xs[k + 1, j]) / 2.0)
 
 
-def _grow_tree(X, y, rng: np.random.Generator, mtry: int) -> _Tree:
+def _grow_tree(X, y, rng: np.random.Generator, mtry: int) -> tuple[np.ndarray, ...]:
+    """One fully grown CART tree as node arrays (feature, threshold, left,
+    right, value); leaves have feature -1.
+
+    `rng` is drawn in a fixed order: the bootstrap, then one candidate-feature
+    sample per impure node, nodes taken last-in first-out from a stack.
+    """
     n, d = X.shape
-    boot = rng.integers(0, n, size=n)
-    tree = _Tree()
-    root = tree._new_node()
-    stack = [(boot, root)]
+    nodes = [[-1, 0.0, -1, -1, -1]]
+    stack = [(rng.integers(0, n, size=n), 0)]
     while stack:
         idx, nid = stack.pop()
-        ys = y[idx]
-        ones = int(ys.sum())
-        if ones == 0 or ones == idx.shape[0]:
-            tree.value[nid] = 1 if ones else 0
-            continue
-        feats = rng.choice(d, size=mtry, replace=False)
-        score, f, thr = _best_split(X, y, idx, feats)
+        ones = int(y[idx].sum())
+        f = -1
+        if 0 < ones < idx.shape[0]:
+            f, thr = _best_split(X, y, idx, rng.choice(d, size=mtry, replace=False))
         if f < 0:
-            tree.value[nid] = 1 if 2 * ones > idx.shape[0] else 0
+            nodes[nid][4] = 1 if 2 * ones > idx.shape[0] else 0
             continue
         go_left = X[idx, f] <= thr
-        left = tree._new_node()
-        right = tree._new_node()
-        tree.feature[nid] = f
-        tree.threshold[nid] = thr
-        tree.left[nid] = left
-        tree.right[nid] = right
-        stack.append((idx[go_left], left))
-        stack.append((idx[~go_left], right))
-    return tree
+        nodes[nid][:4] = f, thr, len(nodes), len(nodes) + 1
+        stack += [(idx[go_left], len(nodes)), (idx[~go_left], len(nodes) + 1)]
+        nodes += [[-1, 0.0, -1, -1, -1], [-1, 0.0, -1, -1, -1]]
+    return tuple(np.array(column) for column in zip(*nodes))  # int64, except float64 thresholds
 
 
 @dataclass(frozen=True)
 class RandomForestModel:
-    trees: tuple
-    n_features: int
+    trees: tuple  # of _grow_tree node arrays
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
+        rows = np.arange(X.shape[0])
         votes = np.zeros(X.shape[0], dtype=np.int64)
-        for tree in self.trees:
-            votes += np.fromiter((tree.predict_one(row) for row in X), dtype=np.int64, count=X.shape[0])
+        for feature, threshold, left, right, value in self.trees:
+            node = np.zeros(X.shape[0], dtype=np.intp)
+            while (inner := feature[node] >= 0).any():
+                step = np.where(X[rows, feature[node]] <= threshold[node], left[node], right[node])
+                node = np.where(inner, step, node)
+            votes += value[node]
         return (2 * votes > len(self.trees)).astype(np.int64)
 
 
@@ -420,7 +391,7 @@ def train_rfc(X: np.ndarray, y: np.ndarray, seed, n_trees: int = RFC_TREES) -> R
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     mtry = max(1, math.isqrt(X.shape[1]))
     trees = tuple(_grow_tree(X, y, np.random.default_rng(child), mtry) for child in ss.spawn(n_trees))
-    return RandomForestModel(trees=trees, n_features=X.shape[1])
+    return RandomForestModel(trees=trees)
 
 
 # ---------------------------------------------------------------- evaluation
@@ -548,6 +519,8 @@ def cross_validate(
     """
     if classifier not in _HYPERPARAMS:
         raise MlError(f"unknown classifier {classifier!r}")
+    if folds < 2:
+        raise MlError(f"folds must be >= 2, got {folds}")
     X, y = dataset.X, dataset.y
     if X.shape[0] < folds:
         raise MlError(f"dataset {dataset.name}: {X.shape[0]} rows < {folds} folds")

@@ -55,14 +55,17 @@ class PipelineError(ValueError):
 def parse_window_bound(value: str, end_of_day: bool) -> datetime:
     """ISO-8601 instant; a bare date means start (or end) of that UTC day."""
     if re.fullmatch(r"\d{4}-\d{2}-\d{2}", value):
-        value = value + ("T23:59:59Z" if end_of_day else "T00:00:00Z")
+        value = value + ("T23:59:59.999999Z" if end_of_day else "T00:00:00Z")
     return parse_timestamp(value)
 
 
 def filter_records_window(records, window_from: datetime | None, window_to: datetime | None):
-    """Keep records with window_from <= timestamp <= window_to (inclusive)."""
+    """Keep records with window_from <= timestamp <= window_to (inclusive).
+
+    With neither bound set, `records` itself comes back, not a copy.
+    """
     if window_from is None and window_to is None:
-        return list(records)
+        return records
     kept = []
     for rec in records:
         t = parse_timestamp(rec.timestamp)
@@ -260,7 +263,7 @@ def classify_datasets(
     """Run the 3-classifier x 8-feature-set grid and write report + PCA files.
 
     The positive class is the controversial one unless swapped.  Outputs
-    depend only on the inputs and manifest parameters, never on worker count.
+    depend only on the inputs and manifest parameters.
     """
     try:
         datasets = ml.assemble_feature_sets(global_vecs, local_vecs, labels)

@@ -1,14 +1,16 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately written the slow, obvious way (explicit
-permutation minimization, triple loops, dense SVD) and shares no code with
-the package beyond the documented bit layout.  The one exception is the
+permutation minimization, triple loops, dense SVD, a forest that scores one
+feature and walks one row at a time) and shares no code with the package
+beyond the documented bit layout.  The one exception is the
 term scan, which calls the package's `term_matches` and `build_graph`: the
 term pattern is the definition of a match, and what the scan checks is the
 package's single-pass candidate index, not the pattern.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -294,6 +296,106 @@ def loglik_and_grad(w, X, y):
     p = 1.0 / (1.0 + np.exp(-z))
     grad = Xa.T @ (y - p) / X.shape[0]
     return ll, grad
+
+
+class ReferenceTree:
+    """CART classification tree stored as parallel lists, grown node by node."""
+
+    def __init__(self):
+        self.feature = []
+        self.threshold = []
+        self.left = []
+        self.right = []
+        self.value = []
+
+    def new_node(self):
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(-1)
+        return len(self.feature) - 1
+
+    def predict_one(self, x):
+        nid = 0
+        while self.feature[nid] >= 0:
+            nid = self.left[nid] if x[self.feature[nid]] <= self.threshold[nid] else self.right[nid]
+        return self.value[nid]
+
+
+def reference_best_split(X, y, idx, feats):
+    """Lowest weighted-Gini (score, feature, threshold), one feature at a time.
+
+    A later feature replaces the best only on a strictly lower score, so ties
+    go to the earliest candidate feature and, within it, the earliest position.
+    """
+    n = idx.shape[0]
+    best = (float("inf"), -1, 0.0)
+    ys = y[idx]
+    for f in feats:
+        x = X[idx, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        valid = xs[1:] > xs[:-1]
+        if not valid.any():
+            continue
+        cum1 = np.cumsum(ys[order])[:-1].astype(np.float64)
+        nl = np.arange(1, n, dtype=np.float64)
+        nr = n - nl
+        l1 = cum1
+        r1 = float(ys.sum()) - cum1
+        gini_l = 1.0 - (l1 / nl) ** 2 - ((nl - l1) / nl) ** 2
+        gini_r = 1.0 - (r1 / nr) ** 2 - ((nr - r1) / nr) ** 2
+        score = (nl * gini_l + nr * gini_r) / n
+        score[~valid] = float("inf")
+        k = int(np.argmin(score))
+        if score[k] < best[0]:
+            best = (float(score[k]), int(f), float((xs[k] + xs[k + 1]) / 2.0))
+    return best
+
+
+def reference_tree(X, y, rng, mtry):
+    n, d = X.shape
+    boot = rng.integers(0, n, size=n)
+    tree = ReferenceTree()
+    stack = [(boot, tree.new_node())]
+    while stack:
+        idx, nid = stack.pop()
+        ones = int(y[idx].sum())
+        if ones == 0 or ones == idx.shape[0]:
+            tree.value[nid] = 1 if ones else 0
+            continue
+        feats = rng.choice(d, size=mtry, replace=False)
+        _, f, thr = reference_best_split(X, y, idx, feats)
+        if f < 0:
+            tree.value[nid] = 1 if 2 * ones > idx.shape[0] else 0
+            continue
+        go_left = X[idx, f] <= thr
+        left = tree.new_node()
+        right = tree.new_node()
+        tree.feature[nid] = f
+        tree.threshold[nid] = thr
+        tree.left[nid] = left
+        tree.right[nid] = right
+        stack.append((idx[go_left], left))
+        stack.append((idx[~go_left], right))
+    return tree
+
+
+def reference_forest(X, y, seed, n_trees):
+    """The library's forest recipe with per-feature split search: tree i
+    draws from SeedSequence(seed).spawn(n_trees)[i]; mtry = max(1, isqrt(d))."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    mtry = max(1, math.isqrt(X.shape[1]))
+    children = np.random.SeedSequence(seed).spawn(n_trees)
+    return [reference_tree(X, y, np.random.default_rng(child), mtry) for child in children]
+
+
+def reference_forest_predict(trees, X):
+    """Majority vote, each row walked down each tree on its own."""
+    votes = [sum(tree.predict_one(row) for tree in trees) for row in np.asarray(X, dtype=np.float64)]
+    return np.array([1 if 2 * v > len(trees) else 0 for v in votes], dtype=np.int64)
 
 
 def scan_corpus(records, terms):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termnet.census import TOTAL_CLASSES
 from termnet.metrics import METRIC_NAMES
@@ -21,7 +23,7 @@ from termnet.ml import (
 )
 from termnet.ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
 
-from oracles import loglik_and_grad, svd_pca2
+from oracles import loglik_and_grad, reference_forest, reference_forest_predict, svd_pca2
 
 
 # ---------------------------------------------------------------- standardize
@@ -245,6 +247,37 @@ def test_rfc_scale_invariant(rng):
     assert np.array_equal(a.predict(Xq), b.predict(Xq * scale))
 
 
+@st.composite
+def forest_problems(draw):
+    """Small (X, y, seed, n_trees) built to tie: few distinct values, and
+    columns that duplicate, negate or hold constant another one.  Negated
+    columns tie a split at mirrored positions; tiny n gives single-class
+    bootstraps."""
+    n = draw(st.integers(2, 16))
+    values = st.lists(st.integers(-3, 3).map(lambda v: v / 2), min_size=n, max_size=n)
+    cols = [np.array(c) for c in draw(st.lists(values, min_size=1, max_size=3))]
+    for kind in draw(st.lists(st.sampled_from(["dup", "neg", "const"]), max_size=5)):
+        src = cols[draw(st.integers(0, len(cols) - 1))]
+        cols.append({"dup": src, "neg": -src, "const": np.full(n, src[0])}[kind])
+    perm = draw(st.permutations(range(len(cols))))
+    X = np.column_stack([cols[i] for i in perm])
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    return X, y, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(forest_problems())
+def test_rfc_equals_reference_forest(problem):
+    X, y, seed, n_trees = problem
+    model = train_rfc(X, y, seed, n_trees=n_trees)
+    ref = reference_forest(X, y, seed, n_trees)
+    for got, want in zip(model.trees, ref, strict=True):
+        for column, name in zip(got, ("feature", "threshold", "left", "right", "value"), strict=True):
+            assert column.tolist() == getattr(want, name), name
+    Xq = np.vstack([X, X + 0.25, -X])
+    assert np.array_equal(model.predict(Xq), reference_forest_predict(ref, Xq))
+
+
 # ---------------------------------------------------------------- evaluation
 
 
@@ -369,6 +402,9 @@ def test_cross_validate_rejects_bad_args(rng):
         cross_validate(ds, "knn")
     with pytest.raises(MlError):
         cross_validate(ds, "blr", folds=10)  # 6 rows < 10 folds
+    for folds in (0, 1):
+        with pytest.raises(MlError, match="folds"):
+            cross_validate(ds, "svm", folds=folds)
 
 
 def test_report_json_shape(rng):

@@ -50,7 +50,7 @@ def corpus_dir(tmp_path):
 
 def test_parse_window_bound():
     assert parse_window_bound("2020-11-09", end_of_day=False).isoformat() == "2020-11-09T00:00:00+00:00"
-    assert parse_window_bound("2020-11-09", end_of_day=True).isoformat() == "2020-11-09T23:59:59+00:00"
+    assert parse_window_bound("2020-11-09", end_of_day=True).isoformat() == "2020-11-09T23:59:59.999999+00:00"
     assert parse_window_bound("2020-11-09T05:06:07Z", end_of_day=True).isoformat() == "2020-11-09T05:06:07+00:00"
 
 
@@ -64,8 +64,16 @@ def test_filter_records_window_inclusive():
     hi = parse_window_bound("2020-11-12T12:00:00Z", True)
     kept = filter_records_window(records, lo, hi)
     assert [r.post_id for r in kept] == ["1", "2", "3"]
-    assert len(filter_records_window(records, None, None)) == 5
+    assert filter_records_window(records, None, None) is records
     assert [r.post_id for r in filter_records_window(records, lo, None)] == ["1", "2", "3", "4"]
+
+
+def test_bare_to_date_keeps_the_whole_last_second():
+    stamps = ["2020-12-07T23:59:59.500Z", "2020-12-07T23:59:59.999999Z", "2020-12-08T00:00:00Z"]
+    lines = [json.dumps({"post_id": str(i), "author": "a", "text": "x", "timestamp": t}) for i, t in enumerate(stamps)]
+    records = parse_records("\n".join(lines)).records
+    kept = filter_records_window(records, None, parse_window_bound("2020-12-07", end_of_day=True))
+    assert [r.post_id for r in kept] == ["0", "1"]
 
 
 # ---------------------------------------------------------------- slugs
@@ -385,6 +393,12 @@ def test_cli_networks_window_matches_per_term_scan(tmp_path, capsys):
     assert sorted(os.listdir(nets)) == sorted(names + ["manifest.json"])
     for name in names:
         assert (nets / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def test_cli_classify_rejects_one_fold(tmp_path, capsys):
+    rc = run_cli("classify", tmp_path / "f.csv", tmp_path / "l.csv", "-o", tmp_path / "out", "--folds", 1, "--manifest")
+    assert rc == 1
+    assert "--folds must be >= 2" in capsys.readouterr().err
 
 
 def test_cli_manifest_dry_run(tmp_path, capsys):

@@ -7,9 +7,16 @@ subgraphs on 3 and 4 nodes, and runs a binary classification protocol
 (PCA, logistic regression / linear SVM / random forest, 10-fold CV).
 """
 
+import os
+
+# One BLAS thread: a threaded BLAS may sum in a different order and change
+# the last bits of PCA outputs with the core count.  This only takes effect
+# when termnet is imported before numpy.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 __version__ = "0.1.0"
 
-from .graphs import DirectedGraph, build_graph, degree_sequence, induced_subgraph_code
+from .graphs import DirectedGraph, build_graph, degree_sequence
 from .ingest import (
     InteractionKind,
     InteractionRecord,
@@ -28,7 +35,6 @@ __all__ = [
     "DirectedGraph",
     "build_graph",
     "degree_sequence",
-    "induced_subgraph_code",
     "InteractionKind",
     "InteractionRecord",
     "TermNetworkSet",

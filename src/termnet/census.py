@@ -55,7 +55,6 @@ __all__ = [
     "census",
     "census_parallel",
     "get_class_table",
-    "render_class",
 ]
 
 CLASS_COUNT_3 = 13
@@ -603,18 +602,3 @@ def census_parallel(g: DirectedGraph, workers: int) -> CensusVector:
                 totals[i] += c
     return CensusVector.from_counts(totals)
 
-
-def render_class(table: CanonicalClassTable, class_id: int) -> str:
-    """ASCII adjacency matrix of a class's canonical representative."""
-    if not 0 <= class_id < TOTAL_CLASSES:
-        raise ValueError(f"class_id must be in 0..{TOTAL_CLASSES - 1}")
-    k = table.class_size(class_id)
-    edges = set(table.class_edges(class_id))
-    lines = [f"class {class_id} (k={k}, code {table.canonical_code(class_id):#05x})"]
-    for i in range(k):
-        row = []
-        for j in range(k):
-            row.append("." if i == j else ("1" if (i, j) in edges else "0"))
-        lines.append("  " + " ".join(row))
-    lines.append("edges: " + (" ".join(f"{u}->{v}" for u, v in sorted(edges)) or "(none)"))
-    return "\n".join(lines)

@@ -15,22 +15,17 @@ import sys
 
 from . import __version__
 from .census import CensusTableError, get_class_table
-from .ingest import (
-    IngestError,
-    read_records_file,
-    read_terms_file,
-    build_corpus,
-)
+from .ingest import IngestError, build_corpus, parse_window_bound, read_records_file, read_terms_file
 from .manifest import RunManifest, file_sha256
 from .ml import MlError
 from .pipeline import (
+    SUMMARY_NAME,
     PipelineError,
     classify_datasets,
     compute_features,
-    filter_records_window,
-    parse_window_bound,
     read_features_csv,
     read_networks,
+    read_summary,
     write_features_csv,
     write_networks,
 )
@@ -126,23 +121,22 @@ def _cmd_networks(args) -> int:
     )
     if args.manifest:
         return _emit_manifest(manifest)
-    result = read_records_file(args.records)
+    result = read_records_file(args.records, window_from, window_to)
     for lineno, reason in result.failures[:20]:
         print(f"warning: {args.records}:{lineno}: {reason}", file=sys.stderr)
-    terms = read_terms_file(args.terms)
-    records = filter_records_window(result.records, window_from, window_to)
-    corpus = build_corpus(records, terms)
+    if result.failures:
+        print(f"warning: {args.records}: {len(result.failures)} malformed lines skipped", file=sys.stderr)
+    corpus = build_corpus(result.records, read_terms_file(args.terms))
     os.makedirs(args.outdir, exist_ok=True)
     manifest.write(os.path.join(args.outdir, "manifest.json"))
     rows = write_networks(corpus, args.outdir, manifest.sha256)
-    print(f"wrote {len(rows)} networks for {len(terms)} terms to {args.outdir}")
+    print(f"wrote {len(rows)} networks for {len(corpus)} terms to {args.outdir}")
     return 0
 
 
 def _networks_input_hashes(networks_dir: str) -> dict[str, str]:
-    names = sorted(f for f in os.listdir(networks_dir) if f.endswith(".csv"))
-    if not names:
-        raise PipelineError(f"{networks_dir}: no CSV files found")
+    """Hashes of summary.csv and of the network files it lists."""
+    names = sorted([SUMMARY_NAME] + [row[-1] for row in read_summary(networks_dir)])
     return {name: file_sha256(os.path.join(networks_dir, name)) for name in names}
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "DirectedGraph",
     "build_graph",
     "degree_sequence",
-    "induced_subgraph_code",
     "pair_order",
     "write_edge_csv",
 ]
@@ -144,27 +143,6 @@ def degree_sequence(g: DirectedGraph, direction: str) -> list[int]:
     if direction == "out":
         return [len(ns) for ns in g.out_adjacency]
     raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
-
-
-def induced_subgraph_code(g: DirectedGraph, nodes: Sequence[int]) -> int:
-    """Adjacency bitcode of the induced subgraph under the given node order.
-
-    The code has k*(k-1) bits laid out per `pair_order`; see the module
-    docstring.  Rejects duplicate nodes and k outside [2, 4].
-    """
-    k = len(nodes)
-    if not 2 <= k <= 4:
-        raise ValueError(f"subgraph size must be in [2, 4], got {k}")
-    if len(set(nodes)) != k:
-        raise ValueError(f"duplicate nodes in {nodes!r}")
-    outs = g._out_sets
-    code = 0
-    for i in range(k):
-        oi = outs[nodes[i]]
-        for j in range(k):
-            if i != j:
-                code = (code << 1) | (nodes[j] in oi)
-    return code
 
 
 def write_edge_csv(g: DirectedGraph, path, manifest_hash: str | None = None) -> None:

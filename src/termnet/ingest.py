@@ -1,9 +1,10 @@
 """Interaction-record parsing, term matching, and per-term network assembly.
 
-Records arrive as line-delimited JSON (optionally gzipped).  Each record that
-textually matches a term contributes edges to that term's three directed
-graphs: author -> mentioned user (mention), author -> replied-to author
-(reply), author -> quoted author (quote retweet).
+Records arrive as line-delimited JSON (optionally gzipped) and are kept when
+stamped inside the collection window.  Each record that textually matches a
+term contributes edges to that term's three directed graphs: author ->
+mentioned user (mention), author -> replied-to author (reply), author ->
+quoted author (quote retweet).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import functools
 import gzip
 import io
 import json
-import logging
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -21,6 +21,7 @@ from enum import Enum
 from .graphs import DirectedGraph, build_graph
 
 __all__ = [
+    "MAX_BAD_FRACTION",
     "IngestError",
     "InteractionKind",
     "InteractionRecord",
@@ -29,12 +30,13 @@ __all__ = [
     "build_corpus",
     "parse_records",
     "parse_timestamp",
+    "parse_window_bound",
     "read_records_file",
     "read_terms_file",
     "term_matches",
 ]
 
-log = logging.getLogger(__name__)
+MAX_BAD_FRACTION = 0.10  # more malformed non-blank lines than this is a hard error
 
 
 class IngestError(ValueError):
@@ -84,7 +86,15 @@ def parse_timestamp(value: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def _record_from_obj(obj) -> InteractionRecord:
+def parse_window_bound(value: str, end_of_day: bool) -> datetime:
+    """ISO-8601 instant; a bare date means start (or end) of that UTC day."""
+    if re.fullmatch(r"\d{4}-\d{2}-\d{2}", value):
+        value = value + ("T23:59:59.999999Z" if end_of_day else "T00:00:00Z")
+    return parse_timestamp(value)
+
+
+def _record_from_obj(obj) -> tuple[InteractionRecord, datetime]:
+    """The checked record and its parsed timestamp."""
     if not isinstance(obj, dict):
         raise IngestError("record is not a JSON object")
     post_id = obj.get("post_id")
@@ -108,8 +118,7 @@ def _record_from_obj(obj) -> InteractionRecord:
     ts = obj.get("timestamp")
     if not isinstance(ts, str):
         raise IngestError("missing timestamp")
-    parse_timestamp(ts)  # validate now so downstream filters cannot fail
-    return InteractionRecord(
+    record = InteractionRecord(
         post_id=post_id,
         author=author,
         text=text,
@@ -118,51 +127,51 @@ def _record_from_obj(obj) -> InteractionRecord:
         quoted_author=quoted or None,
         timestamp=ts,
     )
+    return record, parse_timestamp(ts)
 
 
-def parse_records(stream, max_bad_fraction: float = 0.10) -> ParseResult:
+def parse_records(lines, window_from: datetime | None = None, window_to: datetime | None = None) -> ParseResult:
     """Parse line-delimited JSON records, keeping input order.
 
-    Malformed lines are reported with their line numbers rather than dropped
-    silently; exceeding `max_bad_fraction` of non-blank lines is a hard error.
-    Accepts bytes, str, or any iterable of lines.
+    `lines` is a str or any iterable of str lines.  Only records stamped
+    within [window_from, window_to] (inclusive; an unset bound is open) are
+    kept.  Malformed lines are reported with their line numbers rather than
+    dropped silently; more than MAX_BAD_FRACTION of the non-blank lines
+    malformed is a hard error.  A valid record outside the window is a good
+    line.
     """
-    if isinstance(stream, bytes):
-        stream = io.StringIO(stream.decode("utf-8"))
-    elif isinstance(stream, str):
-        stream = io.StringIO(stream)
-
+    if isinstance(lines, str):
+        lines = io.StringIO(lines)
     records: list[InteractionRecord] = []
     failures: list[tuple[int, str]] = []
     total = 0
-    for lineno, line in enumerate(stream, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         total += 1
         try:
-            records.append(_record_from_obj(json.loads(line)))
+            record, instant = _record_from_obj(json.loads(line))
         except json.JSONDecodeError as exc:
             failures.append((lineno, f"invalid JSON: {exc.msg}"))
         except IngestError as exc:
             failures.append((lineno, str(exc)))
+        else:
+            if (window_from is None or window_from <= instant) and (window_to is None or instant <= window_to):
+                records.append(record)
 
-    if total and len(failures) / total > max_bad_fraction:
+    if total and len(failures) / total > MAX_BAD_FRACTION:
         raise IngestError(
             f"{len(failures)} of {total} lines malformed "
-            f"(limit {max_bad_fraction:.0%}); first: line {failures[0][0]}: {failures[0][1]}"
+            f"(limit {MAX_BAD_FRACTION:.0%}); first: line {failures[0][0]}: {failures[0][1]}"
         )
-    if failures:
-        log.warning("parsed %d records, %d malformed lines reported", len(records), len(failures))
     return ParseResult(records=records, failures=failures)
 
 
-def read_records_file(path, max_bad_fraction: float = 0.10) -> ParseResult:
+def read_records_file(path, window_from: datetime | None = None, window_to: datetime | None = None) -> ParseResult:
     """parse_records over a file; names ending .gz are gzip-decompressed."""
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt", encoding="utf-8") as fh:
-        return parse_records(fh, max_bad_fraction=max_bad_fraction)
+        return parse_records(fh, window_from, window_to)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -311,10 +311,12 @@ def _best_split(X, y, idx, feats):
     """Lowest weighted-Gini (feature, threshold) over the candidate features.
 
     All candidate columns are sorted and scored at once.  Split points sit
-    halfway between consecutive distinct sorted values; ties resolve to the
-    earliest candidate feature and then the earliest position, because the
-    argmin runs over the scores feature by feature.  Returns (feature,
-    threshold), feature -1 when no candidate column varies.
+    halfway between consecutive distinct sorted values, or on the lower one
+    when the midpoint rounds up to the upper (adjacent floats), so both sides
+    of a split are nonempty.  Ties resolve to the earliest candidate feature
+    and then the earliest position, because the argmin runs over the scores
+    feature by feature.  Returns (feature, threshold), feature -1 when no
+    candidate column varies.
     """
     n = idx.shape[0]
     ys = y[idx]
@@ -333,7 +335,9 @@ def _best_split(X, y, idx, feats):
     score = (nl * gini_l + nr * gini_r) / n
     score[~valid] = math.inf
     j, k = divmod(int(np.argmin(score.T)), n - 1)
-    return int(feats[j]), float((xs[k, j] + xs[k + 1, j]) / 2.0)
+    lo, hi = float(xs[k, j]), float(xs[k + 1, j])
+    mid = (lo + hi) / 2.0
+    return int(feats[j]), mid if mid < hi else lo
 
 
 def _grow_tree(X, y, rng: np.random.Generator, mtry: int) -> tuple[np.ndarray, ...]:

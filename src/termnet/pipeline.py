@@ -14,12 +14,11 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from datetime import datetime
 
 from . import ml
 from .census import TOTAL_CLASSES, CensusVector, census, census_parallel
 from .graphs import DirectedGraph, read_edge_csv, write_edge_csv
-from .ingest import InteractionKind, TermNetworkSet, parse_timestamp
+from .ingest import InteractionKind, TermNetworkSet
 from .metrics import METRIC_NAMES, GlobalFeatures, global_feature_vector
 from .ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
 
@@ -29,12 +28,12 @@ __all__ = [
     "KINDS",
     "NetworkRef",
     "PipelineError",
+    "SUMMARY_NAME",
     "classify_datasets",
     "compute_features",
-    "filter_records_window",
-    "parse_window_bound",
     "read_features_csv",
     "read_networks",
+    "read_summary",
     "slugify_terms",
     "write_features_csv",
     "write_networks",
@@ -45,36 +44,12 @@ FEATURE_SET_ORDER = tuple(f"{family}-{part}" for family in ("global", "local") f
 CLASSIFIER_ORDER = ("blr", "svm", "rfc")
 
 SUMMARY_NAME = "summary.csv"
+_SUMMARY_HEADER = ["term", "interaction", "nodes", "edges", "matched_records", "file"]
 PARALLEL_CENSUS_MIN_NODES = 800  # below this, fork overhead beats root sharding
 
 
 class PipelineError(ValueError):
     pass
-
-
-def parse_window_bound(value: str, end_of_day: bool) -> datetime:
-    """ISO-8601 instant; a bare date means start (or end) of that UTC day."""
-    if re.fullmatch(r"\d{4}-\d{2}-\d{2}", value):
-        value = value + ("T23:59:59.999999Z" if end_of_day else "T00:00:00Z")
-    return parse_timestamp(value)
-
-
-def filter_records_window(records, window_from: datetime | None, window_to: datetime | None):
-    """Keep records with window_from <= timestamp <= window_to (inclusive).
-
-    With neither bound set, `records` itself comes back, not a copy.
-    """
-    if window_from is None and window_to is None:
-        return records
-    kept = []
-    for rec in records:
-        t = parse_timestamp(rec.timestamp)
-        if window_from is not None and t < window_from:
-            continue
-        if window_to is not None and t > window_to:
-            continue
-        kept.append(rec)
-    return kept
 
 
 # ---------------------------------------------------------------- networks
@@ -130,39 +105,42 @@ def write_networks(corpus: list[TermNetworkSet], outdir, manifest_hash: str) -> 
     with open(os.path.join(str(outdir), SUMMARY_NAME), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# manifest_sha256={manifest_hash}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["term", "interaction", "nodes", "edges", "matched_records", "file"])
-        for row in rows:
-            writer.writerow([row[c] for c in ("term", "interaction", "nodes", "edges", "matched_records", "file")])
+        writer.writerow(_SUMMARY_HEADER)
+        writer.writerows([row[c] for c in _SUMMARY_HEADER] for row in rows)
+    return rows
+
+
+def read_summary(networks_dir) -> list[list[str]]:
+    """The rows of a networks directory's summary.csv, in file order."""
+    summary = os.path.join(str(networks_dir), SUMMARY_NAME)
+    if not os.path.exists(summary):
+        raise PipelineError(f"{networks_dir}: no {SUMMARY_NAME}; not a networks directory?")
+    with open(summary, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(line for line in fh if not line.startswith("# "))
+        header = next(reader, None)
+        if header != _SUMMARY_HEADER:
+            raise PipelineError(f"{summary}: unexpected header {header!r}")
+        rows = [row for row in reader if row]
+    for row in rows:
+        if len(row) != 6 or row[1] not in KINDS:
+            raise PipelineError(f"{summary}: malformed row {row!r}")
     return rows
 
 
 def read_networks(networks_dir) -> list[NetworkRef]:
-    summary = os.path.join(str(networks_dir), SUMMARY_NAME)
-    if not os.path.exists(summary):
-        raise PipelineError(f"{networks_dir}: no {SUMMARY_NAME}; not a networks directory?")
     refs = []
-    with open(summary, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("# "))
-        header = next(reader, None)
-        if header != ["term", "interaction", "nodes", "edges", "matched_records", "file"]:
-            raise PipelineError(f"{summary}: unexpected header {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 6 or row[1] not in KINDS:
-                raise PipelineError(f"{summary}: malformed row {row!r}")
-            term, kind, nodes, edges, matched, fname = row
-            path = os.path.join(str(networks_dir), fname)
-            try:
-                g = read_edge_csv(path)
-            except (OSError, ValueError) as exc:
-                raise PipelineError(f"network file {fname}: {exc}") from exc
-            if g.node_count != int(nodes) or g.edge_count != int(edges):
-                raise PipelineError(
-                    f"network file {fname}: has {g.node_count} nodes / {g.edge_count} edges, "
-                    f"summary says {nodes}/{edges}"
-                )
-            refs.append(NetworkRef(term=term, kind=kind, graph=g, matched_records=int(matched)))
+    for term, kind, nodes, edges, matched, fname in read_summary(networks_dir):
+        path = os.path.join(str(networks_dir), fname)
+        try:
+            g = read_edge_csv(path)
+        except (OSError, ValueError) as exc:
+            raise PipelineError(f"network file {fname}: {exc}") from exc
+        if g.node_count != int(nodes) or g.edge_count != int(edges):
+            raise PipelineError(
+                f"network file {fname}: has {g.node_count} nodes / {g.edge_count} edges, "
+                f"summary says {nodes}/{edges}"
+            )
+        refs.append(NetworkRef(term=term, kind=kind, graph=g, matched_records=int(matched)))
     return refs
 
 

@@ -350,7 +350,8 @@ def reference_best_split(X, y, idx, feats):
         score[~valid] = float("inf")
         k = int(np.argmin(score))
         if score[k] < best[0]:
-            best = (float(score[k]), int(f), float((xs[k] + xs[k + 1]) / 2.0))
+            mid = float((xs[k] + xs[k + 1]) / 2.0)
+            best = (float(score[k]), int(f), mid if mid < xs[k + 1] else float(xs[k]))
     return best
 
 

@@ -16,7 +16,6 @@ from termnet.census import (
     build_class_table,
     census,
     census_parallel,
-    render_class,
 )
 from termnet.graphs import DirectedGraph, build_graph
 from termnet.synth import gen_random_digraph
@@ -332,9 +331,3 @@ def test_class_table_csv_export(class_table, tmp_path):
     assert int(row[2], 16) == class_table.canonical_code(cid)
     assert oracles.subgraph_code(edges, list(range(k))) == class_table.canonical_code(cid)
 
-
-def test_render_class(class_table):
-    text = render_class(class_table, 0)
-    assert "class 0" in text and "k=3" in text
-    with pytest.raises(ValueError):
-        render_class(class_table, 212)

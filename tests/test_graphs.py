@@ -1,18 +1,13 @@
-import itertools
-
 import pytest
 
 from termnet.graphs import (
     DirectedGraph,
     build_graph,
     degree_sequence,
-    induced_subgraph_code,
     pair_order,
     read_edge_csv,
     write_edge_csv,
 )
-
-import oracles
 
 
 def test_build_graph_dedup_and_direction():
@@ -97,56 +92,6 @@ def test_rejects_self_loops_and_bad_indices():
 def test_pair_order_layout():
     assert pair_order(3) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
     assert len(pair_order(4)) == 12
-
-
-def test_induced_code_pair():
-    g = build_graph([("u", "v"), ("v", "u")])
-    assert induced_subgraph_code(g, [0, 1]) == 0b11
-
-
-def test_induced_code_independent_triple():
-    g = DirectedGraph(5, [(3, 4)])
-    assert induced_subgraph_code(g, [0, 1, 2]) == 0
-
-
-def test_induced_code_directed_cycle():
-    # edges (a,b),(b,c),(c,a) under order [a,b,c]: bits (a,b) and (b,c) and (c,a)
-    g = build_graph([("a", "b"), ("b", "c"), ("c", "a")])
-    assert induced_subgraph_code(g, [0, 1, 2]) == 0b100110
-
-
-def test_induced_code_rejects_bad_input():
-    g = build_graph([("a", "b"), ("b", "c")])
-    with pytest.raises(ValueError):
-        induced_subgraph_code(g, [0, 0])
-    with pytest.raises(ValueError):
-        induced_subgraph_code(g, [0])
-    with pytest.raises(ValueError):
-        induced_subgraph_code(g, [0, 1, 2, 0])
-
-
-def test_induced_code_matches_brute_force(rng):
-    for _ in range(25):
-        n = int(rng.integers(4, 12))
-        edges = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.4]
-        g = DirectedGraph(n, edges)
-        edge_set = set(edges)
-        for k in (2, 3, 4):
-            nodes = list(rng.choice(n, size=k, replace=False))
-            nodes = [int(x) for x in nodes]
-            assert induced_subgraph_code(g, nodes) == oracles.subgraph_code(edge_set, nodes)
-
-
-def test_permutation_action_exhaustive_k3():
-    # permuting the node list permutes the code per the bit-layout action
-    for code in range(64):
-        pairs = pair_order(3)
-        edges = [pairs[p] for p in range(6) if (code >> (5 - p)) & 1]
-        g = DirectedGraph(3, edges)
-        assert induced_subgraph_code(g, [0, 1, 2]) == code
-        for perm in itertools.permutations(range(3)):
-            expected = oracles.subgraph_code(set(edges), list(perm))
-            assert induced_subgraph_code(g, list(perm)) == expected
 
 
 def test_edge_csv_round_trip(tmp_path):

@@ -52,14 +52,17 @@ def test_parse_single_record():
 
 
 def test_parse_empty_stream():
-    assert parse_records("") == parse_records(b"")
+    assert parse_records("") == parse_records([]) == parse_records("\n \n")
     assert parse_records("").records == []
+    assert parse_records("").failures == []
 
 
 def test_parse_reports_bad_line_with_number():
+    # 1 malformed line of 10 is within the 10 % limit
     text = GOOD_LINE + "\nnot json\n" + make_record(post_id="2") + "\n"
-    result = parse_records(text, max_bad_fraction=0.5)
-    assert len(result.records) == 2
+    text += "\n".join(make_record(post_id=str(i)) for i in range(3, 10))
+    result = parse_records(text)
+    assert len(result.records) == 9
     assert len(result.failures) == 1
     assert result.failures[0][0] == 2
 
@@ -80,9 +83,21 @@ def test_parse_field_validation():
         make_record(reply_to_author=7),
         "[1,2,3]",
     ]
-    result = parse_records("\n".join(cases), max_bad_fraction=1.0)
-    assert result.records == []
-    assert len(result.failures) == len(cases)
+    padding = [make_record(post_id=f"good-{i}") for i in range(9 * len(cases))]  # keeps 7 bad lines at 10 %
+    result = parse_records("\n".join(cases + padding))
+    assert [r.post_id for r in result.records] == [f"good-{i}" for i in range(len(padding))]
+    assert [lineno for lineno, _ in result.failures] == list(range(1, len(cases) + 1))
+
+
+def test_records_outside_window_count_as_good_lines():
+    # 1 malformed line and 9 valid records, only 1 of them inside the window
+    lines = ["not json"] + [make_record(post_id=str(i), timestamp=f"2020-11-{10 + i:02d}T00:00:00Z") for i in range(9)]
+    lo = parse_timestamp("2020-11-10T00:00:00Z")
+    result = parse_records("\n".join(lines), lo, lo)
+    assert [r.post_id for r in result.records] == ["0"]
+    assert result.failures == [(1, "invalid JSON: Expecting value")]
+    with pytest.raises(IngestError, match="2 of 10 lines malformed"):
+        parse_records("\n".join(["junk"] + lines[1:-1] + ["junk"]), lo, lo)
 
 
 def test_parse_keeps_input_order():
@@ -106,6 +121,7 @@ def test_read_records_gzip(tmp_path):
         fh.write(GOOD_LINE + "\n")
     result = read_records_file(path)
     assert len(result.records) == 1
+    assert read_records_file(path, None, parse_timestamp("2020-11-08T23:59:59Z")).records == []
 
 
 def test_term_matches_hashtag():

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import termnet
 from termnet.census import TOTAL_CLASSES
 from termnet.metrics import METRIC_NAMES
 from termnet.ml import (
@@ -247,14 +251,19 @@ def test_rfc_scale_invariant(rng):
     assert np.array_equal(a.predict(Xq), b.predict(Xq * scale))
 
 
+# half-integers, plus two adjacent floats whose midpoint rounds up to the larger
+_ADJACENT = np.nextafter(1.0, 2.0)
+TIE_VALUES = [v / 2 for v in range(-3, 4)] + [float(_ADJACENT), float(np.nextafter(_ADJACENT, 2.0))]
+
+
 @st.composite
 def forest_problems(draw):
-    """Small (X, y, seed, n_trees) built to tie: few distinct values, and
-    columns that duplicate, negate or hold constant another one.  Negated
-    columns tie a split at mirrored positions; tiny n gives single-class
-    bootstraps."""
+    """Small (X, y, seed, n_trees) built to tie: few distinct values, some of
+    them adjacent floats, and columns that duplicate, negate or hold constant
+    another one.  Negated columns tie a split at mirrored positions; tiny n
+    gives single-class bootstraps."""
     n = draw(st.integers(2, 16))
-    values = st.lists(st.integers(-3, 3).map(lambda v: v / 2), min_size=n, max_size=n)
+    values = st.lists(st.sampled_from(TIE_VALUES), min_size=n, max_size=n)
     cols = [np.array(c) for c in draw(st.lists(values, min_size=1, max_size=3))]
     for kind in draw(st.lists(st.sampled_from(["dup", "neg", "const"]), max_size=5)):
         src = cols[draw(st.integers(0, len(cols) - 1))]
@@ -276,6 +285,25 @@ def test_rfc_equals_reference_forest(problem):
             assert column.tolist() == getattr(want, name), name
     Xq = np.vstack([X, X + 0.25, -X])
     assert np.array_equal(model.predict(Xq), reference_forest_predict(ref, Xq))
+
+
+def test_rfc_splits_between_adjacent_floats():
+    # the midpoint of a and b rounds to b; a split there sends every row left
+    # and grew the tree forever, so the run is bounded by a subprocess timeout
+    code = (
+        "import numpy as np\n"
+        "from termnet.ml import train_rfc\n"
+        "a = np.nextafter(1.0, 2.0)\n"
+        "b = np.nextafter(a, 2.0)\n"
+        "X = np.array([[a], [b], [a], [b]])\n"
+        "model = train_rfc(X, np.array([0, 1, 0, 1]), 0, n_trees=1)\n"
+        "feature, threshold, _, _, _ = model.trees[0]\n"
+        "assert feature[0] == 0 and threshold[0] == a, (feature, threshold)\n"
+        "assert model.predict(X).tolist() == [0, 1, 0, 1]\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(termnet.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------- evaluation

@@ -1,23 +1,32 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import termnet
 from termnet import ml, pipeline
 from termnet.census import census_parallel
 from termnet.cli import main
 from termnet.graphs import build_graph
-from termnet.ingest import InteractionKind, TermNetworkSet, build_corpus, parse_records, read_terms_file
+from termnet.ingest import (
+    InteractionKind,
+    TermNetworkSet,
+    build_corpus,
+    parse_records,
+    parse_timestamp,
+    parse_window_bound,
+    read_terms_file,
+)
 from termnet.pipeline import (
     CLASSIFIER_ORDER,
     FEATURE_SET_ORDER,
     PARALLEL_CENSUS_MIN_NODES,
     PipelineError,
     compute_features,
-    filter_records_window,
-    parse_window_bound,
     read_features_csv,
     read_networks,
     slugify_terms,
@@ -59,20 +68,18 @@ def test_filter_records_window_inclusive():
         json.dumps({"post_id": str(i), "author": "a", "text": "x", "timestamp": f"2020-11-{9 + i:02d}T12:00:00Z"})
         for i in range(5)
     ]
-    records = parse_records("\n".join(lines)).records
+    text = "\n".join(lines)
     lo = parse_window_bound("2020-11-10T12:00:00Z", False)
     hi = parse_window_bound("2020-11-12T12:00:00Z", True)
-    kept = filter_records_window(records, lo, hi)
-    assert [r.post_id for r in kept] == ["1", "2", "3"]
-    assert filter_records_window(records, None, None) is records
-    assert [r.post_id for r in filter_records_window(records, lo, None)] == ["1", "2", "3", "4"]
+    assert [r.post_id for r in parse_records(text, lo, hi).records] == ["1", "2", "3"]
+    assert [r.post_id for r in parse_records(text).records] == ["0", "1", "2", "3", "4"]
+    assert [r.post_id for r in parse_records(text, lo).records] == ["1", "2", "3", "4"]
 
 
 def test_bare_to_date_keeps_the_whole_last_second():
     stamps = ["2020-12-07T23:59:59.500Z", "2020-12-07T23:59:59.999999Z", "2020-12-08T00:00:00Z"]
     lines = [json.dumps({"post_id": str(i), "author": "a", "text": "x", "timestamp": t}) for i, t in enumerate(stamps)]
-    records = parse_records("\n".join(lines)).records
-    kept = filter_records_window(records, None, parse_window_bound("2020-12-07", end_of_day=True))
+    kept = parse_records("\n".join(lines), None, parse_window_bound("2020-12-07", end_of_day=True)).records
     assert [r.post_id for r in kept] == ["0", "1"]
 
 
@@ -373,6 +380,18 @@ def test_cli_window_excludes_everything(tmp_path, capsys):
     assert all(r.graph.node_count == 0 and r.matched_records == 0 for r in refs)
 
 
+def test_cli_networks_reports_first_malformed_lines_and_total(tmp_path, capsys):
+    good = json.dumps({"post_id": "1", "author": "a", "text": "topic", "mentioned": ["b"], "timestamp": "2020-11-09T00:00:00Z"})
+    records = tmp_path / "records.jsonl"
+    records.write_text("\n".join(["junk"] * 21 + [good] * 189) + "\n", encoding="utf-8")  # 10 % malformed
+    terms = tmp_path / "terms.txt"
+    terms.write_text("topic\n", encoding="utf-8")
+    assert run_cli("networks", records, terms, "-o", tmp_path / "nets") == 0
+    warnings = capsys.readouterr().err.splitlines()
+    assert warnings[:20] == [f"warning: {records}:{n}: invalid JSON: Expecting value" for n in range(1, 21)]
+    assert warnings[20:] == [f"warning: {records}: 21 malformed lines skipped"]
+
+
 def test_cli_networks_window_matches_per_term_scan(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     nets = tmp_path / "nets"
@@ -382,9 +401,8 @@ def test_cli_networks_window_matches_per_term_scan(tmp_path, capsys):
     capsys.readouterr()
 
     records = parse_records((corpus / "records.jsonl").read_text()).records
-    kept = filter_records_window(
-        records, parse_window_bound(window[1], end_of_day=False), parse_window_bound(window[3], end_of_day=True)
-    )
+    lo, hi = parse_window_bound(window[1], end_of_day=False), parse_window_bound(window[3], end_of_day=True)
+    kept = [r for r in records if lo <= parse_timestamp(r.timestamp) <= hi]
     assert 0 < len(kept) < len(records)
     want = tmp_path / "want"
     manifest_hash = json.loads((nets / "manifest.json").read_text())["manifest_sha256"]
@@ -443,6 +461,56 @@ def test_cli_classify_deterministic_bytes(tmp_path, capsys):
     capsys.readouterr()
     for name in sorted(os.listdir(d1)):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+def test_cli_classify_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
+    # at 100 terms the PCA's Gram matrix is large enough for a threaded
+    # OpenBLAS to split its sums, which changed the last bits of pca-local-*
+    corpus, nets = tmp_path / "corpus", tmp_path / "nets"
+    features, labels = tmp_path / "features.csv", tmp_path / "labels.csv"
+    run_cli("synth", "-o", corpus, "--terms", 100, "--records", 5, "--seed", 0)
+    run_cli("networks", corpus / "records.jsonl", corpus / "terms.txt", "-o", nets)
+    run_cli("features", nets, "-o", features)
+    run_cli("rank", corpus / "ratings.csv", "-o", labels)
+    capsys.readouterr()
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(termnet.__file__))
+    runs = {}
+    for threads in (None, "1", "2"):
+        outdir = tmp_path / f"classify-{threads}"
+        argv = [sys.executable, "-m", "termnet.cli", "classify", features, labels, "-o", outdir, "--folds", "2"]
+        run_env = env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads)
+        runs[outdir] = subprocess.Popen([str(a) for a in argv], env=run_env, stdout=subprocess.DEVNULL)
+    for outdir, proc in runs.items():
+        assert proc.wait(timeout=120) == 0, outdir
+    first, *others = runs
+    names = sorted(os.listdir(first))
+    assert any(name.startswith("pca-local-") for name in names)
+    for outdir in others:
+        assert sorted(os.listdir(outdir)) == names
+        for name in names:
+            assert (outdir / name).read_bytes() == (first / name).read_bytes(), (outdir.name, name)
+
+
+def test_cli_features_manifest_hashes_only_listed_networks(tmp_path, capsys, corpus_dir):
+    # a networks directory rewritten for fewer terms keeps the old term's files
+    few_terms = tmp_path / "terms.txt"
+    few_terms.write_text("\n".join(read_terms_file(corpus_dir / "terms.txt")[:3]) + "\n", encoding="utf-8")
+    records = corpus_dir / "records.jsonl"
+    stale, fresh = tmp_path / "stale", tmp_path / "fresh"
+    assert run_cli("networks", records, corpus_dir / "terms.txt", "-o", stale) == 0
+    assert run_cli("networks", records, few_terms, "-o", stale) == 0
+    assert run_cli("networks", records, few_terms, "-o", fresh) == 0
+    assert len(os.listdir(stale)) == 20 and len(os.listdir(fresh)) == 11
+    assert run_cli("features", stale, "-o", tmp_path / "stale.csv") == 0
+    assert run_cli("features", fresh, "-o", tmp_path / "fresh.csv") == 0
+    capsys.readouterr()
+    assert (tmp_path / "stale.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    manifest = json.loads((tmp_path / "fresh.csv.manifest.json").read_text())
+    assert manifest == json.loads((tmp_path / "stale.csv.manifest.json").read_text())
+    # a fresh directory hashes every CSV in it, as it did before
+    assert sorted(manifest["input_hashes"]) == sorted(f for f in os.listdir(fresh) if f.endswith(".csv"))
 
 
 def test_cli_classify_needs_both_blocks(tmp_path, capsys):

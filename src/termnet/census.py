@@ -30,7 +30,6 @@ enumerating subsets would visit.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import itertools
@@ -42,6 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import manifest
 from .graphs import DirectedGraph, pair_order
 
 __all__ = [
@@ -137,17 +137,13 @@ class CanonicalClassTable:
         m = len(pairs)
         return [pairs[p] for p in range(m) if (code >> (m - 1 - p)) & 1]
 
-    def write_csv(self, path, manifest_hash: str | None = None) -> None:
+    def write_csv(self, path, manifest_hash: str) -> None:
         """Export `class_id,k,canonical_code_hex,edge_list` (edges as i->j;...)."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if manifest_hash:
-                fh.write(f"# manifest_sha256={manifest_hash}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["class_id", "k", "canonical_code_hex", "edge_list"])
-            for cid in range(TOTAL_CLASSES):
-                k = self.class_size(cid)
-                edges = ";".join(f"{u}->{v}" for u, v in self.class_edges(cid))
-                writer.writerow([cid, k, f"{self.canonical_code(cid):#05x}", edges])
+        rows = []
+        for cid in range(TOTAL_CLASSES):
+            edges = ";".join(f"{u}->{v}" for u, v in self.class_edges(cid))
+            rows.append([cid, self.class_size(cid), f"{self.canonical_code(cid):#05x}", edges])
+        manifest.write_csv(path, manifest_hash, ["class_id", "k", "canonical_code_hex", "edge_list"], rows)
 
 
 def _skeleton_connected_masks(k: int) -> list[bool]:

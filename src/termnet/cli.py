@@ -9,14 +9,13 @@ and exits without writing anything.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import __version__
 from .census import CensusTableError, get_class_table
 from .ingest import IngestError, build_corpus, parse_window_bound, read_records_file, read_terms_file
-from .manifest import RunManifest, file_sha256
+from .manifest import RunManifest, file_sha256, json_text
 from .ml import MlError
 from .pipeline import (
     SUMMARY_NAME,
@@ -101,9 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_manifest(manifest: RunManifest) -> int:
-    obj = json.loads(manifest.canonical_json())
-    obj["manifest_sha256"] = manifest.sha256
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    sys.stdout.write(json_text(manifest.stamped()))
     return 0
 
 
@@ -171,7 +168,7 @@ def _cmd_rank(args) -> int:
     rows = read_ratings_csv(args.ratings)
     aggs = aggregate_ratings(rows)
     labels = partition_terms(aggs, args.threshold)
-    write_labels_csv(args.out, labels, aggs, manifest_hash=manifest.sha256)
+    write_labels_csv(args.out, labels, aggs, manifest.sha256)
     manifest.write(args.out + ".manifest.json")
     n_pos = sum(1 for lab in labels if lab.label == CONTROVERSIAL)
     print(f"labeled {len(labels)} terms: {n_pos} controversial, {len(labels) - n_pos} non-controversial")
@@ -239,7 +236,7 @@ def _cmd_class_table(args) -> int:
     )
     if args.manifest:
         return _emit_manifest(manifest)
-    table.write_csv(args.out, manifest_hash=manifest.sha256)
+    table.write_csv(args.out, manifest.sha256)
     manifest.write(args.out + ".manifest.json")
     print(f"wrote {table.class_count_3 + table.class_count_4} classes to {args.out}")
     return 0

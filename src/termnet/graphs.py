@@ -17,8 +17,9 @@ and analogously 12 bits for k=4.
 
 from __future__ import annotations
 
-import csv
 from typing import Iterable, Iterator, Sequence
+
+from .manifest import read_csv, write_csv
 
 __all__ = [
     "DirectedGraph",
@@ -27,6 +28,8 @@ __all__ = [
     "pair_order",
     "write_edge_csv",
 ]
+
+_EDGE_HEADER = ["src_handle", "dst_handle"]
 
 
 def pair_order(k: int) -> list[tuple[int, int]]:
@@ -145,32 +148,21 @@ def degree_sequence(g: DirectedGraph, direction: str) -> list[int]:
     raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
 
 
-def write_edge_csv(g: DirectedGraph, path, manifest_hash: str | None = None) -> None:
-    """Edge-list debug dump: `src_handle,dst_handle`, UTF-8, LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if manifest_hash:
-            fh.write(f"# manifest_sha256={manifest_hash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["src_handle", "dst_handle"])
-        for u, v in g.sorted_edges():
-            writer.writerow([g.handle(u), g.handle(v)])
+def write_edge_csv(g: DirectedGraph, path, manifest_hash: str) -> None:
+    """Stamped edge list: `src_handle,dst_handle`, one row per edge in sorted order."""
+    rows = ([g.handle(u), g.handle(v)] for u, v in g.sorted_edges())
+    write_csv(path, manifest_hash, _EDGE_HEADER, rows)
 
 
 def read_edge_csv(path) -> DirectedGraph:
-    """Rebuild a graph from a `write_edge_csv` dump.
-
-    Lines starting '# ' are comments (handles cannot contain '# ').
-    """
+    """Rebuild a graph from a `write_edge_csv` file."""
+    rows = read_csv(path)
+    header = next(rows, None)
+    if header != _EDGE_HEADER:
+        raise ValueError(f"{path}: expected edge-list header, got {header!r}")
     pairs = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("# "))
-        header = next(rows, None)
-        if header is not None and header[:2] != ["src_handle", "dst_handle"]:
-            raise ValueError(f"{path}: expected edge-list header, got {header!r}")
-        for row in rows:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: malformed edge row {row!r}")
-            pairs.append((row[0], row[1]))
+    for row in rows:
+        if len(row) != 2:
+            raise ValueError(f"{path}: malformed edge row {row!r}")
+        pairs.append((row[0], row[1]))
     return build_graph(pairs)

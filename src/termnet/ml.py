@@ -100,6 +100,8 @@ def assemble_feature_sets(
     from .ranking import CONTROVERSIAL
 
     terms = sorted({lab.term for lab in labels})
+    if not terms:
+        raise MlError("no labeled terms")
     if len(terms) != len(labels):
         raise MlError("duplicate terms in labels")
     label_of = {lab.term: lab.label for lab in labels}

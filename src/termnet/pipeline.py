@@ -9,8 +9,6 @@ the shortest round-trip form, so equal runs are byte-identical.
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 import re
 from dataclasses import dataclass
@@ -19,6 +17,7 @@ from . import ml
 from .census import TOTAL_CLASSES, CensusVector, census, census_parallel
 from .graphs import DirectedGraph, read_edge_csv, write_edge_csv
 from .ingest import InteractionKind, TermNetworkSet
+from .manifest import read_csv, write_csv, write_json
 from .metrics import METRIC_NAMES, GlobalFeatures, global_feature_vector
 from .ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
 
@@ -82,31 +81,27 @@ class NetworkRef:
     matched_records: int
 
 
-def write_networks(corpus: list[TermNetworkSet], outdir, manifest_hash: str) -> list[dict]:
-    """Per-(term, kind) edge CSVs plus summary.csv; returns the summary rows."""
+def write_networks(corpus: list[TermNetworkSet], outdir, manifest_hash: str) -> list[list]:
+    """Per-(term, kind) edge CSVs plus summary.csv; returns the summary rows.
+
+    The edge files that the directory's existing summary.csv lists are deleted
+    first, so the directory holds one run's networks.
+    """
     os.makedirs(outdir, exist_ok=True)
+    if os.path.exists(os.path.join(str(outdir), SUMMARY_NAME)):
+        for *_, fname in read_summary(outdir):
+            old = os.path.join(str(outdir), fname)
+            if os.path.basename(fname) == fname and fname.endswith(".edges.csv") and os.path.isfile(old):
+                os.remove(old)
     slugs = slugify_terms([ts.term for ts in corpus])
     rows = []
     for ts in corpus:
         for kind in InteractionKind:
             g = ts.graphs[kind]
             fname = f"{slugs[ts.term]}.{kind.value}.edges.csv"
-            write_edge_csv(g, os.path.join(str(outdir), fname), manifest_hash=manifest_hash)
-            rows.append(
-                {
-                    "term": ts.term,
-                    "interaction": kind.value,
-                    "nodes": g.node_count,
-                    "edges": g.edge_count,
-                    "matched_records": ts.matched_records,
-                    "file": fname,
-                }
-            )
-    with open(os.path.join(str(outdir), SUMMARY_NAME), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# manifest_sha256={manifest_hash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_SUMMARY_HEADER)
-        writer.writerows([row[c] for c in _SUMMARY_HEADER] for row in rows)
+            write_edge_csv(g, os.path.join(str(outdir), fname), manifest_hash)
+            rows.append([ts.term, kind.value, g.node_count, g.edge_count, ts.matched_records, fname])
+    write_csv(os.path.join(str(outdir), SUMMARY_NAME), manifest_hash, _SUMMARY_HEADER, rows)
     return rows
 
 
@@ -115,12 +110,11 @@ def read_summary(networks_dir) -> list[list[str]]:
     summary = os.path.join(str(networks_dir), SUMMARY_NAME)
     if not os.path.exists(summary):
         raise PipelineError(f"{networks_dir}: no {SUMMARY_NAME}; not a networks directory?")
-    with open(summary, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("# "))
-        header = next(reader, None)
-        if header != _SUMMARY_HEADER:
-            raise PipelineError(f"{summary}: unexpected header {header!r}")
-        rows = [row for row in reader if row]
+    rows = read_csv(summary)
+    header = next(rows, None)
+    if header != _SUMMARY_HEADER:
+        raise PipelineError(f"{summary}: unexpected header {header!r}")
+    rows = list(rows)
     for row in rows:
         if len(row) != 6 or row[1] not in KINDS:
             raise PipelineError(f"{summary}: malformed row {row!r}")
@@ -181,20 +175,16 @@ def compute_features(refs: list[NetworkRef], workers: int = 1) -> list[FeatureRo
 def write_features_csv(rows: list[FeatureRow], path, manifest_hash: str) -> None:
     if not rows:
         raise PipelineError("no feature rows to write")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# manifest_sha256={manifest_hash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_FEATURES_HEADER)
-        for row in rows:
-            gf, cv = row.global_features, row.census
-            writer.writerow(
-                [row.term, row.kind]
-                + [repr(v) for v in gf.as_vector()]
-                + [int(flag) for flag in gf.defined]
-                + [cv.total]
-                + [str(c) for c in cv.counts]
-                + [repr(v) for v in cv.normalized]
-            )
+    cells = (
+        [row.term, row.kind]
+        + [repr(v) for v in row.global_features.as_vector()]
+        + [int(flag) for flag in row.global_features.defined]
+        + [row.census.total]
+        + [str(c) for c in row.census.counts]
+        + [repr(v) for v in row.census.normalized]
+        for row in rows
+    )
+    write_csv(path, manifest_hash, _FEATURES_HEADER, cells)
 
 
 def read_features_csv(path):
@@ -205,23 +195,20 @@ def read_features_csv(path):
     """
     metrics_end = 2 + len(METRIC_NAMES)
     normalized_start = len(_FEATURES_HEADER) - TOTAL_CLASSES
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("# "))
-        if next(reader, None) != _FEATURES_HEADER:
-            raise PipelineError(f"{path}: not a features file with both the global and the census block")
-        global_vecs: dict[tuple[str, str], list[float]] = {}
-        local_vecs: dict[tuple[str, str], list[float]] = {}
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(_FEATURES_HEADER) or row[1] not in KINDS:
-                raise PipelineError(f"{path}: malformed row starting {row[:2]!r}")
-            key = (row[0], row[1])
-            try:
-                global_vecs[key] = [float(v) for v in row[2:metrics_end]]
-                local_vecs[key] = [float(v) for v in row[normalized_start:]]
-            except ValueError as exc:
-                raise PipelineError(f"{path}: bad numeric cell in row for {key}: {exc}") from exc
+    rows = read_csv(path)
+    if next(rows, None) != _FEATURES_HEADER:
+        raise PipelineError(f"{path}: not a features file with both the global and the census block")
+    global_vecs: dict[tuple[str, str], list[float]] = {}
+    local_vecs: dict[tuple[str, str], list[float]] = {}
+    for row in rows:
+        if len(row) != len(_FEATURES_HEADER) or row[1] not in KINDS:
+            raise PipelineError(f"{path}: malformed row starting {row[:2]!r}")
+        key = (row[0], row[1])
+        try:
+            global_vecs[key] = [float(v) for v in row[2:metrics_end]]
+            local_vecs[key] = [float(v) for v in row[normalized_start:]]
+        except ValueError as exc:
+            raise PipelineError(f"{path}: bad numeric cell in row for {key}: {exc}") from exc
     return global_vecs, local_vecs
 
 
@@ -268,26 +255,22 @@ def classify_datasets(
         except ml.MlError as exc:
             pca_info[set_name] = {"error": str(exc)}
             continue
-        pca_info[set_name] = {
-            "error": None,
-            "explained_variance": [float(v) for v in res.explained_variance],
-        }
-        proj_path = os.path.join(str(outdir), f"pca-{set_name}-projection.csv")
-        with open(proj_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# manifest_sha256={manifest_hash}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["term", "label", "pc1", "pc2"])
-            for i, term in enumerate(ds.row_terms):
-                writer.writerow([term, label_of[term], repr(float(res.projected[i, 0])), repr(float(res.projected[i, 1]))])
-        load_path = os.path.join(str(outdir), f"pca-{set_name}-loadings.csv")
-        with open(load_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# manifest_sha256={manifest_hash}\n")
-            fh.write(f"# explained_variance_pc1={float(res.explained_variance[0])!r}\n")
-            fh.write(f"# explained_variance_pc2={float(res.explained_variance[1])!r}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["feature", "pc1", "pc2"])
-            for j, name in enumerate(ds.col_names):
-                writer.writerow([name, repr(float(res.components[0, j])), repr(float(res.components[1, j]))])
+        variance = [float(v) for v in res.explained_variance]
+        pca_info[set_name] = {"error": None, "explained_variance": variance}
+        write_csv(
+            os.path.join(str(outdir), f"pca-{set_name}-projection.csv"),
+            manifest_hash,
+            ["term", "label", "pc1", "pc2"],
+            ([t, label_of[t], repr(float(x)), repr(float(y))] for t, (x, y) in zip(ds.row_terms, res.projected)),
+        )
+        pc1, pc2 = res.components
+        write_csv(
+            os.path.join(str(outdir), f"pca-{set_name}-loadings.csv"),
+            manifest_hash,
+            ["feature", "pc1", "pc2"],
+            ([name, repr(float(a)), repr(float(b))] for name, a, b in zip(ds.col_names, pc1, pc2)),
+            notes=[f"explained_variance_pc{k}={v!r}" for k, v in enumerate(variance, 1)],
+        )
 
     report_obj = {
         "manifest_sha256": manifest_hash,
@@ -297,7 +280,5 @@ def classify_datasets(
         "entries": entries,
         "pca": pca_info,
     }
-    with open(os.path.join(str(outdir), "report.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report_obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(str(outdir), "report.json"), report_obj)
     return report_obj

@@ -7,9 +7,10 @@ controversial when its mean strictly exceeds the threshold (default 0.95).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+
+from .manifest import read_csv, write_csv
 
 __all__ = [
     "CONTROVERSIAL",
@@ -39,6 +40,9 @@ LIKERT_NAMES = (
 CONTROVERSIAL = "controversial"
 NON_CONTROVERSIAL = "non-controversial"
 DEFAULT_THRESHOLD = 0.95
+
+_RATINGS_HEADER = ["term", "participant", "score"]
+_LABELS_HEADER = ["term", "mean", "std", "total", "label"]
 
 
 class RankingError(ValueError):
@@ -124,56 +128,42 @@ def label_distribution(rows: list[RatingRow]) -> dict[str, float]:
 
 
 def read_ratings_csv(path) -> list[RatingRow]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = _next_data_row(reader)
-        if header != ["term", "participant", "score"]:
-            raise RankingError(f"ratings file {path}: expected header term,participant,score, got {header}")
-        rows = []
-        for rec in reader:
-            if not rec or rec[0].startswith("# "):
-                continue
-            if len(rec) != 3:
-                raise RankingError(f"ratings file {path}: bad row {rec!r}")
-            try:
-                score = int(rec[2])
-            except ValueError as exc:
-                raise RankingError(f"ratings file {path}: non-integer score in {rec!r}") from exc
-            rows.append(RatingRow(term=rec[0], participant=rec[1], score=score))
+    records = read_csv(path)
+    header = next(records, None)
+    if header != _RATINGS_HEADER:
+        raise RankingError(f"ratings file {path}: expected header term,participant,score, got {header}")
+    rows = []
+    for rec in records:
+        if len(rec) != 3:
+            raise RankingError(f"ratings file {path}: bad row {rec!r}")
+        try:
+            score = int(rec[2])
+        except ValueError as exc:
+            raise RankingError(f"ratings file {path}: non-integer score in {rec!r}") from exc
+        rows.append(RatingRow(term=rec[0], participant=rec[1], score=score))
+    if not rows:
+        raise RankingError(f"ratings file {path}: no ratings")
     return rows
 
 
-def _next_data_row(reader):
-    for rec in reader:
-        if rec and not rec[0].startswith("# "):
-            return rec
-    return []
-
-
-def write_labels_csv(path, labels: list[TermLabel], aggs: list[RatingAggregate], manifest_hash: str | None = None) -> None:
+def write_labels_csv(path, labels: list[TermLabel], aggs: list[RatingAggregate], manifest_hash: str) -> None:
     """`term,mean,std,total,label` rows in the given label order."""
     by_term = {a.term: a for a in aggs}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if manifest_hash:
-            fh.write(f"# manifest_sha256={manifest_hash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["term", "mean", "std", "total", "label"])
-        for lab in labels:
-            agg = by_term[lab.term]
-            writer.writerow([lab.term, repr(agg.mean), repr(agg.std), agg.total, lab.label])
+    rows = []
+    for lab in labels:
+        agg = by_term[lab.term]
+        rows.append([lab.term, repr(agg.mean), repr(agg.std), agg.total, lab.label])
+    write_csv(path, manifest_hash, _LABELS_HEADER, rows)
 
 
 def read_labels_csv(path) -> list[TermLabel]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = _next_data_row(reader)
-        if header != ["term", "mean", "std", "total", "label"]:
-            raise RankingError(f"labels file {path}: expected header term,mean,std,total,label, got {header}")
-        labels = []
-        for rec in reader:
-            if not rec or rec[0].startswith("# "):
-                continue
-            if len(rec) != 5 or rec[4] not in (CONTROVERSIAL, NON_CONTROVERSIAL):
-                raise RankingError(f"labels file {path}: bad row {rec!r}")
-            labels.append(TermLabel(term=rec[0], label=rec[4], mean=float(rec[1])))
+    records = read_csv(path)
+    header = next(records, None)
+    if header != _LABELS_HEADER:
+        raise RankingError(f"labels file {path}: expected header term,mean,std,total,label, got {header}")
+    labels = []
+    for rec in records:
+        if len(rec) != 5 or rec[4] not in (CONTROVERSIAL, NON_CONTROVERSIAL):
+            raise RankingError(f"labels file {path}: bad row {rec!r}")
+        labels.append(TermLabel(term=rec[0], label=rec[4], mean=float(rec[1])))
     return labels

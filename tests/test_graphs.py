@@ -1,4 +1,8 @@
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termnet.graphs import (
     DirectedGraph,
@@ -110,3 +114,29 @@ def test_read_edge_csv_rejects_garbage(tmp_path):
     path.write_text("nope,really,bad\n1,2,3\n")
     with pytest.raises(ValueError):
         read_edge_csv(path)
+
+
+def test_read_edge_csv_needs_the_exact_header(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("src_handle,dst_handle,extra\na,b,c\n")
+    with pytest.raises(ValueError, match="expected edge-list header"):
+        read_edge_csv(path)
+    path.write_text("")
+    with pytest.raises(ValueError, match="expected edge-list header"):
+        read_edge_csv(path)
+
+
+# pieces that csv quoting, the leading `# ` block or line splitting could break
+_HANDLES = st.lists(st.sampled_from(["# ", "#", ",", '"', "\n", "\r", " ", "a", "é", "ж", "名"]), max_size=5).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_HANDLES, _HANDLES), max_size=10))
+def test_edge_csv_round_trips_any_handles(pairs):
+    g = build_graph(pairs)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/edges.csv"
+        write_edge_csv(g, path, "f00d")
+        h = read_edge_csv(path)
+    assert (h.node_count, h.edge_count) == (g.node_count, g.edge_count)
+    assert {(h.handle(u), h.handle(v)) for u, v in h.edges} == {(g.handle(u), g.handle(v)) for u, v in g.edges}

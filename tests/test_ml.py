@@ -483,6 +483,11 @@ def test_assemble_feature_sets_shapes():
     np.testing.assert_array_equal(sets["global-combined"].X[:, 18:], sets["global-quote"].X)
 
 
+def test_assemble_feature_sets_needs_a_labeled_term():
+    with pytest.raises(MlError, match="no labeled terms"):
+        assemble_feature_sets({}, {}, [])
+
+
 def test_assemble_feature_sets_missing_vector():
     gv, lv = _fake_vectors(["a", "b"])
     del gv[("b", "reply")]

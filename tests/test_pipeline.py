@@ -33,7 +33,7 @@ from termnet.pipeline import (
     write_features_csv,
     write_networks,
 )
-from termnet.ranking import read_labels_csv
+from termnet.ranking import read_labels_csv, write_labels_csv
 from termnet.synth import SynthSpec, gen_random_digraph_m, generate_corpus, write_corpus
 
 import oracles
@@ -494,7 +494,7 @@ def test_cli_classify_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
 
 
 def test_cli_features_manifest_hashes_only_listed_networks(tmp_path, capsys, corpus_dir):
-    # a networks directory rewritten for fewer terms keeps the old term's files
+    # a networks directory rewritten for fewer terms loses the old terms' files
     few_terms = tmp_path / "terms.txt"
     few_terms.write_text("\n".join(read_terms_file(corpus_dir / "terms.txt")[:3]) + "\n", encoding="utf-8")
     records = corpus_dir / "records.jsonl"
@@ -502,7 +502,9 @@ def test_cli_features_manifest_hashes_only_listed_networks(tmp_path, capsys, cor
     assert run_cli("networks", records, corpus_dir / "terms.txt", "-o", stale) == 0
     assert run_cli("networks", records, few_terms, "-o", stale) == 0
     assert run_cli("networks", records, few_terms, "-o", fresh) == 0
-    assert len(os.listdir(stale)) == 20 and len(os.listdir(fresh)) == 11
+    assert sorted(os.listdir(stale)) == sorted(os.listdir(fresh)) and len(os.listdir(fresh)) == 11
+    # a CSV that summary.csv does not list is not hashed
+    (stale / "stray.edges.csv").write_text("src_handle,dst_handle\na,b\n", encoding="utf-8")
     assert run_cli("features", stale, "-o", tmp_path / "stale.csv") == 0
     assert run_cli("features", fresh, "-o", tmp_path / "fresh.csv") == 0
     capsys.readouterr()
@@ -511,6 +513,62 @@ def test_cli_features_manifest_hashes_only_listed_networks(tmp_path, capsys, cor
     assert manifest == json.loads((tmp_path / "stale.csv.manifest.json").read_text())
     # a fresh directory hashes every CSV in it, as it did before
     assert sorted(manifest["input_hashes"]) == sorted(f for f in os.listdir(fresh) if f.endswith(".csv"))
+
+
+def test_write_networks_removes_only_the_listed_edge_files(tmp_path, corpus_dir):
+    records = parse_records((corpus_dir / "records.jsonl").read_text()).records
+    terms = read_terms_file(corpus_dir / "terms.txt")
+    outdir = tmp_path / "nets"
+    first = write_networks(build_corpus(records, terms), outdir, manifest_hash="a" * 64)
+    (outdir / first[-1][-1]).unlink()  # a listed file that is already gone
+    (outdir / "notes.edges.csv").write_text("not listed\n", encoding="utf-8")
+    outside = tmp_path / "outside.edges.csv"
+    outside.write_text("listed with a path\n", encoding="utf-8")
+    with open(outdir / "summary.csv", "a", encoding="utf-8") as fh:
+        fh.write(f"x,mention,0,0,0,../{outside.name}\nx,mention,0,0,0,{outside}\n")
+    second = write_networks(build_corpus(records, terms[:3]), outdir, manifest_hash="b" * 64)
+    assert len(first) == 18 and [row[-1] for row in second] == [row[-1] for row in first[:9]]
+    assert set(os.listdir(outdir)) == {row[-1] for row in second} | {"summary.csv", "notes.edges.csv"}
+    assert outside.read_text(encoding="utf-8") == "listed with a path\n"
+
+
+@pytest.mark.parametrize("handle", ["# eve", "a\r", "x\r\ny"])
+def test_cli_features_reads_back_every_handle(tmp_path, capsys, handle):
+    stamp = "2020-11-09T00:00:00Z"
+    records = tmp_path / "records.jsonl"
+    records.write_text(
+        json.dumps({"post_id": "1", "author": handle, "text": "topic", "mentioned": ["bob"], "timestamp": stamp})
+        + "\n"
+        + json.dumps({"post_id": "2", "author": "bob", "text": "topic", "mentioned": ["carol"], "timestamp": stamp})
+        + "\n",
+        encoding="utf-8",
+    )
+    terms = tmp_path / "terms.txt"
+    terms.write_text("topic\n", encoding="utf-8")
+    nets = tmp_path / "nets"
+    assert run_cli("networks", records, terms, "-o", nets) == 0
+    assert run_cli("features", nets, "-o", tmp_path / "features.csv") == 0
+    assert capsys.readouterr().err == ""
+    (mention,) = [ref.graph for ref in read_networks(nets) if ref.kind == "mention"]
+    assert {(mention.handle(u), mention.handle(v)) for u, v in mention.edges} == {(handle, "bob"), ("bob", "carol")}
+
+
+def test_cli_rank_rejects_ratings_without_rows(tmp_path, capsys):
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("term,participant,score\n", encoding="utf-8")
+    assert run_cli("rank", ratings, "-o", tmp_path / "labels.csv") == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: ratings file {ratings}: no ratings"]
+    assert not (tmp_path / "labels.csv").exists()
+
+
+def test_cli_classify_rejects_labels_without_terms(tmp_path, capsys, corpus_dir):
+    nets, features, labels = tmp_path / "nets", tmp_path / "features.csv", tmp_path / "labels.csv"
+    assert run_cli("networks", corpus_dir / "records.jsonl", corpus_dir / "terms.txt", "-o", nets) == 0
+    assert run_cli("features", nets, "-o", features) == 0
+    write_labels_csv(labels, [], [], manifest_hash="c" * 64)
+    capsys.readouterr()
+    assert run_cli("classify", features, labels, "-o", tmp_path / "cls", "--folds", 2) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: no labeled terms"]
 
 
 def test_cli_classify_needs_both_blocks(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Batch command-line interface.
 
-Subcommands: networks, features, rank, classify, synth, class-table.
-Exit codes: 0 success, 1 input error, 2 internal invariant failure.  Each
-command derives a RunManifest from its semantic inputs; --manifest prints it
+Subcommands: networks, features, rank, classify, synth, class-table.  Exit codes:
+0 success, 1 input error (an InputError or an OSError), 2 any other failure, a bug.
+Each command derives a RunManifest from its semantic inputs; --manifest prints it
 and exits without writing anything.
 """
 
@@ -14,12 +14,10 @@ import sys
 
 from . import __version__
 from .census import CensusTableError, get_class_table
-from .ingest import IngestError, build_corpus, parse_window_bound, read_records_file, read_terms_file
-from .manifest import RunManifest, file_sha256, json_text
-from .ml import MlError
+from .ingest import build_corpus, parse_window_bound, read_records_file, read_terms_file
+from .manifest import InputError, RunManifest, file_sha256, json_text
 from .pipeline import (
     SUMMARY_NAME,
-    PipelineError,
     classify_datasets,
     compute_features,
     read_features_csv,
@@ -31,7 +29,6 @@ from .pipeline import (
 from .ranking import (
     CONTROVERSIAL,
     DEFAULT_THRESHOLD,
-    RankingError,
     aggregate_ratings,
     partition_terms,
     read_ratings_csv,
@@ -39,8 +36,6 @@ from .ranking import (
     read_labels_csv,
 )
 from .synth import SynthSpec, write_corpus
-
-_INPUT_ERRORS = (IngestError, RankingError, PipelineError, MlError, FileNotFoundError, IsADirectoryError, PermissionError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,9 +119,8 @@ def _cmd_networks(args) -> int:
     if result.failures:
         print(f"warning: {args.records}: {len(result.failures)} malformed lines skipped", file=sys.stderr)
     corpus = build_corpus(result.records, read_terms_file(args.terms))
-    os.makedirs(args.outdir, exist_ok=True)
-    manifest.write(os.path.join(args.outdir, "manifest.json"))
     rows = write_networks(corpus, args.outdir, manifest.sha256)
+    manifest.write(os.path.join(args.outdir, "manifest.json"))
     print(f"wrote {len(rows)} networks for {len(corpus)} terms to {args.outdir}")
     return 0
 
@@ -139,7 +133,7 @@ def _networks_input_hashes(networks_dir: str) -> dict[str, str]:
 
 def _cmd_features(args) -> int:
     if args.workers < 1:
-        raise PipelineError("--workers must be >= 1")
+        raise InputError("--workers must be >= 1")
     manifest = RunManifest(
         command="features",
         tool_version=__version__,
@@ -177,7 +171,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_classify(args) -> int:
     if args.folds < 2:
-        raise PipelineError("--folds must be >= 2")
+        raise InputError("--folds must be >= 2")
     manifest = RunManifest(
         command="classify",
         tool_version=__version__,
@@ -188,8 +182,6 @@ def _cmd_classify(args) -> int:
         return _emit_manifest(manifest)
     global_vecs, local_vecs = read_features_csv(args.features)
     labels = read_labels_csv(args.labels)
-    os.makedirs(args.outdir, exist_ok=True)
-    manifest.write(os.path.join(args.outdir, "manifest.json"))
     report = classify_datasets(
         global_vecs,
         local_vecs,
@@ -200,15 +192,13 @@ def _cmd_classify(args) -> int:
         folds=args.folds,
         swap_positive=args.swap_positive,
     )
+    manifest.write(os.path.join(args.outdir, "manifest.json"))
     print(f"wrote report.json with {len(report['entries'])} entries to {args.outdir}")
     return 0
 
 
 def _cmd_synth(args) -> int:
-    try:
-        spec = SynthSpec(n_terms=args.terms, records_per_term=args.records, seed=args.seed, signal=args.signal)
-    except ValueError as exc:
-        raise PipelineError(str(exc)) from exc
+    spec = SynthSpec(n_terms=args.terms, records_per_term=args.records, seed=args.seed, signal=args.signal)
     manifest = RunManifest(
         command="synth",
         tool_version=__version__,
@@ -260,16 +250,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
-        if isinstance(exc, _INPUT_ERRORS):
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CensusTableError as exc:
+    except (ValueError, CensusTableError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .manifest import read_csv, write_csv
+from .manifest import InputError, read_csv, write_csv
 
 __all__ = [
     "DirectedGraph",
@@ -159,10 +159,10 @@ def read_edge_csv(path) -> DirectedGraph:
     rows = read_csv(path)
     header = next(rows, None)
     if header != _EDGE_HEADER:
-        raise ValueError(f"{path}: expected edge-list header, got {header!r}")
+        raise InputError(f"{path}: expected edge-list header, got {header!r}")
     pairs = []
     for row in rows:
         if len(row) != 2:
-            raise ValueError(f"{path}: malformed edge row {row!r}")
+            raise InputError(f"{path}: malformed edge row {row!r}")
         pairs.append((row[0], row[1]))
     return build_graph(pairs)

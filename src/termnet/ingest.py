@@ -19,10 +19,10 @@ from datetime import datetime, timezone
 from enum import Enum
 
 from .graphs import DirectedGraph, build_graph
+from .manifest import InputError, open_text
 
 __all__ = [
     "MAX_BAD_FRACTION",
-    "IngestError",
     "InteractionKind",
     "InteractionRecord",
     "ParseResult",
@@ -37,10 +37,6 @@ __all__ = [
 ]
 
 MAX_BAD_FRACTION = 0.10  # more malformed non-blank lines than this is a hard error
-
-
-class IngestError(ValueError):
-    pass
 
 
 class InteractionKind(Enum):
@@ -79,11 +75,11 @@ def parse_timestamp(value: str) -> datetime:
     """ISO-8601 parse; a 'Z' suffix means UTC, naive stamps are taken as UTC."""
     try:
         dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
-    except (ValueError, AttributeError, TypeError) as exc:
-        raise IngestError(f"bad timestamp {value!r}") from exc
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        return dt.astimezone(timezone.utc)  # OverflowError when an offset passes year 1 or 9999
+    except (ValueError, AttributeError, TypeError, OverflowError) as exc:
+        raise InputError(f"bad timestamp {value!r}") from exc
 
 
 def parse_window_bound(value: str, end_of_day: bool) -> datetime:
@@ -96,28 +92,30 @@ def parse_window_bound(value: str, end_of_day: bool) -> datetime:
 def _record_from_obj(obj) -> tuple[InteractionRecord, datetime]:
     """The checked record and its parsed timestamp."""
     if not isinstance(obj, dict):
-        raise IngestError("record is not a JSON object")
+        raise InputError("record is not a JSON object")
     post_id = obj.get("post_id")
     author = obj.get("author")
     text = obj.get("text")
     if not isinstance(post_id, str) or not post_id:
-        raise IngestError("missing or empty post_id")
+        raise InputError("missing or empty post_id")
     if not isinstance(author, str) or not author:
-        raise IngestError("missing or empty author")
+        raise InputError("missing or empty author")
     if not isinstance(text, str):
-        raise IngestError("missing text")
+        raise InputError("missing text")
     mentioned = obj.get("mentioned", [])
     if not isinstance(mentioned, list) or not all(isinstance(m, str) for m in mentioned):
-        raise IngestError("mentioned must be a list of strings")
+        raise InputError("mentioned must be a list of strings")
     reply_to = obj.get("reply_to_author")
     if reply_to is not None and not isinstance(reply_to, str):
-        raise IngestError("reply_to_author must be a string or null")
+        raise InputError("reply_to_author must be a string or null")
     quoted = obj.get("quoted_author")
     if quoted is not None and not isinstance(quoted, str):
-        raise IngestError("quoted_author must be a string or null")
+        raise InputError("quoted_author must be a string or null")
     ts = obj.get("timestamp")
     if not isinstance(ts, str):
-        raise IngestError("missing timestamp")
+        raise InputError("missing timestamp")
+    # json.loads keeps an escaped lone surrogate, which no UTF-8 file can hold: UnicodeEncodeError
+    "".join((post_id, author, text, ts, *mentioned, reply_to or "", quoted or "")).encode()
     record = InteractionRecord(
         post_id=post_id,
         author=author,
@@ -153,14 +151,14 @@ def parse_records(lines, window_from: datetime | None = None, window_to: datetim
             record, instant = _record_from_obj(json.loads(line))
         except json.JSONDecodeError as exc:
             failures.append((lineno, f"invalid JSON: {exc.msg}"))
-        except IngestError as exc:
+        except (InputError, UnicodeEncodeError) as exc:
             failures.append((lineno, str(exc)))
         else:
             if (window_from is None or window_from <= instant) and (window_to is None or instant <= window_to):
                 records.append(record)
 
     if total and len(failures) / total > MAX_BAD_FRACTION:
-        raise IngestError(
+        raise InputError(
             f"{len(failures)} of {total} lines malformed "
             f"(limit {MAX_BAD_FRACTION:.0%}); first: line {failures[0][0]}: {failures[0][1]}"
         )
@@ -169,8 +167,7 @@ def parse_records(lines, window_from: datetime | None = None, window_to: datetim
 
 def read_records_file(path, window_from: datetime | None = None, window_to: datetime | None = None) -> ParseResult:
     """parse_records over a file; names ending .gz are gzip-decompressed."""
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as fh:
+    with open_text(path, gzip.open if str(path).endswith(".gz") else open) as fh:
         return parse_records(fh, window_from, window_to)
 
 
@@ -185,7 +182,7 @@ def _term_pattern(term: str) -> re.Pattern:
 
 def term_matches(text: str, term: str) -> bool:
     if not term:
-        raise IngestError("term must be non-empty")
+        raise InputError("term must be non-empty")
     return _term_pattern(term).search(text) is not None
 
 
@@ -260,11 +257,11 @@ def build_corpus(records: list[InteractionRecord], terms: list[str]) -> list[Ter
     by_key: dict[str, list[str]] = {}
     for term in terms:
         if not term:
-            raise IngestError("term must be non-empty")
+            raise InputError("term must be non-empty")
         same_key = by_key.setdefault("".join(c.upper().casefold()[0] for c in term), [])
         for other in same_key:
             if _term_pattern(other).fullmatch(term):
-                raise IngestError(f"duplicate term (case-insensitive): {term!r} equals {other!r}")
+                raise InputError(f"duplicate term (case-insensitive): {term!r} equals {other!r}")
         same_key.append(term)
 
     # first-token key -> indices of the terms starting with that token
@@ -301,12 +298,12 @@ def build_corpus(records: list[InteractionRecord], terms: list[str]) -> list[Ter
 def read_terms_file(path) -> list[str]:
     """One term per line; '#'-prefixed lines are hashtags, '//' lines comments."""
     terms: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("//"):
                 continue
             terms.append(line)
     if not terms:
-        raise IngestError(f"terms file {path} contains no terms")
+        raise InputError(f"terms file {path} contains no terms")
     return terms

@@ -4,19 +4,39 @@ A manifest captures everything that determines a command's outputs: the
 subcommand, tool version, semantic parameters, content hashes of the inputs
 and (when the census is involved) the class-table hash.  Worker counts and
 file locations are deliberately excluded; equal manifests must mean
-byte-identical outputs.  This module also owns the stamped file formats:
-every CSV goes through `write_csv`/`read_csv`, every JSON text through `json_text`.
+byte-identical outputs.  This module also owns the stamped file formats (`write_csv`,
+`read_csv`, `json_text`) and `InputError`, the one error for a malformed input (exit 1).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import gzip
 import hashlib
 import itertools
 import json
+import zlib
 from dataclasses import dataclass, field
 
-__all__ = ["RunManifest", "file_sha256", "json_text", "read_csv", "write_csv", "write_json"]
+__all__ = ["InputError", "RunManifest", "file_sha256", "json_text", "open_text", "read_csv", "write_csv", "write_json"]
+
+
+class InputError(ValueError):
+    """A malformed input file or parameter; the message names the file (and row) where it can."""
+
+
+@contextlib.contextmanager
+def open_text(path, opener=open):
+    """`opener(path)` as UTF-8 text without its leading BOM.  A non-UTF-8 byte, a broken gzip
+    stream or a CSV field over csv's size limit fails the whole file: an InputError naming it."""
+    try:
+        with opener(path, "rt", encoding="utf-8-sig", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+    except (EOFError, zlib.error, gzip.BadGzipFile, csv.Error) as exc:
+        raise InputError(f"{path}: cannot be read: {exc}") from exc
 
 
 def file_sha256(path) -> str:
@@ -47,7 +67,7 @@ def write_csv(path, manifest_hash: str, header, rows, notes=()) -> None:
 
 def read_csv(path):
     """Yield the non-empty rows after the leading `# ` lines, header first; data may begin with `# `."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path) as fh:
         for line in fh:
             if not line.startswith("# "):
                 yield from filter(None, csv.reader(itertools.chain((line,), fh)))

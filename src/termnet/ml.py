@@ -15,12 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .manifest import InputError
+
 __all__ = [
     "KIND_ORDER",
     "ClassifierReport",
     "Dataset",
     "LogisticModel",
-    "MlError",
     "PcaResult",
     "RandomForestModel",
     "SvmModel",
@@ -44,10 +45,6 @@ SVM_ITERATIONS = 1000
 RFC_TREES = 100
 
 
-class MlError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------- features
 
 
@@ -61,9 +58,9 @@ class Dataset:
 
     def __post_init__(self):
         if self.X.shape[0] != self.y.shape[0]:
-            raise MlError(f"dataset {self.name}: {self.X.shape[0]} rows vs {self.y.shape[0]} labels")
+            raise InputError(f"dataset {self.name}: {self.X.shape[0]} rows vs {self.y.shape[0]} labels")
         if not np.isfinite(self.X).all():
-            raise MlError(f"dataset {self.name}: non-finite feature values")
+            raise InputError(f"dataset {self.name}: non-finite feature values")
 
 
 def standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,9 +98,9 @@ def assemble_feature_sets(
 
     terms = sorted({lab.term for lab in labels})
     if not terms:
-        raise MlError("no labeled terms")
+        raise InputError("no labeled terms")
     if len(terms) != len(labels):
-        raise MlError("duplicate terms in labels")
+        raise InputError("duplicate terms in labels")
     label_of = {lab.term: lab.label for lab in labels}
     y = np.array([1 if label_of[t] == CONTROVERSIAL else 0 for t in terms], dtype=np.int64)
 
@@ -115,7 +112,7 @@ def assemble_feature_sets(
     ]
     if missing:
         shown = ", ".join(f"{t}/{k}" for t, k in missing[:5])
-        raise MlError(f"{len(missing)} labeled term networks lack features: {shown}")
+        raise InputError(f"{len(missing)} labeled term networks lack features: {shown}")
 
     from .census import TOTAL_CLASSES
     from .metrics import METRIC_NAMES
@@ -130,7 +127,7 @@ def assemble_feature_sets(
         for kind in KIND_ORDER:
             X = np.array([vecs[(t, kind)] for t in terms], dtype=np.float64)
             if X.shape[1] != len(names):
-                raise MlError(f"{family}/{kind}: expected {len(names)} columns, got {X.shape[1]}")
+                raise InputError(f"{family}/{kind}: expected {len(names)} columns, got {X.shape[1]}")
             per_kind[kind] = X
             datasets[f"{family}-{kind}"] = Dataset(
                 name=f"{family}-{kind}", X=X, y=y, row_terms=tuple(terms), col_names=names
@@ -172,7 +169,7 @@ def pca2(X: np.ndarray) -> PcaResult:
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 2:
-        raise MlError(f"pca2 needs a 2-D matrix with >=2 rows and >=2 columns, got {X.shape}")
+        raise InputError(f"pca2 needs a 2-D matrix with >=2 rows and >=2 columns, got {X.shape}")
     n, d = X.shape
     Xc = X - X.mean(axis=0)
     denom = n - 1
@@ -180,7 +177,7 @@ def pca2(X: np.ndarray) -> PcaResult:
 
     S = (Xc @ Xc.T if wide else Xc.T @ Xc) / denom
     if float(np.trace(S)) <= 0.0:
-        raise MlError("pca2: zero-variance input")
+        raise InputError("pca2: zero-variance input")
     vals, vecs = np.linalg.eigh(S)
     vals, vecs = vals[::-1], vecs[:, ::-1]  # eigh sorts ascending
     variance = np.maximum(vals[:2], 0.0)
@@ -524,12 +521,12 @@ def cross_validate(
     the whole report is reproducible bit for bit.
     """
     if classifier not in _HYPERPARAMS:
-        raise MlError(f"unknown classifier {classifier!r}")
+        raise InputError(f"unknown classifier {classifier!r}")
     if folds < 2:
-        raise MlError(f"folds must be >= 2, got {folds}")
+        raise InputError(f"folds must be >= 2, got {folds}")
     X, y = dataset.X, dataset.y
     if X.shape[0] < folds:
-        raise MlError(f"dataset {dataset.name}: {X.shape[0]} rows < {folds} folds")
+        raise InputError(f"dataset {dataset.name}: {X.shape[0]} rows < {folds} folds")
 
     master = np.random.SeedSequence(seed)
     children = master.spawn(folds + 1)

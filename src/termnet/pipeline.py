@@ -17,7 +17,7 @@ from . import ml
 from .census import TOTAL_CLASSES, CensusVector, census, census_parallel
 from .graphs import DirectedGraph, read_edge_csv, write_edge_csv
 from .ingest import InteractionKind, TermNetworkSet
-from .manifest import read_csv, write_csv, write_json
+from .manifest import InputError, read_csv, write_csv, write_json
 from .metrics import METRIC_NAMES, GlobalFeatures, global_feature_vector
 from .ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
 
@@ -26,7 +26,6 @@ __all__ = [
     "FEATURE_SET_ORDER",
     "KINDS",
     "NetworkRef",
-    "PipelineError",
     "SUMMARY_NAME",
     "classify_datasets",
     "compute_features",
@@ -45,10 +44,6 @@ CLASSIFIER_ORDER = ("blr", "svm", "rfc")
 SUMMARY_NAME = "summary.csv"
 _SUMMARY_HEADER = ["term", "interaction", "nodes", "edges", "matched_records", "file"]
 PARALLEL_CENSUS_MIN_NODES = 800  # below this, fork overhead beats root sharding
-
-
-class PipelineError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------- networks
@@ -109,32 +104,37 @@ def read_summary(networks_dir) -> list[list[str]]:
     """The rows of a networks directory's summary.csv, in file order."""
     summary = os.path.join(str(networks_dir), SUMMARY_NAME)
     if not os.path.exists(summary):
-        raise PipelineError(f"{networks_dir}: no {SUMMARY_NAME}; not a networks directory?")
+        raise InputError(f"{networks_dir}: no {SUMMARY_NAME}; not a networks directory?")
     rows = read_csv(summary)
     header = next(rows, None)
     if header != _SUMMARY_HEADER:
-        raise PipelineError(f"{summary}: unexpected header {header!r}")
+        raise InputError(f"{summary}: unexpected header {header!r}")
     rows = list(rows)
     for row in rows:
         if len(row) != 6 or row[1] not in KINDS:
-            raise PipelineError(f"{summary}: malformed row {row!r}")
+            raise InputError(f"{summary}: malformed row {row!r}")
     return rows
 
 
 def read_networks(networks_dir) -> list[NetworkRef]:
-    refs = []
-    for term, kind, nodes, edges, matched, fname in read_summary(networks_dir):
-        path = os.path.join(str(networks_dir), fname)
+    """The networks summary.csv lists, checked against it; no (term, interaction) twice."""
+    summary = os.path.join(str(networks_dir), SUMMARY_NAME)
+    refs, keys = [], set()
+    for term, kind, *counts, fname in read_summary(networks_dir):
         try:
-            g = read_edge_csv(path)
-        except (OSError, ValueError) as exc:
-            raise PipelineError(f"network file {fname}: {exc}") from exc
-        if g.node_count != int(nodes) or g.edge_count != int(edges):
-            raise PipelineError(
+            nodes, edges, matched = map(int, counts)
+        except ValueError as exc:
+            raise InputError(f"{summary}: non-integer count in row for {(term, kind)!r}: {exc}") from exc
+        if (term, kind) in keys:
+            raise InputError(f"{summary}: duplicate row for {(term, kind)!r}")
+        keys.add((term, kind))
+        g = read_edge_csv(os.path.join(str(networks_dir), fname))
+        if g.node_count != nodes or g.edge_count != edges:
+            raise InputError(
                 f"network file {fname}: has {g.node_count} nodes / {g.edge_count} edges, "
                 f"summary says {nodes}/{edges}"
             )
-        refs.append(NetworkRef(term=term, kind=kind, graph=g, matched_records=int(matched)))
+        refs.append(NetworkRef(term=term, kind=kind, graph=g, matched_records=matched))
     return refs
 
 
@@ -174,7 +174,7 @@ def compute_features(refs: list[NetworkRef], workers: int = 1) -> list[FeatureRo
 
 def write_features_csv(rows: list[FeatureRow], path, manifest_hash: str) -> None:
     if not rows:
-        raise PipelineError("no feature rows to write")
+        raise InputError("no feature rows to write")
     cells = (
         [row.term, row.kind]
         + [repr(v) for v in row.global_features.as_vector()]
@@ -197,18 +197,20 @@ def read_features_csv(path):
     normalized_start = len(_FEATURES_HEADER) - TOTAL_CLASSES
     rows = read_csv(path)
     if next(rows, None) != _FEATURES_HEADER:
-        raise PipelineError(f"{path}: not a features file with both the global and the census block")
+        raise InputError(f"{path}: not a features file with both the global and the census block")
     global_vecs: dict[tuple[str, str], list[float]] = {}
     local_vecs: dict[tuple[str, str], list[float]] = {}
     for row in rows:
         if len(row) != len(_FEATURES_HEADER) or row[1] not in KINDS:
-            raise PipelineError(f"{path}: malformed row starting {row[:2]!r}")
+            raise InputError(f"{path}: malformed row starting {row[:2]!r}")
         key = (row[0], row[1])
+        if key in global_vecs:
+            raise InputError(f"{path}: duplicate row for {key!r}")
         try:
             global_vecs[key] = [float(v) for v in row[2:metrics_end]]
             local_vecs[key] = [float(v) for v in row[normalized_start:]]
         except ValueError as exc:
-            raise PipelineError(f"{path}: bad numeric cell in row for {key}: {exc}") from exc
+            raise InputError(f"{path}: bad numeric cell in row for {key}: {exc}") from exc
     return global_vecs, local_vecs
 
 
@@ -230,10 +232,7 @@ def classify_datasets(
     The positive class is the controversial one unless swapped.  Outputs
     depend only on the inputs and manifest parameters.
     """
-    try:
-        datasets = ml.assemble_feature_sets(global_vecs, local_vecs, labels)
-    except ml.MlError as exc:
-        raise PipelineError(str(exc)) from exc
+    datasets = ml.assemble_feature_sets(global_vecs, local_vecs, labels)
     os.makedirs(outdir, exist_ok=True)
 
     positive_label = 0 if swap_positive else 1
@@ -252,7 +251,7 @@ def classify_datasets(
         try:
             X_std, _, _ = ml.standardize(ds.X)
             res = ml.pca2(X_std)
-        except ml.MlError as exc:
+        except InputError as exc:
             pca_info[set_name] = {"error": str(exc)}
             continue
         variance = [float(v) for v in res.explained_variance]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .manifest import read_csv, write_csv
+from .manifest import InputError, read_csv, write_csv
 
 __all__ = [
     "CONTROVERSIAL",
@@ -19,7 +19,6 @@ __all__ = [
     "NON_CONTROVERSIAL",
     "RatingAggregate",
     "RatingRow",
-    "RankingError",
     "TermLabel",
     "aggregate_ratings",
     "label_distribution",
@@ -43,10 +42,6 @@ DEFAULT_THRESHOLD = 0.95
 
 _RATINGS_HEADER = ["term", "participant", "score"]
 _LABELS_HEADER = ["term", "mean", "std", "total", "label"]
-
-
-class RankingError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -82,10 +77,10 @@ def aggregate_ratings(rows: list[RatingRow]) -> list[RatingAggregate]:
     scores: dict[str, list[int]] = {}
     for row in rows:
         if not 0 <= row.score <= 4:
-            raise RankingError(f"score {row.score} for term {row.term!r} outside 0..4")
+            raise InputError(f"score {row.score} for term {row.term!r} outside 0..4")
         key = (row.term, row.participant)
         if key in seen:
-            raise RankingError(f"duplicate rating: term {row.term!r}, participant {row.participant!r}")
+            raise InputError(f"duplicate rating: term {row.term!r}, participant {row.participant!r}")
         seen.add(key)
         scores.setdefault(row.term, []).append(row.score)
 
@@ -103,7 +98,7 @@ def aggregate_ratings(rows: list[RatingRow]) -> list[RatingAggregate]:
 def partition_terms(aggs: list[RatingAggregate], threshold: float = DEFAULT_THRESHOLD) -> list[TermLabel]:
     """Label each aggregate; controversial iff mean > threshold (strict)."""
     if threshold < 0:
-        raise RankingError(f"threshold must be >= 0, got {threshold}")
+        raise InputError(f"threshold must be >= 0, got {threshold}")
     return [
         TermLabel(
             term=a.term,
@@ -117,11 +112,11 @@ def partition_terms(aggs: list[RatingAggregate], threshold: float = DEFAULT_THRE
 def label_distribution(rows: list[RatingRow]) -> dict[str, float]:
     """Percentage of all ratings at each Likert level, keyed by level name."""
     if not rows:
-        raise RankingError("label_distribution requires at least one rating")
+        raise InputError("label_distribution requires at least one rating")
     counts = [0] * 5
     for row in rows:
         if not 0 <= row.score <= 4:
-            raise RankingError(f"score {row.score} outside 0..4")
+            raise InputError(f"score {row.score} outside 0..4")
         counts[row.score] += 1
     n = len(rows)
     return {LIKERT_NAMES[i]: 100.0 * counts[i] / n for i in range(5)}
@@ -131,18 +126,18 @@ def read_ratings_csv(path) -> list[RatingRow]:
     records = read_csv(path)
     header = next(records, None)
     if header != _RATINGS_HEADER:
-        raise RankingError(f"ratings file {path}: expected header term,participant,score, got {header}")
+        raise InputError(f"ratings file {path}: expected header term,participant,score, got {header}")
     rows = []
     for rec in records:
         if len(rec) != 3:
-            raise RankingError(f"ratings file {path}: bad row {rec!r}")
+            raise InputError(f"ratings file {path}: bad row {rec!r}")
         try:
             score = int(rec[2])
         except ValueError as exc:
-            raise RankingError(f"ratings file {path}: non-integer score in {rec!r}") from exc
+            raise InputError(f"ratings file {path}: non-integer score in {rec!r}") from exc
         rows.append(RatingRow(term=rec[0], participant=rec[1], score=score))
     if not rows:
-        raise RankingError(f"ratings file {path}: no ratings")
+        raise InputError(f"ratings file {path}: no ratings")
     return rows
 
 
@@ -160,10 +155,16 @@ def read_labels_csv(path) -> list[TermLabel]:
     records = read_csv(path)
     header = next(records, None)
     if header != _LABELS_HEADER:
-        raise RankingError(f"labels file {path}: expected header term,mean,std,total,label, got {header}")
+        raise InputError(f"labels file {path}: expected header term,mean,std,total,label, got {header}")
     labels = []
     for rec in records:
         if len(rec) != 5 or rec[4] not in (CONTROVERSIAL, NON_CONTROVERSIAL):
-            raise RankingError(f"labels file {path}: bad row {rec!r}")
-        labels.append(TermLabel(term=rec[0], label=rec[4], mean=float(rec[1])))
+            raise InputError(f"labels file {path}: bad row {rec!r}")
+        try:
+            mean = float(rec[1])
+        except ValueError:
+            mean = math.nan
+        if not math.isfinite(mean):
+            raise InputError(f"labels file {path}: bad row {rec!r}, mean is not a finite number")
+        labels.append(TermLabel(term=rec[0], label=rec[4], mean=mean))
     return labels

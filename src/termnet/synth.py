@@ -22,6 +22,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from .graphs import DirectedGraph
+from .manifest import InputError
 
 __all__ = [
     "SynthCorpus",
@@ -81,11 +82,11 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.n_terms < 1 or self.n_terms > 999:
-            raise ValueError("n_terms must be in 1..999")
+            raise InputError("n_terms must be in 1..999")
         if self.records_per_term < 1:
-            raise ValueError("records_per_term must be >= 1")
+            raise InputError("records_per_term must be >= 1")
         if not 0.0 <= self.signal <= 1.0:
-            raise ValueError("signal must be in [0,1]")
+            raise InputError("signal must be in [0,1]")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from termnet.graphs import (
     read_edge_csv,
     write_edge_csv,
 )
+from termnet.manifest import InputError
 
 
 def test_build_graph_dedup_and_direction():
@@ -112,17 +113,17 @@ def test_edge_csv_round_trip(tmp_path):
 def test_read_edge_csv_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nope,really,bad\n1,2,3\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         read_edge_csv(path)
 
 
 def test_read_edge_csv_needs_the_exact_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("src_handle,dst_handle,extra\na,b,c\n")
-    with pytest.raises(ValueError, match="expected edge-list header"):
+    with pytest.raises(InputError, match="expected edge-list header"):
         read_edge_csv(path)
     path.write_text("")
-    with pytest.raises(ValueError, match="expected edge-list header"):
+    with pytest.raises(InputError, match="expected edge-list header"):
         read_edge_csv(path)
 
 

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termnet.manifest import InputError
 from termnet.ingest import (
     _KEYS,
     _SPLIT_KEYS,
     _KeyTable,
-    IngestError,
     InteractionKind,
     InteractionRecord,
     build_corpus,
@@ -69,7 +69,7 @@ def test_parse_reports_bad_line_with_number():
 
 def test_parse_hard_error_above_bad_fraction():
     text = "junk\njunk\n" + GOOD_LINE
-    with pytest.raises(IngestError):
+    with pytest.raises(InputError):
         parse_records(text)  # 2/3 malformed > 10%
 
 
@@ -96,7 +96,7 @@ def test_records_outside_window_count_as_good_lines():
     result = parse_records("\n".join(lines), lo, lo)
     assert [r.post_id for r in result.records] == ["0"]
     assert result.failures == [(1, "invalid JSON: Expecting value")]
-    with pytest.raises(IngestError, match="2 of 10 lines malformed"):
+    with pytest.raises(InputError, match="2 of 10 lines malformed"):
         parse_records("\n".join(["junk"] + lines[1:-1] + ["junk"]), lo, lo)
 
 
@@ -111,7 +111,7 @@ def test_parse_timestamp_variants():
     assert parse_timestamp("2020-11-09T01:00:00+01:00") == parse_timestamp("2020-11-09T00:00:00Z")
     # naive stamps are taken as UTC
     assert parse_timestamp("2020-11-09T00:00:00") == parse_timestamp("2020-11-09T00:00:00Z")
-    with pytest.raises(IngestError):
+    with pytest.raises(InputError):
         parse_timestamp("not a time")
 
 
@@ -159,7 +159,7 @@ def test_term_matches_keyword():
 def test_term_matches_case_invariance():
     for text, term in [("The VACCINE", "vaccine"), ("the vaccine", "VACCINE")]:
         assert term_matches(text, term)
-    with pytest.raises(IngestError):
+    with pytest.raises(InputError):
         term_matches("x", "")
 
 
@@ -210,7 +210,7 @@ def test_build_corpus_order_and_overlap():
 
 
 def test_build_corpus_rejects_duplicate_terms():
-    with pytest.raises(IngestError):
+    with pytest.raises(InputError):
         build_corpus([], ["Tag", "tag"])
 
 
@@ -219,7 +219,7 @@ def test_build_corpus_rejects_duplicate_terms():
     [["stop", "ſtop"], ["#STOP", "#ſtop"], ["kin", "\u212ain"], ["ıs", "is"], ["İs", "is"], ["aι", "a\u0345"]],
 )
 def test_build_corpus_rejects_terms_ignorecase_equates(terms):
-    with pytest.raises(IngestError, match="duplicate term"):
+    with pytest.raises(InputError, match="duplicate term"):
         build_corpus([], terms)
 
 
@@ -233,12 +233,12 @@ def test_build_corpus_rejects_every_pair_the_pattern_equates():
     haystack = "".join(cased)
     for c in cased:
         for x in set(re.findall(re.escape(c), haystack, re.IGNORECASE)) - {c}:
-            with pytest.raises(IngestError, match="duplicate term"):
+            with pytest.raises(InputError, match="duplicate term"):
                 build_corpus([], [c, x])
 
 
 def test_build_corpus_rejects_empty_term():
-    with pytest.raises(IngestError):
+    with pytest.raises(InputError):
         build_corpus([], ["tag", ""])
 
 
@@ -384,7 +384,7 @@ def test_read_terms_file(tmp_path):
     assert read_terms_file(path) == ["#tag1", "keyword one", "#tag2"]
     empty = tmp_path / "empty.txt"
     empty.write_text("// nothing\n")
-    with pytest.raises(IngestError):
+    with pytest.raises(InputError):
         read_terms_file(empty)
 
 

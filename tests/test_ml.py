@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 import termnet
 from termnet.census import TOTAL_CLASSES
+from termnet.manifest import InputError
 from termnet.metrics import METRIC_NAMES
 from termnet.ml import (
     Dataset,
     METRIC_KEYS,
-    MlError,
     assemble_feature_sets,
     confusion_metrics,
     cross_validate,
@@ -128,11 +128,11 @@ def test_pca2_variance_of_projection(rng):
 
 
 def test_pca2_rejects_degenerate():
-    with pytest.raises(MlError):
+    with pytest.raises(InputError):
         pca2(np.zeros((10, 3)))  # zero variance
-    with pytest.raises(MlError):
+    with pytest.raises(InputError):
         pca2(np.ones((4, 1)))  # one column
-    with pytest.raises(MlError):
+    with pytest.raises(InputError):
         pca2(np.ones((1, 5)))  # one row
 
 
@@ -426,12 +426,12 @@ def test_cross_validate_skips_degenerate_folds(rng):
 
 def test_cross_validate_rejects_bad_args(rng):
     ds = make_dataset(rng, n=6)
-    with pytest.raises(MlError):
+    with pytest.raises(InputError):
         cross_validate(ds, "knn")
-    with pytest.raises(MlError):
+    with pytest.raises(InputError):
         cross_validate(ds, "blr", folds=10)  # 6 rows < 10 folds
     for folds in (0, 1):
-        with pytest.raises(MlError, match="folds"):
+        with pytest.raises(InputError, match="folds"):
             cross_validate(ds, "svm", folds=folds)
 
 
@@ -484,7 +484,7 @@ def test_assemble_feature_sets_shapes():
 
 
 def test_assemble_feature_sets_needs_a_labeled_term():
-    with pytest.raises(MlError, match="no labeled terms"):
+    with pytest.raises(InputError, match="no labeled terms"):
         assemble_feature_sets({}, {}, [])
 
 
@@ -492,12 +492,12 @@ def test_assemble_feature_sets_missing_vector():
     gv, lv = _fake_vectors(["a", "b"])
     del gv[("b", "reply")]
     labels = [TermLabel("a", CONTROVERSIAL, 2.0), TermLabel("b", NON_CONTROVERSIAL, 0.0)]
-    with pytest.raises(MlError, match="lack features"):
+    with pytest.raises(InputError, match="lack features"):
         assemble_feature_sets(gv, lv, labels)
 
 
 def test_dataset_validates():
-    with pytest.raises(MlError):
+    with pytest.raises(InputError):
         Dataset(name="bad", X=np.zeros((3, 2)), y=np.zeros(4), row_terms=("a",), col_names=("x", "y"))
-    with pytest.raises(MlError):
+    with pytest.raises(InputError):
         Dataset(name="nan", X=np.array([[np.nan, 0.0]]), y=np.zeros(1), row_terms=("a",), col_names=("x", "y"))

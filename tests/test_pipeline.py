@@ -21,11 +21,11 @@ from termnet.ingest import (
     parse_window_bound,
     read_terms_file,
 )
+from termnet.manifest import InputError
 from termnet.pipeline import (
     CLASSIFIER_ORDER,
     FEATURE_SET_ORDER,
     PARALLEL_CENSUS_MIN_NODES,
-    PipelineError,
     compute_features,
     read_features_csv,
     read_networks,
@@ -133,7 +133,7 @@ def test_read_networks_detects_tampering(tmp_path, corpus_dir):
     parts[3] = str(int(parts[3]) + 1)
     lines[2] = ",".join(parts)
     summary.write_text("\n".join(lines) + "\n")
-    with pytest.raises(PipelineError, match="edge"):
+    with pytest.raises(InputError, match="edge"):
         read_networks(outdir)
 
 
@@ -193,10 +193,10 @@ def test_features_csv_header_layout(tmp_path, corpus_dir):
 def test_read_features_rejects_garbage(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("nope,really\n1,2\n")
-    with pytest.raises(PipelineError):
+    with pytest.raises(InputError):
         read_features_csv(p)
     p.write_text("term,interaction,other\nfoo,mention,1\n")
-    with pytest.raises(PipelineError, match="both the global and the census block"):
+    with pytest.raises(InputError, match="both the global and the census block"):
         read_features_csv(p)
 
 
@@ -211,7 +211,7 @@ def test_read_features_rejects_bad_cell(tmp_path, corpus_dir):
     text = path.read_text().splitlines()
     text[2] = text[2].replace(text[2].split(",")[2], "not-a-number", 1)
     path.write_text("\n".join(text) + "\n")
-    with pytest.raises(PipelineError, match="bad numeric cell"):
+    with pytest.raises(InputError, match="bad numeric cell"):
         read_features_csv(path)
 
 

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
+from termnet.manifest import InputError
 from termnet.ranking import (
     CONTROVERSIAL,
     LIKERT_NAMES,
     NON_CONTROVERSIAL,
-    RankingError,
     RatingRow,
     aggregate_ratings,
     label_distribution,
@@ -45,11 +45,11 @@ def test_aggregate_sorts_by_mean_then_term():
 
 
 def test_aggregate_rejects_duplicates_and_bad_scores():
-    with pytest.raises(RankingError):
+    with pytest.raises(InputError):
         aggregate_ratings([RatingRow("t", "p", 2), RatingRow("t", "p", 3)])
-    with pytest.raises(RankingError):
+    with pytest.raises(InputError):
         aggregate_ratings([RatingRow("t", "p", 5)])
-    with pytest.raises(RankingError):
+    with pytest.raises(InputError):
         aggregate_ratings([RatingRow("t", "p", -1)])
 
 
@@ -102,7 +102,7 @@ def test_partition_all_zero():
 
 
 def test_partition_rejects_negative_threshold():
-    with pytest.raises(RankingError):
+    with pytest.raises(InputError):
         partition_terms([], -0.1)
 
 
@@ -116,7 +116,7 @@ def test_label_distribution_examples():
     dist2 = label_distribution(rows_for("t", [2]))
     assert dist2["Controversial"] == 100.0
 
-    with pytest.raises(RankingError):
+    with pytest.raises(InputError):
         label_distribution([])
 
 
@@ -139,12 +139,12 @@ def test_ratings_csv_reader(tmp_path):
 
     bad = tmp_path / "bad.csv"
     bad.write_text("nope,nope\n")
-    with pytest.raises(RankingError):
+    with pytest.raises(InputError):
         read_ratings_csv(bad)
 
     nonint = tmp_path / "nonint.csv"
     nonint.write_text("term,participant,score\nt,p,high\n")
-    with pytest.raises(RankingError):
+    with pytest.raises(InputError):
         read_ratings_csv(nonint)
 
 

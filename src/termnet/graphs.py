@@ -19,17 +19,18 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .manifest import InputError, read_csv, write_csv
+from .manifest import read_table, write_csv
 
 __all__ = [
     "DirectedGraph",
+    "EDGE_COLUMNS",
     "build_graph",
     "degree_sequence",
     "pair_order",
     "write_edge_csv",
 ]
 
-_EDGE_HEADER = ["src_handle", "dst_handle"]
+EDGE_COLUMNS = dict(src_handle=str, dst_handle=str)
 
 
 def pair_order(k: int) -> list[tuple[int, int]]:
@@ -151,18 +152,9 @@ def degree_sequence(g: DirectedGraph, direction: str) -> list[int]:
 def write_edge_csv(g: DirectedGraph, path, manifest_hash: str) -> None:
     """Stamped edge list: `src_handle,dst_handle`, one row per edge in sorted order."""
     rows = ([g.handle(u), g.handle(v)] for u, v in g.sorted_edges())
-    write_csv(path, manifest_hash, _EDGE_HEADER, rows)
+    write_csv(path, manifest_hash, EDGE_COLUMNS, rows)
 
 
 def read_edge_csv(path) -> DirectedGraph:
     """Rebuild a graph from a `write_edge_csv` file."""
-    rows = read_csv(path)
-    header = next(rows, None)
-    if header != _EDGE_HEADER:
-        raise InputError(f"{path}: expected edge-list header, got {header!r}")
-    pairs = []
-    for row in rows:
-        if len(row) != 2:
-            raise InputError(f"{path}: malformed edge row {row!r}")
-        pairs.append((row[0], row[1]))
-    return build_graph(pairs)
+    return build_graph(read_table(path, EDGE_COLUMNS, "edge-list", key=0))

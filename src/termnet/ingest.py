@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from enum import Enum
 
 from .graphs import DirectedGraph, build_graph
-from .manifest import InputError, open_text
+from .manifest import FIELD_LIMIT, InputError, open_text
 
 __all__ = [
     "MAX_BAD_FRACTION",
@@ -115,7 +115,10 @@ def _record_from_obj(obj) -> tuple[InteractionRecord, datetime]:
     if not isinstance(ts, str):
         raise InputError("missing timestamp")
     # json.loads keeps an escaped lone surrogate, which no UTF-8 file can hold: UnicodeEncodeError
-    "".join((post_id, author, text, ts, *mentioned, reply_to or "", quoted or "")).encode()
+    joined = "".join((post_id, author, text, ts, *mentioned, reply_to or "", quoted or "")).encode()
+    if len(joined) > FIELD_LIMIT:  # bytes >= characters; a longer handle makes an unreadable edge file
+        if max(map(len, (author, *mentioned, reply_to or "", quoted or ""))) > FIELD_LIMIT:
+            raise InputError(f"a handle longer than {FIELD_LIMIT} characters, csv's field limit")
     record = InteractionRecord(
         post_id=post_id,
         author=author,
@@ -168,7 +171,10 @@ def parse_records(lines, window_from: datetime | None = None, window_to: datetim
 def read_records_file(path, window_from: datetime | None = None, window_to: datetime | None = None) -> ParseResult:
     """parse_records over a file; names ending .gz are gzip-decompressed."""
     with open_text(path, gzip.open if str(path).endswith(".gz") else open) as fh:
-        return parse_records(fh, window_from, window_to)
+        try:
+            return parse_records(fh, window_from, window_to)
+        except InputError as exc:  # the 10 % rule
+            raise InputError(f"{path}: {exc}") from None
 
 
 @functools.lru_cache(maxsize=4096)
@@ -303,6 +309,8 @@ def read_terms_file(path) -> list[str]:
             line = raw.strip()
             if not line or line.startswith("//"):
                 continue
+            if len(line) > FIELD_LIMIT:
+                raise InputError(f"terms file {path}: a term longer than {FIELD_LIMIT} characters")
             terms.append(line)
     if not terms:
         raise InputError(f"terms file {path} contains no terms")

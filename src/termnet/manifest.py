@@ -4,8 +4,8 @@ A manifest captures everything that determines a command's outputs: the
 subcommand, tool version, semantic parameters, content hashes of the inputs
 and (when the census is involved) the class-table hash.  Worker counts and
 file locations are deliberately excluded; equal manifests must mean
-byte-identical outputs.  This module also owns the stamped file formats (`write_csv`,
-`read_csv`, `json_text`) and `InputError`, the one error for a malformed input (exit 1).
+byte-identical outputs.  This module also owns the stamped file formats (`write_csv`, `read_csv`,
+`read_table`, `json_text`) and `InputError`, the one error for a malformed input (exit 1).
 """
 
 from __future__ import annotations
@@ -16,10 +16,16 @@ import gzip
 import hashlib
 import itertools
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 
-__all__ = ["InputError", "RunManifest", "file_sha256", "json_text", "open_text", "read_csv", "write_csv", "write_json"]
+__all__ = [
+    "FIELD_LIMIT", "InputError", "RunManifest", "count", "file_sha256", "finite", "json_text",
+    "one_of", "open_text", "read_csv", "read_table", "write_csv", "write_json",
+]
+
+FIELD_LIMIT = csv.field_size_limit()  # the longest CSV field a reader accepts, in characters
 
 
 class InputError(ValueError):
@@ -68,10 +74,57 @@ def write_csv(path, manifest_hash: str, header, rows, notes=()) -> None:
 def read_csv(path):
     """Yield the non-empty rows after the leading `# ` lines, header first; data may begin with `# `."""
     with open_text(path) as fh:
-        for line in fh:
-            if not line.startswith("# "):
-                yield from filter(None, csv.reader(itertools.chain((line,), fh)))
-                return
+        yield from filter(None, csv.reader(itertools.dropwhile(lambda line: line.startswith("# "), fh)))
+
+
+def count(cell: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise ValueError(f"non-integer count {cell!r}") from None
+
+
+def finite(cell: str) -> float:
+    try:
+        if math.isfinite(value := float(cell)):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"bad numeric cell {cell!r}, not a finite number")
+
+
+def one_of(*allowed: str):
+    """A converter that keeps the cells in `allowed` and rejects any other."""
+    def convert(cell: str) -> str:
+        if cell not in allowed:
+            raise ValueError(f"{cell!r} is not one of {', '.join(allowed)}")
+        return cell
+
+    return convert
+
+
+def read_table(path, columns: dict, what: str, key: int) -> list[list]:
+    """The rows of a `write_csv` file whose header is `columns`, each cell converted by its column's function.
+    A wrong header or width, a rejected cell or two rows with equal first `key` cells is an InputError."""
+    rows = read_csv(path)
+    if (header := next(rows, None)) != list(columns):
+        raise InputError(f"{path}: expected {what} header, got {','.join(header or [])[:80]!r}")
+    checks = [(i, name, convert) for i, (name, convert) in enumerate(columns.items()) if convert is not str]
+    table, seen = [], set()
+    for row in rows:
+        if len(row) != len(columns):
+            raise InputError(f"{path}: bad row {row[: max(key, 1)]}: {len(row)} cells, not {len(columns)}")
+        for i, name, convert in checks:
+            try:
+                row[i] = convert(row[i])
+            except ValueError as exc:
+                raise InputError(f"{path}: bad row {row[: max(key, 1)]}: column {name!r}: {exc}") from None
+        if key:
+            if tuple(row[:key]) in seen:
+                raise InputError(f"{path}: duplicate row {row[:key]}")
+            seen.add(tuple(row[:key]))
+        table.append(row)
+    return table
 
 
 def json_text(obj) -> str:

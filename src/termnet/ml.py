@@ -112,7 +112,7 @@ def assemble_feature_sets(
     ]
     if missing:
         shown = ", ".join(f"{t}/{k}" for t, k in missing[:5])
-        raise InputError(f"{len(missing)} labeled term networks lack features: {shown}")
+        raise InputError(f"{len(missing)} labeled term networks lack features in the features file: {shown}")
 
     from .census import TOTAL_CLASSES
     from .metrics import METRIC_NAMES

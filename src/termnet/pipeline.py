@@ -3,7 +3,7 @@ classification report.
 
 Stages communicate through documented CSV/JSON formats so each one is
 independently runnable and resumable.  Every file starts with (or contains) the
-sha256 of the run manifest that produced it.  Floats serialize with repr(),
+sha256 of the run manifest that produced it.  csv writes a float as its repr(),
 the shortest round-trip form, so equal runs are byte-identical.
 """
 
@@ -17,15 +17,17 @@ from . import ml
 from .census import TOTAL_CLASSES, CensusVector, census, census_parallel
 from .graphs import DirectedGraph, read_edge_csv, write_edge_csv
 from .ingest import InteractionKind, TermNetworkSet
-from .manifest import InputError, read_csv, write_csv, write_json
+from .manifest import InputError, count, finite, one_of, read_table, write_csv, write_json
 from .metrics import METRIC_NAMES, GlobalFeatures, global_feature_vector
 from .ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
 
 __all__ = [
     "CLASSIFIER_ORDER",
+    "FEATURES_COLUMNS",
     "FEATURE_SET_ORDER",
     "KINDS",
     "NetworkRef",
+    "SUMMARY_COLUMNS",
     "SUMMARY_NAME",
     "classify_datasets",
     "compute_features",
@@ -42,7 +44,9 @@ FEATURE_SET_ORDER = tuple(f"{family}-{part}" for family in ("global", "local") f
 CLASSIFIER_ORDER = ("blr", "svm", "rfc")
 
 SUMMARY_NAME = "summary.csv"
-_SUMMARY_HEADER = ["term", "interaction", "nodes", "edges", "matched_records", "file"]
+SUMMARY_COLUMNS = dict(
+    term=str, interaction=one_of(*KINDS), nodes=count, edges=count, matched_records=count, file=str
+)
 PARALLEL_CENSUS_MIN_NODES = 800  # below this, fork overhead beats root sharding
 
 
@@ -83,8 +87,10 @@ def write_networks(corpus: list[TermNetworkSet], outdir, manifest_hash: str) -> 
     first, so the directory holds one run's networks.
     """
     os.makedirs(outdir, exist_ok=True)
-    if os.path.exists(os.path.join(str(outdir), SUMMARY_NAME)):
-        for *_, fname in read_summary(outdir):
+    summary = os.path.join(str(outdir), SUMMARY_NAME)
+    if os.path.exists(summary):  # only the file names are needed: counts stay unread, repeats pass
+        uncounted = dict(SUMMARY_COLUMNS, nodes=str, edges=str, matched_records=str)
+        for *_, fname in read_table(summary, uncounted, "summary", key=0):
             old = os.path.join(str(outdir), fname)
             if os.path.basename(fname) == fname and fname.endswith(".edges.csv") and os.path.isfile(old):
                 os.remove(old)
@@ -96,38 +102,19 @@ def write_networks(corpus: list[TermNetworkSet], outdir, manifest_hash: str) -> 
             fname = f"{slugs[ts.term]}.{kind.value}.edges.csv"
             write_edge_csv(g, os.path.join(str(outdir), fname), manifest_hash)
             rows.append([ts.term, kind.value, g.node_count, g.edge_count, ts.matched_records, fname])
-    write_csv(os.path.join(str(outdir), SUMMARY_NAME), manifest_hash, _SUMMARY_HEADER, rows)
+    write_csv(summary, manifest_hash, SUMMARY_COLUMNS, rows)
     return rows
 
 
-def read_summary(networks_dir) -> list[list[str]]:
-    """The rows of a networks directory's summary.csv, in file order."""
-    summary = os.path.join(str(networks_dir), SUMMARY_NAME)
-    if not os.path.exists(summary):
-        raise InputError(f"{networks_dir}: no {SUMMARY_NAME}; not a networks directory?")
-    rows = read_csv(summary)
-    header = next(rows, None)
-    if header != _SUMMARY_HEADER:
-        raise InputError(f"{summary}: unexpected header {header!r}")
-    rows = list(rows)
-    for row in rows:
-        if len(row) != 6 or row[1] not in KINDS:
-            raise InputError(f"{summary}: malformed row {row!r}")
-    return rows
+def read_summary(networks_dir) -> list[list]:
+    """The rows of a networks directory's summary.csv, in file order; no (term, interaction) twice."""
+    return read_table(os.path.join(str(networks_dir), SUMMARY_NAME), SUMMARY_COLUMNS, "summary", key=2)
 
 
 def read_networks(networks_dir) -> list[NetworkRef]:
-    """The networks summary.csv lists, checked against it; no (term, interaction) twice."""
-    summary = os.path.join(str(networks_dir), SUMMARY_NAME)
-    refs, keys = [], set()
-    for term, kind, *counts, fname in read_summary(networks_dir):
-        try:
-            nodes, edges, matched = map(int, counts)
-        except ValueError as exc:
-            raise InputError(f"{summary}: non-integer count in row for {(term, kind)!r}: {exc}") from exc
-        if (term, kind) in keys:
-            raise InputError(f"{summary}: duplicate row for {(term, kind)!r}")
-        keys.add((term, kind))
+    """The networks summary.csv lists, each checked against its counts."""
+    refs = []
+    for term, kind, nodes, edges, matched, fname in read_summary(networks_dir):
         g = read_edge_csv(os.path.join(str(networks_dir), fname))
         if g.node_count != nodes or g.edge_count != edges:
             raise InputError(
@@ -140,14 +127,15 @@ def read_networks(networks_dir) -> list[NetworkRef]:
 
 # ---------------------------------------------------------------- features
 
-_FEATURES_HEADER = (
-    ["term", "interaction"]
-    + list(METRIC_NAMES)
-    + [f"{m}_defined" for m in METRIC_NAMES]
-    + ["total"]
-    + [f"c{i:03d}" for i in range(TOTAL_CLASSES)]
-    + [f"n{i:03d}" for i in range(TOTAL_CLASSES)]
-)
+FEATURES_COLUMNS = {
+    "term": str,
+    "interaction": one_of(*KINDS),
+    **dict.fromkeys(METRIC_NAMES, finite),
+    **dict.fromkeys([f"{m}_defined" for m in METRIC_NAMES], one_of("0", "1")),
+    "total": count,
+    **dict.fromkeys([f"c{i:03d}" for i in range(TOTAL_CLASSES)], count),
+    **dict.fromkeys([f"n{i:03d}" for i in range(TOTAL_CLASSES)], finite),
+}
 
 
 @dataclass(frozen=True)
@@ -176,41 +164,20 @@ def write_features_csv(rows: list[FeatureRow], path, manifest_hash: str) -> None
     if not rows:
         raise InputError("no feature rows to write")
     cells = (
-        [row.term, row.kind]
-        + [repr(v) for v in row.global_features.as_vector()]
+        [row.term, row.kind, *row.global_features.as_vector()]
         + [int(flag) for flag in row.global_features.defined]
-        + [row.census.total]
-        + [str(c) for c in row.census.counts]
-        + [repr(v) for v in row.census.normalized]
+        + [row.census.total, *row.census.counts, *row.census.normalized]
         for row in rows
     )
-    write_csv(path, manifest_hash, _FEATURES_HEADER, cells)
+    write_csv(path, manifest_hash, FEATURES_COLUMNS, cells)
 
 
 def read_features_csv(path):
-    """Returns (global_vecs, local_vecs): dicts keyed by (term, kind).
-
-    global_vecs values are the 9 metrics; local_vecs values are the 212
-    normalized census frequencies.  The file must hold both blocks.
-    """
-    metrics_end = 2 + len(METRIC_NAMES)
-    normalized_start = len(_FEATURES_HEADER) - TOTAL_CLASSES
-    rows = read_csv(path)
-    if next(rows, None) != _FEATURES_HEADER:
-        raise InputError(f"{path}: not a features file with both the global and the census block")
-    global_vecs: dict[tuple[str, str], list[float]] = {}
-    local_vecs: dict[tuple[str, str], list[float]] = {}
-    for row in rows:
-        if len(row) != len(_FEATURES_HEADER) or row[1] not in KINDS:
-            raise InputError(f"{path}: malformed row starting {row[:2]!r}")
-        key = (row[0], row[1])
-        if key in global_vecs:
-            raise InputError(f"{path}: duplicate row for {key!r}")
-        try:
-            global_vecs[key] = [float(v) for v in row[2:metrics_end]]
-            local_vecs[key] = [float(v) for v in row[normalized_start:]]
-        except ValueError as exc:
-            raise InputError(f"{path}: bad numeric cell in row for {key}: {exc}") from exc
+    """(global_vecs, local_vecs) keyed by (term, kind): each row's 9 metrics and its 212 normalized
+    census frequencies.  The file must hold both blocks."""
+    rows = read_table(path, FEATURES_COLUMNS, "features (both the global and the census block)", key=2)
+    global_vecs = {(row[0], row[1]): row[2 : 2 + len(METRIC_NAMES)] for row in rows}
+    local_vecs = {(row[0], row[1]): row[-TOTAL_CLASSES:] for row in rows}
     return global_vecs, local_vecs
 
 
@@ -260,14 +227,14 @@ def classify_datasets(
             os.path.join(str(outdir), f"pca-{set_name}-projection.csv"),
             manifest_hash,
             ["term", "label", "pc1", "pc2"],
-            ([t, label_of[t], repr(float(x)), repr(float(y))] for t, (x, y) in zip(ds.row_terms, res.projected)),
+            ([t, label_of[t], float(x), float(y)] for t, (x, y) in zip(ds.row_terms, res.projected)),
         )
         pc1, pc2 = res.components
         write_csv(
             os.path.join(str(outdir), f"pca-{set_name}-loadings.csv"),
             manifest_hash,
             ["feature", "pc1", "pc2"],
-            ([name, repr(float(a)), repr(float(b))] for name, a, b in zip(ds.col_names, pc1, pc2)),
+            ([name, float(a), float(b)] for name, a, b in zip(ds.col_names, pc1, pc2)),
             notes=[f"explained_variance_pc{k}={v!r}" for k, v in enumerate(variance, 1)],
         )
 

@@ -10,13 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .manifest import InputError, read_csv, write_csv
+from .manifest import InputError, count, finite, one_of, read_table, write_csv
 
 __all__ = [
     "CONTROVERSIAL",
     "DEFAULT_THRESHOLD",
+    "LABELS_COLUMNS",
     "LIKERT_NAMES",
     "NON_CONTROVERSIAL",
+    "RATINGS_COLUMNS",
     "RatingAggregate",
     "RatingRow",
     "TermLabel",
@@ -40,8 +42,10 @@ CONTROVERSIAL = "controversial"
 NON_CONTROVERSIAL = "non-controversial"
 DEFAULT_THRESHOLD = 0.95
 
-_RATINGS_HEADER = ["term", "participant", "score"]
-_LABELS_HEADER = ["term", "mean", "std", "total", "label"]
+RATINGS_COLUMNS = dict(term=str, participant=str, score=count)
+LABELS_COLUMNS = dict(
+    term=str, mean=finite, std=finite, total=count, label=one_of(CONTROVERSIAL, NON_CONTROVERSIAL)
+)
 
 
 @dataclass(frozen=True)
@@ -123,19 +127,7 @@ def label_distribution(rows: list[RatingRow]) -> dict[str, float]:
 
 
 def read_ratings_csv(path) -> list[RatingRow]:
-    records = read_csv(path)
-    header = next(records, None)
-    if header != _RATINGS_HEADER:
-        raise InputError(f"ratings file {path}: expected header term,participant,score, got {header}")
-    rows = []
-    for rec in records:
-        if len(rec) != 3:
-            raise InputError(f"ratings file {path}: bad row {rec!r}")
-        try:
-            score = int(rec[2])
-        except ValueError as exc:
-            raise InputError(f"ratings file {path}: non-integer score in {rec!r}") from exc
-        rows.append(RatingRow(term=rec[0], participant=rec[1], score=score))
+    rows = [RatingRow(*rec) for rec in read_table(path, RATINGS_COLUMNS, "ratings", key=2)]
     if not rows:
         raise InputError(f"ratings file {path}: no ratings")
     return rows
@@ -147,24 +139,10 @@ def write_labels_csv(path, labels: list[TermLabel], aggs: list[RatingAggregate],
     rows = []
     for lab in labels:
         agg = by_term[lab.term]
-        rows.append([lab.term, repr(agg.mean), repr(agg.std), agg.total, lab.label])
-    write_csv(path, manifest_hash, _LABELS_HEADER, rows)
+        rows.append([lab.term, agg.mean, agg.std, agg.total, lab.label])
+    write_csv(path, manifest_hash, LABELS_COLUMNS, rows)
 
 
 def read_labels_csv(path) -> list[TermLabel]:
-    records = read_csv(path)
-    header = next(records, None)
-    if header != _LABELS_HEADER:
-        raise InputError(f"labels file {path}: expected header term,mean,std,total,label, got {header}")
-    labels = []
-    for rec in records:
-        if len(rec) != 5 or rec[4] not in (CONTROVERSIAL, NON_CONTROVERSIAL):
-            raise InputError(f"labels file {path}: bad row {rec!r}")
-        try:
-            mean = float(rec[1])
-        except ValueError:
-            mean = math.nan
-        if not math.isfinite(mean):
-            raise InputError(f"labels file {path}: bad row {rec!r}, mean is not a finite number")
-        labels.append(TermLabel(term=rec[0], label=rec[4], mean=mean))
-    return labels
+    rows = read_table(path, LABELS_COLUMNS, "labels", key=1)
+    return [TermLabel(term=term, label=label, mean=mean) for term, mean, _, _, label in rows]

@@ -23,6 +23,7 @@ import numpy as np
 
 from .graphs import DirectedGraph
 from .manifest import InputError
+from .ranking import RATINGS_COLUMNS
 
 __all__ = [
     "SynthCorpus",
@@ -114,7 +115,7 @@ def generate_corpus(spec: SynthSpec) -> SynthCorpus:
 
     record_lines: list[str] = []
     term_lines: list[str] = []
-    rating_lines: list[str] = ["term,participant,score"]
+    rating_lines: list[str] = [",".join(RATINGS_COLUMNS)]
     truth_lines: list[str] = ["term,label"]
 
     for i in range(spec.n_terms):

@@ -18,10 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from termnet.cli import main
-from termnet.ingest import parse_records, read_terms_file
-from termnet.manifest import InputError, read_csv
-from termnet.pipeline import read_features_csv
-from termnet.ranking import read_labels_csv
+from termnet.ingest import parse_records, read_records_file, read_terms_file
+from termnet.manifest import FIELD_LIMIT, InputError, read_csv
+from termnet.pipeline import FEATURES_COLUMNS, SUMMARY_COLUMNS, read_features_csv, read_summary
+from termnet.ranking import LABELS_COLUMNS, RATINGS_COLUMNS, read_labels_csv, read_ratings_csv
 
 
 def run(*argv) -> tuple[int, str]:
@@ -312,3 +312,81 @@ def test_csv_field_over_the_size_limit_is_an_input_error(tmp_path):
     path.write_text(f"# manifest_sha256=0\nsrc_handle,dst_handle\n{big},b\n", encoding="utf-8")
     with pytest.raises(InputError, match="big.csv"):
         list(read_csv(path))
+
+
+# file under the corpus root -> (its column declaration, the reader that checks it)
+READERS = {
+    "features.csv": (FEATURES_COLUMNS, read_features_csv),
+    "labels.csv": (LABELS_COLUMNS, read_labels_csv),
+    "nets/summary.csv": (SUMMARY_COLUMNS, lambda path: read_summary(path.parent)),
+    "corpus/ratings.csv": (RATINGS_COLUMNS, read_ratings_csv),
+}
+TYPED_COLUMNS = [(rel, name) for rel, (columns, _) in READERS.items() for name, conv in columns.items() if conv is not str]
+
+
+def test_only_text_columns_are_declared_str():
+    text = {rel: [name for name, conv in columns.items() if conv is str] for rel, (columns, _) in READERS.items()}
+    assert text == {
+        "features.csv": ["term"],
+        "labels.csv": ["term"],
+        "nets/summary.csv": ["term", "file"],
+        "corpus/ratings.csv": ["term", "participant"],
+    }
+    assert len(TYPED_COLUMNS) == 444 + 4 + 4 + 1
+
+
+@pytest.mark.parametrize("rel, column", TYPED_COLUMNS)
+def test_every_typed_cell_is_checked(valid, tmp_path, rel, column):
+    columns, read = READERS[rel]
+    lines = (valid / rel).read_text(encoding="utf-8").splitlines()
+    first = next(i for i, line in enumerate(lines) if not line.startswith("# ")) + 1  # after the header
+    target = tmp_path / rel
+    target.parent.mkdir(parents=True, exist_ok=True)
+    for value in ("abc", ""):
+        cells = lines[first].split(",")
+        cells[list(columns).index(column)] = value
+        target.write_text("\n".join(lines[:first] + [",".join(cells)] + lines[first + 1 :]) + "\n", encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            read(target)
+        assert str(info.value).startswith(f"{target}: bad row ") and f"column {column!r}" in str(info.value)
+
+
+def test_labels_and_ratings_readers_reject_a_repeated_key(valid, tmp_path):
+    for rel, read in [("labels.csv", read_labels_csv), ("corpus/ratings.csv", read_ratings_csv)]:
+        lines = (valid / rel).read_text(encoding="utf-8").splitlines()
+        target = tmp_path / rel.replace("/", "-")
+        target.write_text("\n".join(lines + lines[-1:]) + "\n", encoding="utf-8")
+        with pytest.raises(InputError, match="duplicate row") as info:
+            read(target)
+        assert str(info.value).startswith(f"{target}: ")
+
+
+def test_too_many_malformed_lines_names_the_records_file(tmp_path):
+    records = tmp_path / "records.jsonl"
+    records.write_text("not json\n", encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        read_records_file(records)
+    assert str(info.value).startswith(f"{records}: 1 of 1 lines malformed (limit 10%); first: line 1: ")
+
+
+def test_handle_over_the_csv_field_limit_is_a_malformed_line(valid, tmp_path):
+    # csv reads no field over FIELD_LIMIT characters back, so networks writes no such handle
+    records, terms = tmp_path / "records.jsonl", valid / "corpus/terms.txt"
+    lines = (valid / "corpus/records.jsonl").read_text(encoding="utf-8").splitlines()
+    longest = json.dumps(dict(json.loads(lines[0]), author="a" * FIELD_LIMIT, text=lines[0] + "x" * FIELD_LIMIT))
+    over = json.dumps(dict(json.loads(lines[1]), mentioned=["m" * (FIELD_LIMIT + 1)]))
+    records.write_text("\n".join([longest, over] + lines[2:]) + "\n", encoding="utf-8")
+    rc, err = run("networks", records, terms, "-o", tmp_path / "nets")
+    assert rc == 0 and f"{records}:2: a handle longer than {FIELD_LIMIT} characters" in err
+    assert f"{records}:1: " not in err
+    assert any("a" * FIELD_LIMIT in p.read_text(encoding="utf-8") for p in (tmp_path / "nets").glob("*.edges.csv"))
+    assert run("features", tmp_path / "nets", "-o", tmp_path / "f.csv") == (0, "")
+
+
+def test_term_over_the_csv_field_limit_is_an_input_error(tmp_path):
+    terms = tmp_path / "terms.txt"
+    terms.write_text("ok\n" + "t" * FIELD_LIMIT + "\n", encoding="utf-8")
+    assert read_terms_file(terms) == ["ok", "t" * FIELD_LIMIT]
+    terms.write_text("ok\n" + "t" * (FIELD_LIMIT + 1) + "\n", encoding="utf-8")
+    with pytest.raises(InputError, match=f"terms.txt: a term longer than {FIELD_LIMIT} characters"):
+        read_terms_file(terms)

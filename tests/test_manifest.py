@@ -2,7 +2,19 @@ import ast
 import json
 import pathlib
 
-from termnet.manifest import RunManifest, json_text, read_csv, write_csv
+import pytest
+
+from termnet.manifest import (
+    InputError,
+    RunManifest,
+    count,
+    finite,
+    json_text,
+    one_of,
+    read_csv,
+    read_table,
+    write_csv,
+)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "termnet"
 
@@ -52,7 +64,81 @@ def test_only_manifest_owns_the_stamped_csv_format():
                 offenders.append(f"{path.name} imports csv")
             if isinstance(node, ast.ImportFrom) and node.module == "csv":
                 offenders.append(f"{path.name} imports from csv")
+            if isinstance(node, ast.ImportFrom) and any(alias.name == "read_csv" for alias in node.names):
+                offenders.append(f"{path.name} imports read_csv")
+            if isinstance(node, ast.Attribute) and node.attr == "read_csv":
+                offenders.append(f"{path.name} calls manifest.read_csv")
         if "manifest_sha256=" in source:
             offenders.append(f"{path.name} writes manifest_sha256=")
     assert len(list(SRC.glob("*.py"))) > 5
     assert offenders == []
+
+
+# ---------------------------------------------------------------- read_table
+
+COLUMNS = dict(name=str, n=count, x=finite, kind=one_of("a", "b"))
+
+
+def _table(tmp_path, text: str, key: int = 1) -> list[list]:
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    return read_table(path, COLUMNS, "test", key)
+
+
+def test_converters():
+    assert count("12") == 12 and count("-3") == -3
+    assert finite("0.1") == 0.1 and finite("-1e300") == -1e300
+    assert one_of("a", "b")("b") == "b"
+    for convert, cell in [(count, "1.5"), (count, ""), (finite, "abc"), (finite, "nan"), (finite, "inf")]:
+        with pytest.raises(ValueError):
+            convert(cell)
+    with pytest.raises(ValueError, match="'c' is not one of a, b"):
+        one_of("a", "b")("c")
+
+
+def test_read_table_converts_every_cell(tmp_path):
+    rows = _table(tmp_path, "# manifest_sha256=ab12\nname,n,x,kind\nu,1,0.5,a\n# v,-2,1e3,b\n")
+    assert rows == [["u", 1, 0.5, "a"], ["# v", -2, 1000.0, "b"]]
+    assert _table(tmp_path, "name,n,x,kind\n") == []
+
+
+@pytest.mark.parametrize("header", ["", "name,n,x", "name,n,x,kind,extra", "n,name,x,kind", "name,n,x,Kind"])
+def test_read_table_needs_the_exact_header(tmp_path, header):
+    with pytest.raises(InputError, match="t.csv: expected test header"):
+        _table(tmp_path, f"# manifest_sha256=ab12\n{header}\nu,1,0.5,a\n")
+
+
+@pytest.mark.parametrize("row", ["u,1,0.5", "u,1,0.5,a,", "u"])
+def test_read_table_rejects_a_row_of_the_wrong_width(tmp_path, row):
+    with pytest.raises(InputError, match=r"t.csv: bad row \['u'\]: \d cells, not 4"):
+        _table(tmp_path, f"name,n,x,kind\nv,2,0.5,b\n{row}\n")
+
+
+@pytest.mark.parametrize(
+    "column, cell, problem",
+    [
+        ("n", "x", "non-integer count 'x'"),
+        ("n", "1.5", "non-integer count"),
+        ("n", "", "non-integer count"),
+        ("x", "abc", "bad numeric cell 'abc'"),
+        ("x", "nan", "bad numeric cell 'nan', not a finite number"),
+        ("x", "-inf", "bad numeric cell '-inf', not a finite number"),
+        ("x", "", "bad numeric cell"),
+        ("kind", "c", "'c' is not one of a, b"),
+        ("kind", "", "'' is not one of a, b"),
+    ],
+)
+def test_read_table_rejects_a_cell_its_column_rejects(tmp_path, column, cell, problem):
+    row = {"name": "u", "n": "1", "x": "0.5", "kind": "a", column: cell}
+    with pytest.raises(InputError, match=f"t.csv: bad row \\['u'\\]: column '{column}': {problem}"):
+        _table(tmp_path, "name,n,x,kind\n" + ",".join(row.values()) + "\n")
+
+
+def test_read_table_rejects_a_repeated_key(tmp_path):
+    text = "name,n,x,kind\nu,1,0.5,a\nu,2,0.5,a\n"
+    with pytest.raises(InputError, match=r"t.csv: duplicate row \['u'\]"):
+        _table(tmp_path, text, key=1)
+    assert [row[1] for row in _table(tmp_path, text, key=2)] == [1, 2]  # ('u', 1) and ('u', 2) differ
+    assert len(_table(tmp_path, text, key=0)) == 2  # no key: repeats pass
+    with pytest.raises(InputError, match=r"duplicate row \['u', 1\]"):
+        _table(tmp_path, text + "u,1,2.5,b\n", key=2)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -49,7 +48,6 @@ __all__ = [
     "CLASS_COUNT_4",
     "TOTAL_CLASSES",
     "CanonicalClassTable",
-    "CensusTableError",
     "CensusVector",
     "build_class_table",
     "census",
@@ -62,10 +60,6 @@ CLASS_COUNT_4 = 199
 TOTAL_CLASSES = CLASS_COUNT_3 + CLASS_COUNT_4
 
 _TABLE_FORMAT = "termnet-class-table-v1"
-
-
-class CensusTableError(RuntimeError):
-    """Internal consistency failure while building the class table."""
 
 
 @dataclass(frozen=True)
@@ -200,123 +194,49 @@ def _canonicalize_all(k: int) -> tuple[np.ndarray, np.ndarray]:
     return canon, conn_by_mask[skel]
 
 
-def _build_tables() -> CanonicalClassTable:
-    per_k: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    counts: dict[int, int] = {}
-    canonical_lists: dict[int, list[int]] = {}
-    for k in (3, 4):
+def build_class_table(unused=None, /) -> CanonicalClassTable:
+    """Build the 212-class canonical table in memory.
+
+    The one positional parameter is ignored; it remains only because the
+    benchmark harness calls `build_class_table(None)`.
+    """
+    tables: dict[int, np.ndarray] = {}
+    canonical: dict[int, np.ndarray] = {}
+    base = 0
+    for k, expected in ((3, CLASS_COUNT_3), (4, CLASS_COUNT_4)):
         canon, connected = _canonicalize_all(k)
-        canonical_lists[k] = sorted(int(c) for c in np.unique(canon[connected]))
-        counts[k] = len(canonical_lists[k])
-        per_k[k] = (canon, connected)
-
-    expected = {3: CLASS_COUNT_3, 4: CLASS_COUNT_4}
-    for k in (3, 4):
-        if counts[k] != expected[k]:
-            raise CensusTableError(
-                f"k={k}: found {counts[k]} weakly-connected classes, expected "
-                f"{expected[k]}; canonical codes: {canonical_lists[k]}"
+        classes = np.unique(canon[connected])  # sorted: class ids ascend with canonical code
+        if len(classes) != expected:
+            raise RuntimeError(
+                f"k={k}: found {len(classes)} weakly-connected classes, expected "
+                f"{expected}; canonical codes: {classes.tolist()}"
             )
-
-    tables: dict[int, tuple[int, ...]] = {}
-    base = {3: 0, 4: CLASS_COUNT_3}
-    for k in (3, 4):
-        canon, connected = per_k[k]
-        index_of = {code: base[k] + i for i, code in enumerate(canonical_lists[k])}
-        table = np.full(len(canon), -1, dtype=np.int64)
-        for code in range(len(canon)):
-            if connected[code]:
-                table[code] = index_of[int(canon[code])]
+        table = np.where(connected, base + np.searchsorted(classes, canon), -1).astype(np.int64)
         # soundness: a code and its canonical form share one class; isomorphic
         # relabelings never change skeleton connectivity
-        for code in range(len(canon)):
-            c = int(canon[code])
-            if connected[code] != connected[c] or table[code] != table[c]:
-                raise CensusTableError(f"k={k}: code {code:#x} inconsistent with canonical {c:#x}")
-        tables[k] = tuple(int(x) for x in table)
+        bad = (connected != connected[canon]) | (table != table[canon])
+        if bad.any():
+            code = int(np.argmax(bad))
+            raise RuntimeError(f"k={k}: code {code:#x} inconsistent with canonical {int(canon[code]):#x}")
+        tables[k], canonical[k] = table, classes
+        base += expected
 
     digest = hashlib.sha256()
     digest.update(_TABLE_FORMAT.encode())
-    digest.update(np.array(tables[3], dtype=np.int64).tobytes())
-    digest.update(np.array(tables[4], dtype=np.int64).tobytes())
+    digest.update(tables[3].tobytes())
+    digest.update(tables[4].tobytes())
     return CanonicalClassTable(
-        class_of_code3=tables[3],
-        class_of_code4=tables[4],
-        canonical_codes3=tuple(canonical_lists[3]),
-        canonical_codes4=tuple(canonical_lists[4]),
+        class_of_code3=tuple(tables[3].tolist()),
+        class_of_code4=tuple(tables[4].tolist()),
+        canonical_codes3=tuple(canonical[3].tolist()),
+        canonical_codes4=tuple(canonical[4].tolist()),
         content_hash=digest.hexdigest(),
     )
 
 
-def _default_cache_dir() -> str:
-    env = os.environ.get("TERMNET_CACHE")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "termnet")
-
-
-def build_class_table(cache_dir: str | None = "") -> CanonicalClassTable:
-    """Build (or load from cache) the 212-class canonical table.
-
-    `cache_dir=""` selects the default cache location ($TERMNET_CACHE or
-    ~/.cache/termnet); None disables caching.  A cached table whose content
-    hash does not match a fresh serialization is rebuilt.
-    """
-    if cache_dir == "":
-        cache_dir = _default_cache_dir()
-    cache_path = os.path.join(cache_dir, f"{_TABLE_FORMAT}.npz") if cache_dir else None
-
-    if cache_path and os.path.exists(cache_path):
-        table = _load_cached(cache_path)
-        if table is not None:
-            return table
-
-    table = _build_tables()
-    if cache_path:
-        try:
-            os.makedirs(cache_dir, exist_ok=True)
-            np.savez(
-                cache_path,
-                fmt=np.bytes_(_TABLE_FORMAT.encode()),
-                class3=np.array(table.class_of_code3, dtype=np.int64),
-                class4=np.array(table.class_of_code4, dtype=np.int64),
-                canon3=np.array(table.canonical_codes3, dtype=np.int64),
-                canon4=np.array(table.canonical_codes4, dtype=np.int64),
-                sha=np.bytes_(table.content_hash.encode()),
-            )
-        except OSError:
-            pass  # cache is an optimization only
-    return table
-
-
-def _load_cached(cache_path: str) -> CanonicalClassTable | None:
-    try:
-        with np.load(cache_path) as data:
-            if bytes(data["fmt"]).decode() != _TABLE_FORMAT:
-                return None
-            table = CanonicalClassTable(
-                class_of_code3=tuple(int(x) for x in data["class3"]),
-                class_of_code4=tuple(int(x) for x in data["class4"]),
-                canonical_codes3=tuple(int(x) for x in data["canon3"]),
-                canonical_codes4=tuple(int(x) for x in data["canon4"]),
-                content_hash=bytes(data["sha"]).decode(),
-            )
-    except (OSError, KeyError, ValueError):
-        return None
-    digest = hashlib.sha256()
-    digest.update(_TABLE_FORMAT.encode())
-    digest.update(np.array(table.class_of_code3, dtype=np.int64).tobytes())
-    digest.update(np.array(table.class_of_code4, dtype=np.int64).tobytes())
-    if digest.hexdigest() != table.content_hash:
-        return None
-    if table.class_count_3 != CLASS_COUNT_3 or table.class_count_4 != CLASS_COUNT_4:
-        return None
-    return table
-
-
 @functools.cache
 def get_class_table() -> CanonicalClassTable:
-    """The process's one class table, built (or loaded) on first use."""
+    """The process's one class table, built on first use."""
     return build_class_table()
 
 

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .census import CensusTableError, get_class_table
+from .census import get_class_table
 from .ingest import build_corpus, parse_window_bound, read_records_file, read_terms_file
 from .manifest import InputError, RunManifest, file_sha256, json_text
 from .pipeline import (
@@ -253,8 +253,8 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, CensusTableError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # any other failure is a bug
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

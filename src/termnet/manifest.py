@@ -17,6 +17,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import zlib
 from dataclasses import dataclass, field
 
@@ -77,19 +78,22 @@ def read_csv(path):
         yield from filter(None, csv.reader(itertools.dropwhile(lambda line: line.startswith("# "), fh)))
 
 
+# The cell forms the writers produce: `str(int)`, and `repr(float)` without nan and inf (a
+# missing exponent sign is also read).  int() and float() alone would also take `1_0`, ` 7`,
+# `+3` and non-ASCII digits.
+_COUNT = re.compile(r"-?[0-9]+")
+_FINITE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[+-]?[0-9]+)?")
+
+
 def count(cell: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise ValueError(f"non-integer count {cell!r}") from None
+    if not _COUNT.fullmatch(cell):
+        raise ValueError(f"non-integer count {cell!r}")
+    return int(cell)
 
 
 def finite(cell: str) -> float:
-    try:
-        if math.isfinite(value := float(cell)):
-            return value
-    except ValueError:
-        pass
+    if _FINITE.fullmatch(cell) and math.isfinite(value := float(cell)):
+        return value
     raise ValueError(f"bad numeric cell {cell!r}, not a finite number")
 
 

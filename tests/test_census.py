@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import time
 from math import comb, prod
@@ -16,6 +17,7 @@ from termnet.census import (
     build_class_table,
     census,
     census_parallel,
+    get_class_table,
 )
 from termnet.graphs import DirectedGraph, build_graph
 from termnet.synth import gen_random_digraph
@@ -301,15 +303,31 @@ def test_census_vector_normalization():
         CensusVector.from_counts([1, 2, 3])
 
 
-def test_table_cache_round_trip(tmp_path):
-    first = build_class_table(cache_dir=str(tmp_path))
-    cached = build_class_table(cache_dir=str(tmp_path))
-    assert cached == first
-    # corrupt the cache: loader must fall back to a fresh build
-    cache_file = next(tmp_path.iterdir())
-    cache_file.write_bytes(b"garbage")
-    rebuilt = build_class_table(cache_dir=str(tmp_path))
-    assert rebuilt == first
+def test_class_table_hash_is_pinned():
+    # every features manifest and the benchmark's class-table reference depend on these bytes
+    assert get_class_table().content_hash == "e39da4c4a5e1b87e78378f3b355e94933f538e60598a21c34ccd6026f5e5bc7c"
+
+
+@pytest.mark.parametrize(
+    "code, canonical, problem",
+    [
+        (0x000, 0xFFF, "k=4: code 0x0 inconsistent with canonical 0xfff"),  # disconnected code, connected canon
+        (0xFFE, 0xFFE, "k=4: found 200 weakly-connected classes, expected 199"),  # a second K4 class
+    ],
+)
+def test_class_table_checks_raise(monkeypatch, code, canonical, problem):
+    census_mod = importlib.import_module("termnet.census")  # `termnet.census` is also the function
+    canonicalize_all = census_mod._canonicalize_all
+
+    def corrupted(k):
+        canon, connected = canonicalize_all(k)
+        if k == 4:
+            canon[code] = canonical
+        return canon, connected
+
+    monkeypatch.setattr(census_mod, "_canonicalize_all", corrupted)
+    with pytest.raises(RuntimeError, match=problem):
+        build_class_table()
 
 
 def test_class_table_csv_export(class_table, tmp_path):

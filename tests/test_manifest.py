@@ -89,7 +89,10 @@ def test_converters():
     assert count("12") == 12 and count("-3") == -3
     assert finite("0.1") == 0.1 and finite("-1e300") == -1e300
     assert one_of("a", "b")("b") == "b"
-    for convert, cell in [(count, "1.5"), (count, ""), (finite, "abc"), (finite, "nan"), (finite, "inf")]:
+    assert finite("-0.0") == 0.0 and finite("1.5e-07") == 1.5e-07 and finite("7") == 7.0
+    strict = [(count, c) for c in ("1_0", "\u0663", " 7 ", "+3", "7\n", "-", "0x1")]
+    strict += [(finite, c) for c in ("1_0.5", "\u0663.0", " 1.0", "+1.0", ".5", "5.", "1E5", "1e", "-1e999")]
+    for convert, cell in [(count, "1.5"), (count, ""), (finite, "abc"), (finite, "nan"), (finite, "inf")] + strict:
         with pytest.raises(ValueError):
             convert(cell)
     with pytest.raises(ValueError, match="'c' is not one of a, b"):
@@ -120,10 +123,17 @@ def test_read_table_rejects_a_row_of_the_wrong_width(tmp_path, row):
         ("n", "x", "non-integer count 'x'"),
         ("n", "1.5", "non-integer count"),
         ("n", "", "non-integer count"),
+        ("n", "1_0", "non-integer count '1_0'"),
+        ("n", "\u0663", "non-integer count"),
+        ("n", " 7 ", "non-integer count ' 7 '"),
+        ("n", "+3", "non-integer count '\\+3'"),
         ("x", "abc", "bad numeric cell 'abc'"),
         ("x", "nan", "bad numeric cell 'nan', not a finite number"),
         ("x", "-inf", "bad numeric cell '-inf', not a finite number"),
         ("x", "", "bad numeric cell"),
+        ("x", "1_0.5", "bad numeric cell '1_0.5'"),
+        ("x", "+0.5", "bad numeric cell '\\+0.5'"),
+        ("x", ".5", "bad numeric cell '.5'"),
         ("kind", "c", "'c' is not one of a, b"),
         ("kind", "", "'' is not one of a, b"),
     ],

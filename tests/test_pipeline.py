@@ -9,7 +9,7 @@ import pytest
 
 import termnet
 from termnet import ml, pipeline
-from termnet.census import census_parallel
+from termnet.census import census_parallel, get_class_table
 from termnet.cli import main
 from termnet.graphs import build_graph
 from termnet.ingest import (
@@ -596,19 +596,20 @@ def test_cli_classify_needs_both_blocks(tmp_path, capsys):
     assert err.startswith("error: ") and str(global_only) in err
 
 
-def test_cli_internal_error_is_exit_2(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("error", [ValueError, KeyError, RuntimeError])
+def test_cli_internal_error_is_exit_2(tmp_path, capsys, monkeypatch, error):
     corpus = tmp_path / "corpus"
     run_cli("synth", "-o", corpus, "--terms", 2, "--records", 5, "--seed", 0)
     capsys.readouterr()
     import termnet.cli as cli_mod
 
     def boom(*a, **kw):
-        raise ValueError("invariant violated")
+        raise error("invariant violated")
 
     monkeypatch.setattr(cli_mod, "build_corpus", boom)
     rc = run_cli("networks", corpus / "records.jsonl", corpus / "terms.txt", "-o", tmp_path / "out")
     assert rc == 2
-    assert "internal error" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"internal error: {error.__name__}: {error('invariant violated')}\n"
 
 
 def test_cli_rank_threshold_flag(tmp_path, capsys):
@@ -630,6 +631,20 @@ def test_cli_class_table(tmp_path, capsys):
     assert data[0] == "class_id,k,canonical_code_hex,edge_list"
     assert len(data) == 1 + 212
     assert (tmp_path / "classes.csv.manifest.json").exists()
+
+
+def test_cli_writes_nothing_outside_its_outputs(tmp_path, capsys, monkeypatch, corpus_dir):
+    nets = tmp_path / "nets"
+    assert run_cli("networks", corpus_dir / "records.jsonl", corpus_dir / "terms.txt", "-o", nets) == 0
+    home = tmp_path / "home"
+    home.mkdir()
+    # HOME is the only variable, so every default location a stage could write to is inside it
+    monkeypatch.setattr(os, "environ", {"HOME": str(home)})
+    get_class_table.cache_clear()  # build the table in this process, as a fresh CLI run does
+    assert run_cli("class-table", "-o", tmp_path / "classes.csv") == 0
+    assert run_cli("features", nets, "-o", tmp_path / "features.csv") == 0
+    capsys.readouterr()
+    assert list(home.iterdir()) == []
 
 
 def test_cli_synth_rejects_bad_params(tmp_path, capsys):

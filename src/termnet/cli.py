@@ -172,6 +172,8 @@ def _cmd_rank(args) -> int:
 def _cmd_classify(args) -> int:
     if args.folds < 2:
         raise InputError("--folds must be >= 2")
+    if args.seed < 0:
+        raise InputError("--seed must be >= 0")
     manifest = RunManifest(
         command="classify",
         tool_version=__version__,

@@ -43,6 +43,7 @@ BLR_MAX_ITER = 5000
 SVM_C = 1.0
 SVM_ITERATIONS = 1000
 RFC_TREES = 100
+RFC_PASS_CELLS = 1 << 12  # candidate cells per split pass; bounds the forest's peak memory
 
 
 # ---------------------------------------------------------------- features
@@ -213,12 +214,11 @@ def pca2(X: np.ndarray) -> PcaResult:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so exp
+    never overflows."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 class _LinearModel:
@@ -252,7 +252,7 @@ def train_blr(X: np.ndarray, y: np.ndarray, tol: float = BLR_TOL, max_iter: int 
     w = np.zeros(Xa.shape[1])
 
     z = Xa @ w
-    ll = float(np.mean(y * z - np.logaddexp(0.0, z)))
+    ll = float((y * z - np.logaddexp(0.0, z)).sum()) / n
     step = 1.0
     for it in range(1, max_iter + 1):
         grad = Xa.T @ (y - _sigmoid(z)) / n
@@ -264,7 +264,7 @@ def train_blr(X: np.ndarray, y: np.ndarray, tol: float = BLR_TOL, max_iter: int 
         while t > 1e-14:
             w_new = w + t * grad
             z_new = Xa @ w_new
-            ll_new = float(np.mean(y * z_new - np.logaddexp(0.0, z_new)))
+            ll_new = float((y * z_new - np.logaddexp(0.0, z_new)).sum()) / n
             if ll_new >= ll + 1e-4 * t * gnorm2:
                 improved = True
                 break
@@ -306,79 +306,73 @@ def train_svm(X: np.ndarray, y: np.ndarray, C: float = SVM_C, iterations: int = 
     return SvmModel(weights=w)
 
 
-def _best_split(X, y, idx, feats):
-    """Lowest weighted-Gini (feature, threshold) over the candidate features.
+def _best_splits(X, y, counts, feats):
+    """Lowest weighted-Gini (feature, threshold) for each node of a batch.
 
-    All candidate columns are sorted and scored at once.  Split points sit
-    halfway between consecutive distinct sorted values, or on the lower one
-    when the midpoint rounds up to the upper (adjacent floats), so both sides
-    of a split are nonempty.  Ties resolve to the earliest candidate feature
-    and then the earliest position, because the argmin runs over the scores
-    feature by feature.  Returns (feature, threshold), feature -1 when no
-    candidate column varies.
+    Node b holds counts[b, r] copies of training row r and scores the
+    candidate features feats[b].  Each candidate column holds the node's
+    distinct rows, padded with +inf up to the widest node of the batch, and
+    is sorted on its own.  A split can sit only where a run of equal values
+    ends; its left side then holds every copy with a value up to that run,
+    whatever the order within the run, so the counts, the Gini arithmetic
+    and the score are exactly those of sorting the node's own copies.  The
+    argmin runs over the scores feature by feature and takes the first
+    minimum, so ties resolve to the earliest candidate feature and then the
+    earliest split point.  The threshold sits halfway between the run's
+    value and the next one, or on the lower one when the midpoint rounds up
+    to the upper (adjacent floats), so both sides of a split are nonempty.
+    Returns (feature, threshold) arrays, feature -1 where no candidate
+    column varies within the node.
     """
-    n = idx.shape[0]
-    ys = y[idx]
-    cols = X[np.ix_(idx, feats)]
-    order = np.argsort(cols, axis=0, kind="stable")
-    xs = cols[order, np.arange(cols.shape[1])]
-    valid = xs[1:] > xs[:-1]
-    if not valid.any():
-        return -1, 0.0
-    l1 = np.cumsum(ys[order], axis=0)[:-1].astype(np.float64)
-    nl = np.arange(1, n, dtype=np.float64)[:, None]
-    nr = n - nl
-    r1 = float(ys.sum()) - l1
-    gini_l = 1.0 - (l1 / nl) ** 2 - ((nl - l1) / nl) ** 2
-    gini_r = 1.0 - (r1 / nr) ** 2 - ((nr - r1) / nr) ** 2
-    score = (nl * gini_l + nr * gini_r) / n
-    score[~valid] = math.inf
-    j, k = divmod(int(np.argmin(score.T)), n - 1)
-    lo, hi = float(xs[k, j]), float(xs[k + 1, j])
+    batch, mtry = feats.shape
+    b = np.arange(batch)
+    present = counts > 0
+    width = int(present.sum(axis=1).max())
+    rows = np.argsort(~present, axis=1, kind="stable")[:, :width]  # each node's distinct rows, then padding
+    mult = counts[b[:, None], rows]  # 0 on padding
+    cols = np.where((mult > 0)[:, None, :], X[rows[:, None, :], feats[:, :, None]], math.inf)
+    # sort every (node, feature) lane; the order, as flat indices, reads the
+    # (batch, mtry, width) columns and then the (batch, width) counts
+    order = np.argsort(cols, axis=2)
+    xs = cols.take(order + (width * np.arange(batch * mtry)).reshape(batch, mtry, 1))
+    del cols  # a pass holds few arrays of its size at once: they set the forest's peak memory
+    order += (width * b)[:, None, None]
+    nl = np.cumsum(mult.take(order), axis=2)[:, :, :-1].astype(np.float64)
+    l1 = np.cumsum((mult * y[rows]).take(order), axis=2)[:, :, :-1].astype(np.float64)
+    del order
+    size = counts.sum(axis=1).astype(np.float64)[:, None, None]
+    valid = (xs[:, :, :-1] < xs[:, :, 1:]) & (nl < size)
+    nr = size - nl
+    r1 = (counts @ y).astype(np.float64)[:, None, None] - l1
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty right sides, masked below
+        gini_l = 1.0 - (l1 / nl) ** 2 - ((nl - l1) / nl) ** 2
+        gini_r = 1.0 - (r1 / nr) ** 2 - ((nr - r1) / nr) ** 2
+        score = np.where(valid, (nl * gini_l + nr * gini_r) / size, math.inf).reshape(batch, -1)
+    k = np.argmin(score, axis=1)
+    j, pos = np.divmod(k, width - 1)
+    lo, hi = xs[b, j, pos], xs[b, j, pos + 1]
     mid = (lo + hi) / 2.0
-    return int(feats[j]), mid if mid < hi else lo
-
-
-def _grow_tree(X, y, rng: np.random.Generator, mtry: int) -> tuple[np.ndarray, ...]:
-    """One fully grown CART tree as node arrays (feature, threshold, left,
-    right, value); leaves have feature -1.
-
-    `rng` is drawn in a fixed order: the bootstrap, then one candidate-feature
-    sample per impure node, nodes taken last-in first-out from a stack.
-    """
-    n, d = X.shape
-    nodes = [[-1, 0.0, -1, -1, -1]]
-    stack = [(rng.integers(0, n, size=n), 0)]
-    while stack:
-        idx, nid = stack.pop()
-        ones = int(y[idx].sum())
-        f = -1
-        if 0 < ones < idx.shape[0]:
-            f, thr = _best_split(X, y, idx, rng.choice(d, size=mtry, replace=False))
-        if f < 0:
-            nodes[nid][4] = 1 if 2 * ones > idx.shape[0] else 0
-            continue
-        go_left = X[idx, f] <= thr
-        nodes[nid][:4] = f, thr, len(nodes), len(nodes) + 1
-        stack += [(idx[go_left], len(nodes)), (idx[~go_left], len(nodes) + 1)]
-        nodes += [[-1, 0.0, -1, -1, -1], [-1, 0.0, -1, -1, -1]]
-    return tuple(np.array(column) for column in zip(*nodes))  # int64, except float64 thresholds
+    return np.where(score[b, k] < math.inf, feats[b, j], -1), np.where(mid < hi, mid, lo)
 
 
 @dataclass(frozen=True)
 class RandomForestModel:
-    trees: tuple  # of _grow_tree node arrays
+    trees: tuple  # per tree, node arrays (feature, threshold, left, right, value); leaves have feature -1
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Majority vote; all rows walk down all trees at once."""
         X = np.asarray(X, dtype=np.float64)
+        sizes = [len(tree[0]) for tree in self.trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        feature, threshold, left, right, value = (np.concatenate(column) for column in zip(*self.trees))
+        shift = np.repeat(roots, sizes)
+        left, right = left + shift, right + shift
         rows = np.arange(X.shape[0])
-        votes = np.zeros(X.shape[0], dtype=np.int64)
-        for feature, threshold, left, right, value in self.trees:
-            node = np.zeros(X.shape[0], dtype=np.intp)
-            while (inner := feature[node] >= 0).any():
-                step = np.where(X[rows, feature[node]] <= threshold[node], left[node], right[node])
-                node = np.where(inner, step, node)
-            votes += value[node]
+        node = np.repeat(roots[:, None], X.shape[0], axis=1)
+        while (inner := feature[node] >= 0).any():
+            step = np.where(X[rows, feature[node]] <= threshold[node], left[node], right[node])
+            node = np.where(inner, step, node)
+        votes = value[node].sum(axis=0)
         return (2 * votes > len(self.trees)).astype(np.int64)
 
 
@@ -387,14 +381,69 @@ def train_rfc(X: np.ndarray, y: np.ndarray, seed, n_trees: int = RFC_TREES) -> R
     max(1, isqrt(d)) candidate features per node, fully grown.
 
     `seed` may be an int or a numpy SeedSequence; each tree draws from its own
-    spawned child stream, so results do not depend on training order.
+    spawned child stream, so results do not depend on training order, and
+    one SeedSequence always gives one forest.  A tree's stream is drawn in a
+    fixed order: the bootstrap, then one candidate-feature sample per impure
+    node, nodes taken last-in first-out from the tree's stack.
+
+    The trees grow in lockstep.  At each step every tree pops nodes until it
+    reaches an impure one, making leaves of the pure nodes on the way, and
+    draws that node's candidates; then all popped nodes are split together,
+    in passes of at most RFC_PASS_CELLS candidate cells.  A node is the
+    count of each training row's copies in it, so its children are its
+    counts masked by the split.
     """
+    if n_trees < 1:
+        raise InputError(f"a forest needs n_trees >= 1, got {n_trees}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    n, d = X.shape
+    mtry = max(1, math.isqrt(d))
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    mtry = max(1, math.isqrt(X.shape[1]))
-    trees = tuple(_grow_tree(X, y, np.random.default_rng(child), mtry) for child in ss.spawn(n_trees))
-    return RandomForestModel(trees=trees)
+    # spawn from a copy: spawning advances a SeedSequence's child counter
+    ss = np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key, pool_size=ss.pool_size)
+    rngs = [np.random.default_rng(child) for child in ss.spawn(n_trees)]
+
+    trees = [[[-1, 0.0, -1, -1, -1]] for _ in rngs]
+    stacks = []  # per tree, LIFO of nodes (node id, size, ones, distinct rows, counts)
+    for rng in rngs:
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        stacks.append([(0, n, int(counts @ y), int(np.count_nonzero(counts)), counts)])
+    while True:
+        popped = []  # (distinct rows, tree, node, candidate features), one impure node per tree at most
+        for t, stack in enumerate(stacks):
+            while stack:
+                node = stack.pop()
+                nid, size, ones, width, _ = node
+                if 0 < ones < size:
+                    popped.append((width, t, node, rngs[t].choice(d, size=mtry, replace=False)))
+                    break
+                trees[t][nid][4] = 1 if 2 * ones > size else 0
+        if not popped:
+            break
+        popped.sort(key=lambda p: p[0])  # nodes of similar width share a pass
+        while popped:
+            take = 1  # the most nodes whose padded lanes fit in RFC_PASS_CELLS
+            while take < len(popped) and (take + 1) * mtry * popped[take][0] <= RFC_PASS_CELLS:
+                take += 1
+            part, popped = popped[:take], popped[take:]
+            counts = np.array([p[2][4] for p in part])
+            feature, threshold = _best_splits(X, y, counts, np.array([p[3] for p in part]))
+            left = counts * (X.T[feature] <= threshold[:, None])
+            kids = np.stack([left, counts - left], axis=1)
+            kid_stats = zip(kids.sum(axis=2).tolist(), (kids @ y).tolist(), np.count_nonzero(kids, axis=2).tolist())
+            for (_, t, (nid, size, ones, _, _), _), f, thr, pair, (sizes, kid_ones, widths) in zip(
+                part, feature.tolist(), threshold.tolist(), kids, kid_stats
+            ):
+                nodes = trees[t]
+                if f < 0:
+                    nodes[nid][4] = 1 if 2 * ones > size else 0
+                    continue
+                nodes[nid][:4] = f, thr, len(nodes), len(nodes) + 1
+                stacks[t] += [(len(nodes) + i, sizes[i], kid_ones[i], widths[i], pair[i]) for i in (0, 1)]
+                nodes += [[-1, 0.0, -1, -1, -1], [-1, 0.0, -1, -1, -1]]
+    # int64 columns, except float64 thresholds
+    return RandomForestModel(trees=tuple(tuple(np.array(column) for column in zip(*nodes)) for nodes in trees))
 
 
 # ---------------------------------------------------------------- evaluation

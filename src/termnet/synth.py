@@ -88,6 +88,8 @@ class SynthSpec:
             raise InputError("records_per_term must be >= 1")
         if not 0.0 <= self.signal <= 1.0:
             raise InputError("signal must be in [0,1]")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately written the slow, obvious way (explicit
-permutation minimization, triple loops, dense SVD, a forest that scores one
-feature and walks one row at a time) and shares no code with the package
+permutation minimization, triple loops, dense SVD, a forest that grows one
+tree at a time, scores one feature and walks one row at a time, a logistic
+ascent on boolean masks) and shares no code with the package
 beyond the documented bit layout.  The one exception is the
 term scan, which calls the package's `term_matches` and `build_graph`: the
 term pattern is the definition of a match, and what the scan checks is the
@@ -296,6 +297,51 @@ def loglik_and_grad(w, X, y):
     p = 1.0 / (1.0 + np.exp(-z))
     grad = Xa.T @ (y - p) / X.shape[0]
     return ll, grad
+
+
+def reference_sigmoid(z):
+    """The logistic function with boolean masks: 1 / (1 + exp(-z)) where
+    z >= 0, exp(z) / (1 + exp(z)) elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_blr(X, y, tol, max_iter):
+    """The library's logistic ascent, written with np.mean and masked
+    sigmoid halves: Armijo backtracking from twice the last accepted step,
+    stop when the gradient 2-norm drops below tol.  Returns (weights,
+    converged, iterations)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = X.shape[0]
+    Xa = np.hstack([X, np.ones((n, 1))])
+    w = np.zeros(Xa.shape[1])
+    z = Xa @ w
+    ll = float(np.mean(y * z - np.logaddexp(0.0, z)))
+    step = 1.0
+    for it in range(1, max_iter + 1):
+        grad = Xa.T @ (y - reference_sigmoid(z)) / n
+        gnorm2 = float(grad @ grad)
+        if math.sqrt(gnorm2) < tol:
+            return w, True, it - 1
+        t = step * 2.0
+        improved = False
+        while t > 1e-14:
+            w_new = w + t * grad
+            z_new = Xa @ w_new
+            ll_new = float(np.mean(y * z_new - np.logaddexp(0.0, z_new)))
+            if ll_new >= ll + 1e-4 * t * gnorm2:
+                improved = True
+                break
+            t *= 0.5
+        if not improved:
+            return w, False, it
+        w, z, ll, step = w_new, z_new, ll_new, t
+    return w, False, max_iter
 
 
 class ReferenceTree:

@@ -297,6 +297,16 @@ def test_failed_classify_leaves_no_manifest(valid, tmp_path):
     assert "no labeled terms" in err and not (tmp_path / "out/manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["classify", "synth"])
+def test_negative_seed_is_an_input_error(valid, tmp_path, command):
+    # numpy's SeedSequence rejects it with a ValueError, which exited 2 after
+    # classify had made its output directory
+    inputs = {"classify": [valid / "features.csv", valid / "labels.csv", "--folds", 2], "synth": []}[command]
+    rc, err = run(command, *inputs, "-o", tmp_path / "out", "--seed", -1)
+    assert_input_error(rc, err)
+    assert "seed must be >= 0" in err and not (tmp_path / "out").exists()
+
+
 def test_byte_order_mark_is_skipped(valid, tmp_path):
     terms = tmp_path / "terms.txt"
     terms.write_bytes(b"\xef\xbb\xbf" + (valid / "corpus/terms.txt").read_bytes())

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import termnet
+from termnet import ml
 from termnet.census import TOTAL_CLASSES
 from termnet.manifest import InputError
 from termnet.metrics import METRIC_NAMES
@@ -27,7 +28,7 @@ from termnet.ml import (
 )
 from termnet.ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
 
-from oracles import loglik_and_grad, reference_forest, reference_forest_predict, svd_pca2
+from oracles import loglik_and_grad, reference_blr, reference_forest, reference_forest_predict, svd_pca2
 
 
 # ---------------------------------------------------------------- standardize
@@ -194,6 +195,31 @@ def test_blr_matches_closed_form_intercept_only():
     assert abs(p - 0.3) < 1e-6
 
 
+@st.composite
+def blr_problems(draw):
+    """Small (X, y, tol, max_iter): labels random or split by a threshold on
+    the first column (separable), with a tolerance that is met early or a
+    max_iter that ends the ascent first."""
+    n, d = draw(st.integers(2, 20)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.floats(-3.0, 3.0), min_size=n * d, max_size=n * d))
+    X = np.array(cells).reshape(n, d)
+    if draw(st.booleans()):
+        y = (X[:, 0] > draw(st.floats(-1.0, 1.0))).astype(np.float64)
+    else:
+        y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    return X, y, draw(st.sampled_from([1e-8, 1e-3])), draw(st.integers(1, 60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(blr_problems())
+def test_blr_equals_reference_blr(problem):
+    X, y, tol, max_iter = problem
+    model = train_blr(X, y, tol=tol, max_iter=max_iter)
+    weights, converged, iterations = reference_blr(X, y, tol, max_iter)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert (model.converged, model.iterations) == (converged, iterations)
+
+
 # ---------------------------------------------------------------- SVM
 
 
@@ -285,6 +311,53 @@ def test_rfc_equals_reference_forest(problem):
             assert column.tolist() == getattr(want, name), name
     Xq = np.vstack([X, X + 0.25, -X])
     assert np.array_equal(model.predict(Xq), reference_forest_predict(ref, Xq))
+
+
+def assert_same_trees(model, ref):
+    for got, want in zip(model.trees, ref, strict=True):
+        for column, name in zip(got, ("feature", "threshold", "left", "right", "value"), strict=True):
+            assert column.tolist() == getattr(want, name), name
+
+
+def test_rfc_equals_reference_forest_on_deep_trees(rng, monkeypatch):
+    # random labels grow deep trees with nodes of many sizes at each step, and
+    # the roots alone hold more candidate cells than one split pass
+    n, d, n_trees = 64, 81, 30
+    X = rng.normal(size=(n, d)).round(1)  # about 60 distinct values: many ties
+    y = rng.integers(0, 2, size=n)
+    passes = []
+    best_splits = ml._best_splits
+
+    def recording(X, y, counts, feats):
+        passes.append(counts.shape[0])
+        return best_splits(X, y, counts, feats)
+
+    monkeypatch.setattr(ml, "_best_splits", recording)
+    model = train_rfc(X, y, 17, n_trees=n_trees)
+    assert 1 < passes[0] < n_trees  # the roots' step took more than one pass
+    ref = reference_forest(X, y, 17, n_trees)
+    assert sum(len(tree.feature) for tree in ref) > 15 * n_trees  # signal-free trees are deep
+    assert_same_trees(model, ref)
+    Xq = np.vstack([X, rng.normal(size=(50, d)).round(1)])
+    assert np.array_equal(model.predict(Xq), reference_forest_predict(ref, Xq))
+
+
+def test_rfc_one_seed_sequence_is_one_forest(rng):
+    # spawning advances a SeedSequence's child counter: a second forest from
+    # the same object drew other trees
+    X = rng.normal(size=(30, 4))
+    y = (rng.random(30) < 0.5).astype(int)
+    ss = np.random.SeedSequence(5)
+    first = train_rfc(X, y, ss, n_trees=10)
+    second = train_rfc(X, y, ss, n_trees=10)
+    ref = reference_forest(X, y, 5, 10)
+    assert_same_trees(first, ref)
+    assert_same_trees(second, ref)
+
+
+def test_rfc_needs_a_tree():
+    with pytest.raises(InputError, match="n_trees"):
+        train_rfc(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 0, n_trees=0)
 
 
 def test_rfc_splits_between_adjacent_floats():

@@ -1,8 +1,10 @@
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -461,6 +463,19 @@ def test_cli_classify_deterministic_bytes(tmp_path, capsys):
     capsys.readouterr()
     for name in sorted(os.listdir(d1)):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+def test_cli_classify_leaves_no_thread_or_process(tmp_path, capsys, corpus_dir):
+    # classify runs in this process alone: no pool, no thread left behind
+    nets, features, labels = tmp_path / "nets", tmp_path / "features.csv", tmp_path / "labels.csv"
+    assert run_cli("networks", corpus_dir / "records.jsonl", corpus_dir / "terms.txt", "-o", nets) == 0
+    assert run_cli("features", nets, "-o", features) == 0
+    assert run_cli("rank", corpus_dir / "ratings.csv", "-o", labels) == 0
+    threads, children = threading.active_count(), multiprocessing.active_children()
+    assert run_cli("classify", features, labels, "-o", tmp_path / "out", "--folds", 2) == 0
+    capsys.readouterr()
+    assert threading.active_count() == threads
+    assert multiprocessing.active_children() == children
 
 
 def test_cli_classify_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):

@@ -77,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("-o", "--outdir", required=True)
     p_cls.add_argument("--seed", type=int, default=0)
     p_cls.add_argument("--folds", type=int, default=10)
-    p_cls.add_argument("--swap-positive", action="store_true", help="score the non-controversial class as positive")
     p_cls.add_argument("--manifest", action="store_true", help="print the run manifest and exit")
 
     p_syn = sub.add_parser("synth", help="generate a deterministic synthetic corpus")
@@ -102,6 +101,8 @@ def _emit_manifest(manifest: RunManifest) -> int:
 def _cmd_networks(args) -> int:
     window_from = parse_window_bound(args.window_from, end_of_day=False) if args.window_from else None
     window_to = parse_window_bound(args.window_to, end_of_day=True) if args.window_to else None
+    if window_from and window_to and window_from > window_to:
+        raise InputError(f"--from {args.window_from} is later than --to {args.window_to}")
     manifest = RunManifest(
         command="networks",
         tool_version=__version__,
@@ -151,6 +152,7 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    partition_terms([], args.threshold)  # rejects a bad threshold before anything is read or printed
     manifest = RunManifest(
         command="rank",
         tool_version=__version__,
@@ -177,7 +179,7 @@ def _cmd_classify(args) -> int:
     manifest = RunManifest(
         command="classify",
         tool_version=__version__,
-        parameters={"seed": args.seed, "folds": args.folds, "swap_positive": bool(args.swap_positive)},
+        parameters={"seed": args.seed, "folds": args.folds},
         input_hashes={"features": file_sha256(args.features), "labels": file_sha256(args.labels)},
     )
     if args.manifest:
@@ -185,14 +187,7 @@ def _cmd_classify(args) -> int:
     global_vecs, local_vecs = read_features_csv(args.features)
     labels = read_labels_csv(args.labels)
     report = classify_datasets(
-        global_vecs,
-        local_vecs,
-        labels,
-        args.outdir,
-        manifest.sha256,
-        seed=args.seed,
-        folds=args.folds,
-        swap_positive=args.swap_positive,
+        global_vecs, local_vecs, labels, args.outdir, manifest.sha256, seed=args.seed, folds=args.folds
     )
     manifest.write(os.path.join(args.outdir, "manifest.json"))
     print(f"wrote report.json with {len(report['entries'])} entries to {args.outdir}")

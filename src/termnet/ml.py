@@ -15,10 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .census import TOTAL_CLASSES
+from .ingest import InteractionKind
 from .manifest import InputError
+from .metrics import METRIC_NAMES
+from .ranking import CONTROVERSIAL
 
 __all__ = [
-    "KIND_ORDER",
     "ClassifierReport",
     "Dataset",
     "LogisticModel",
@@ -35,8 +38,6 @@ __all__ = [
     "train_rfc",
     "train_svm",
 ]
-
-KIND_ORDER = ("mention", "reply", "quote")
 
 BLR_TOL = 1e-8
 BLR_MAX_ITER = 5000
@@ -95,8 +96,6 @@ def assemble_feature_sets(
     order, y = 1 for the controversial class.  Every labeled term must have
     vectors for all three interaction kinds in both families.
     """
-    from .ranking import CONTROVERSIAL
-
     terms = sorted({lab.term for lab in labels})
     if not terms:
         raise InputError("no labeled terms")
@@ -105,18 +104,16 @@ def assemble_feature_sets(
     label_of = {lab.term: lab.label for lab in labels}
     y = np.array([1 if label_of[t] == CONTROVERSIAL else 0 for t in terms], dtype=np.int64)
 
+    kinds = [kind.value for kind in InteractionKind]
     missing = [
         (t, k)
         for t in terms
-        for k in KIND_ORDER
+        for k in kinds
         if (t, k) not in global_vecs or (t, k) not in local_vecs
     ]
     if missing:
         shown = ", ".join(f"{t}/{k}" for t, k in missing[:5])
         raise InputError(f"{len(missing)} labeled term networks lack features in the features file: {shown}")
-
-    from .census import TOTAL_CLASSES
-    from .metrics import METRIC_NAMES
 
     local_names = tuple(f"n{i:03d}" for i in range(TOTAL_CLASSES))
     datasets: dict[str, Dataset] = {}
@@ -125,7 +122,7 @@ def assemble_feature_sets(
         ("local", local_vecs, local_names),
     ):
         per_kind = {}
-        for kind in KIND_ORDER:
+        for kind in kinds:
             X = np.array([vecs[(t, kind)] for t in terms], dtype=np.float64)
             if X.shape[1] != len(names):
                 raise InputError(f"{family}/{kind}: expected {len(names)} columns, got {X.shape[1]}")
@@ -133,8 +130,8 @@ def assemble_feature_sets(
             datasets[f"{family}-{kind}"] = Dataset(
                 name=f"{family}-{kind}", X=X, y=y, row_terms=tuple(terms), col_names=names
             )
-        combined = np.hstack([per_kind[k] for k in KIND_ORDER])
-        combined_names = tuple(f"{k}_{c}" for k in KIND_ORDER for c in names)
+        combined = np.hstack([per_kind[k] for k in kinds])
+        combined_names = tuple(f"{k}_{c}" for k in kinds for c in names)
         datasets[f"{family}-combined"] = Dataset(
             name=f"{family}-combined", X=combined, y=y, row_terms=tuple(terms), col_names=combined_names
         )
@@ -448,46 +445,32 @@ def train_rfc(X: np.ndarray, y: np.ndarray, seed, n_trees: int = RFC_TREES) -> R
 
 # ---------------------------------------------------------------- evaluation
 
-METRIC_KEYS = ("accuracy", "f1", "precision", "recall", "sensitivity", "specificity", "ppv", "npv")
-
 
 def confusion_metrics(tp: int, fp: int, tn: int, fn: int) -> tuple[dict[str, float], dict[str, bool]]:
     """The eight pooled metrics plus per-metric defined flags (0.0 when the
-    denominator is empty)."""
+    denominator is empty).
+
+    The controversial class is positive: sensitivity and ppv are its recall
+    and precision, specificity and npv those of the non-controversial class.
+    """
 
     def ratio(num, den):
         return (num / den, True) if den > 0 else (0.0, False)
 
-    acc, acc_ok = ratio(tp + tn, tp + fp + tn + fn)
     prec, prec_ok = ratio(tp, tp + fp)
     rec, rec_ok = ratio(tp, tp + fn)
-    spec, spec_ok = ratio(tn, tn + fp)
-    npv, npv_ok = ratio(tn, tn + fn)
-    if prec_ok and rec_ok and prec + rec > 0:
-        f1, f1_ok = 2.0 * prec * rec / (prec + rec), True
-    else:
-        f1, f1_ok = 0.0, False
-    values = {
-        "accuracy": acc,
+    f1 = (2.0 * prec * rec / (prec + rec), True) if prec_ok and rec_ok and prec + rec > 0 else (0.0, False)
+    scored = {
+        "accuracy": ratio(tp + tn, tp + fp + tn + fn),
         "f1": f1,
-        "precision": prec,
-        "recall": rec,
-        "sensitivity": rec,
-        "specificity": spec,
-        "ppv": prec,
-        "npv": npv,
+        "precision": (prec, prec_ok),
+        "recall": (rec, rec_ok),
+        "sensitivity": (rec, rec_ok),
+        "specificity": ratio(tn, tn + fp),
+        "ppv": (prec, prec_ok),
+        "npv": ratio(tn, tn + fn),
     }
-    flags = {
-        "accuracy": acc_ok,
-        "f1": f1_ok,
-        "precision": prec_ok,
-        "recall": rec_ok,
-        "sensitivity": rec_ok,
-        "specificity": spec_ok,
-        "ppv": prec_ok,
-        "npv": npv_ok,
-    }
-    return values, flags
+    return {k: v for k, (v, _) in scored.items()}, {k: ok for k, (_, ok) in scored.items()}
 
 
 @dataclass(frozen=True)
@@ -500,7 +483,6 @@ class ClassifierReport:
     fold_accuracies: tuple[float, ...]
     skipped_folds: tuple[int, ...]
     convergence_warnings: int
-    positive_label: int
     seed: int
     folds: int
     hyperparameters: dict = field(default_factory=dict)
@@ -515,15 +497,14 @@ class ClassifierReport:
             "classifier": self.classifier_name,
             "feature_set": self.feature_set_name,
             "confusion": {"tp": tp, "fp": fp, "tn": tn, "fn": fn},
-            "metrics": {k: self.metrics[k] for k in METRIC_KEYS},
-            "metric_defined": {k: self.defined[k] for k in METRIC_KEYS},
+            "metrics": dict(self.metrics),
+            "metric_defined": dict(self.defined),
             "fold_accuracies": list(self.fold_accuracies),
             "accuracy_fold_mean": (
                 sum(self.fold_accuracies) / len(self.fold_accuracies) if self.fold_accuracies else 0.0
             ),
             "skipped_folds": list(self.skipped_folds),
             "convergence_warnings": self.convergence_warnings,
-            "positive_label": self.positive_label,
             "seed": self.seed,
             "folds": self.folds,
             "hyperparameters": self.hyperparameters,
@@ -560,9 +541,9 @@ def cross_validate(
     classifier: str,
     folds: int = 10,
     seed: int = 0,
-    positive_label: int = 1,
 ) -> ClassifierReport:
-    """Stratified k-fold evaluation with one pooled confusion matrix.
+    """Stratified k-fold evaluation with one pooled confusion matrix, with the
+    controversial class (y == 1) as positive.
 
     Standardization is fit on the training folds only (the forest sees raw
     features; trees are scale-invariant).  Folds whose training split is
@@ -612,8 +593,8 @@ def cross_validate(
                 model = train_svm(X_std, y_train)
             pred = model.predict(X_test_std)
 
-        pos_pred = pred == positive_label
-        pos_true = y_test == positive_label
+        pos_pred = pred == 1
+        pos_true = y_test == 1
         tp += int(np.sum(pos_pred & pos_true))
         fp += int(np.sum(pos_pred & ~pos_true))
         tn += int(np.sum(~pos_pred & ~pos_true))
@@ -630,7 +611,6 @@ def cross_validate(
         fold_accuracies=tuple(fold_acc),
         skipped_folds=tuple(skipped),
         convergence_warnings=warnings,
-        positive_label=positive_label,
         seed=seed,
         folds=folds,
         hyperparameters=dict(_HYPERPARAMS[classifier]),

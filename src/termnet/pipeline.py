@@ -19,7 +19,7 @@ from .graphs import DirectedGraph, read_edge_csv, write_edge_csv
 from .ingest import InteractionKind, TermNetworkSet
 from .manifest import InputError, count, finite, one_of, read_table, write_csv, write_json
 from .metrics import METRIC_NAMES, GlobalFeatures, global_feature_vector
-from .ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
+from .ranking import CONTROVERSIAL, TermLabel
 
 __all__ = [
     "CLASSIFIER_ORDER",
@@ -192,24 +192,21 @@ def classify_datasets(
     manifest_hash: str,
     seed: int = 0,
     folds: int = 10,
-    swap_positive: bool = False,
 ) -> dict:
     """Run the 3-classifier x 8-feature-set grid and write report + PCA files.
 
-    The positive class is the controversial one unless swapped.  Outputs
-    depend only on the inputs and manifest parameters.
+    The controversial class is always positive; the report states it once as
+    `positive_class`.  Outputs depend only on the inputs and manifest
+    parameters.
     """
     datasets = ml.assemble_feature_sets(global_vecs, local_vecs, labels)
     os.makedirs(outdir, exist_ok=True)
 
-    positive_label = 0 if swap_positive else 1
-    entries = []
-    for set_name in FEATURE_SET_ORDER:
-        for clf in CLASSIFIER_ORDER:
-            report = ml.cross_validate(
-                datasets[set_name], clf, folds=folds, seed=seed, positive_label=positive_label
-            )
-            entries.append(report.to_json_obj())
+    entries = [
+        ml.cross_validate(datasets[set_name], clf, folds=folds, seed=seed).to_json_obj()
+        for set_name in FEATURE_SET_ORDER
+        for clf in CLASSIFIER_ORDER
+    ]
 
     pca_info: dict[str, dict] = {}
     label_of = {lab.term: lab.label for lab in labels}
@@ -240,7 +237,7 @@ def classify_datasets(
 
     report_obj = {
         "manifest_sha256": manifest_hash,
-        "positive_class": NON_CONTROVERSIAL if swap_positive else CONTROVERSIAL,
+        "positive_class": CONTROVERSIAL,
         "seed": seed,
         "folds": folds,
         "entries": entries,

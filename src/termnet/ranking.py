@@ -101,8 +101,8 @@ def aggregate_ratings(rows: list[RatingRow]) -> list[RatingAggregate]:
 
 def partition_terms(aggs: list[RatingAggregate], threshold: float = DEFAULT_THRESHOLD) -> list[TermLabel]:
     """Label each aggregate; controversial iff mean > threshold (strict)."""
-    if threshold < 0:
-        raise InputError(f"threshold must be >= 0, got {threshold}")
+    if not math.isfinite(threshold) or threshold < 0:
+        raise InputError(f"threshold must be finite and >= 0, got {threshold}")
     return [
         TermLabel(
             term=a.term,

@@ -299,6 +299,45 @@ def loglik_and_grad(w, X, y):
     return ll, grad
 
 
+def reference_confusion_metrics(tp, fp, tn, fn):
+    """The eight pooled metrics plus per-metric defined flags (0.0 when the
+    denominator is empty)."""
+
+    def ratio(num, den):
+        return (num / den, True) if den > 0 else (0.0, False)
+
+    acc, acc_ok = ratio(tp + tn, tp + fp + tn + fn)
+    prec, prec_ok = ratio(tp, tp + fp)
+    rec, rec_ok = ratio(tp, tp + fn)
+    spec, spec_ok = ratio(tn, tn + fp)
+    npv, npv_ok = ratio(tn, tn + fn)
+    if prec_ok and rec_ok and prec + rec > 0:
+        f1, f1_ok = 2.0 * prec * rec / (prec + rec), True
+    else:
+        f1, f1_ok = 0.0, False
+    values = {
+        "accuracy": acc,
+        "f1": f1,
+        "precision": prec,
+        "recall": rec,
+        "sensitivity": rec,
+        "specificity": spec,
+        "ppv": prec,
+        "npv": npv,
+    }
+    flags = {
+        "accuracy": acc_ok,
+        "f1": f1_ok,
+        "precision": prec_ok,
+        "recall": rec_ok,
+        "sensitivity": rec_ok,
+        "specificity": spec_ok,
+        "ppv": prec_ok,
+        "npv": npv_ok,
+    }
+    return values, flags
+
+
 def reference_sigmoid(z):
     """The logistic function with boolean masks: 1 / (1 + exp(-z)) where
     z >= 0, exp(z) / (1 + exp(z)) elsewhere."""

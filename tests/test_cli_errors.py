@@ -400,3 +400,29 @@ def test_term_over_the_csv_field_limit_is_an_input_error(tmp_path):
     terms.write_text("ok\n" + "t" * (FIELD_LIMIT + 1) + "\n", encoding="utf-8")
     with pytest.raises(InputError, match=f"terms.txt: a term longer than {FIELD_LIMIT} characters"):
         read_terms_file(terms)
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("manifest", [False, True])
+def test_rank_non_finite_threshold_is_an_input_error(valid, tmp_path, threshold, manifest):
+    # nan labeled every term non-controversial and wrote `"threshold": NaN`, which is not JSON
+    argv = ["rank", valid / "corpus/ratings.csv", "-o", tmp_path / "labels.csv", f"--threshold={threshold}"]
+    rc, err = run(*argv, *["--manifest"] * manifest)
+    assert_input_error(rc, err)
+    assert "threshold must be finite" in err and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("manifest", [False, True])
+def test_networks_reversed_window_is_an_input_error(tmp_path, manifest):
+    # the window is checked before the records are hashed or read: they do not exist here
+    out = tmp_path / "nets"
+    argv = ["networks", tmp_path / "missing.jsonl", tmp_path / "terms.txt", "-o", out]
+    rc, err = run(*argv, "--from", "2020-12-07", "--to", "2020-11-09", *["--manifest"] * manifest)
+    assert_input_error(rc, err)
+    assert "--from 2020-12-07 is later than --to 2020-11-09" in err and not out.exists()
+
+
+def test_networks_equal_window_bounds_are_valid(valid, tmp_path):
+    records, terms = valid / "corpus/records.jsonl", valid / "corpus/terms.txt"
+    rc, err = run("networks", records, terms, "-o", tmp_path / "nets", "--from", "2020-11-09", "--to", "2020-11-09")
+    assert rc == 0, err

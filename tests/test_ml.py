@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import termnet
@@ -15,7 +15,6 @@ from termnet.manifest import InputError
 from termnet.metrics import METRIC_NAMES
 from termnet.ml import (
     Dataset,
-    METRIC_KEYS,
     assemble_feature_sets,
     confusion_metrics,
     cross_validate,
@@ -28,7 +27,16 @@ from termnet.ml import (
 )
 from termnet.ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
 
-from oracles import loglik_and_grad, reference_blr, reference_forest, reference_forest_predict, svd_pca2
+from oracles import (
+    loglik_and_grad,
+    reference_blr,
+    reference_confusion_metrics,
+    reference_forest,
+    reference_forest_predict,
+    svd_pca2,
+)
+
+EIGHT_METRICS = ("accuracy", "f1", "precision", "recall", "sensitivity", "specificity", "ppv", "npv")
 
 
 # ---------------------------------------------------------------- standardize
@@ -392,7 +400,7 @@ def test_confusion_metrics_example():
     assert values["npv"] == pytest.approx(0.7)
     assert values["sensitivity"] == values["recall"]
     assert values["ppv"] == values["precision"]
-    assert all(flags[k] for k in METRIC_KEYS)
+    assert all(flags[k] for k in EIGHT_METRICS)
 
 
 def test_confusion_metrics_zero_denominators():
@@ -409,7 +417,7 @@ def test_confusion_metrics_identities(rng):
     for _ in range(200):
         tp, fp, tn, fn = (int(v) for v in rng.integers(0, 30, size=4))
         values, flags = confusion_metrics(tp, fp, tn, fn)
-        assert set(values) == set(METRIC_KEYS) == set(flags)
+        assert set(values) == set(EIGHT_METRICS) == set(flags)
         if flags["accuracy"]:
             assert values["accuracy"] == pytest.approx((tp + tn) / (tp + fp + tn + fn))
         if flags["f1"]:
@@ -417,6 +425,19 @@ def test_confusion_metrics_identities(rng):
             assert values["f1"] == pytest.approx(2 * p * r / (p + r))
         for v in values.values():
             assert 0.0 <= v <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.integers(0, 60)] * 4))
+@example((0, 0, 0, 0))
+@example((0, 0, 5, 0))
+@example((0, 3, 0, 4))
+def test_confusion_metrics_match_reference(confusion):
+    values, flags = confusion_metrics(*confusion)
+    ref_values, ref_flags = reference_confusion_metrics(*confusion)
+    assert list(values) == list(flags) == list(EIGHT_METRICS)
+    assert {k: repr(v) for k, v in values.items()} == {k: repr(v) for k, v in ref_values.items()}
+    assert flags == ref_flags
 
 
 def test_stratified_folds_sizes(rng):
@@ -513,7 +534,8 @@ def test_report_json_shape(rng):
     obj = cross_validate(ds, "rfc", folds=4, seed=9).to_json_obj()
     assert obj["classifier"] == "rfc"
     assert obj["feature_set"] == "toy"
-    assert set(obj["metrics"]) == set(METRIC_KEYS)
+    assert set(obj["metrics"]) == set(obj["metric_defined"]) == set(EIGHT_METRICS)
+    assert "positive_label" not in obj
     assert obj["folds"] == 4 and obj["seed"] == 9
     assert obj["accuracy_fold_mean"] == pytest.approx(sum(obj["fold_accuracies"]) / len(obj["fold_accuracies"]))
 

@@ -306,7 +306,7 @@ def test_cli_classify_matches_library(tmp_path, capsys):
         ref = ml.cross_validate(datasets[entry["feature_set"]], entry["classifier"], folds=4, seed=3)
         tp, fp, tn, fn = ref.confusion
         assert entry["confusion"] == {"tp": tp, "fp": fp, "tn": tn, "fn": fn}
-        assert entry["metrics"] == {k: ref.metrics[k] for k in ml.METRIC_KEYS}
+        assert entry["metrics"] == ref.metrics
 
 
 @pytest.fixture()
@@ -367,6 +367,14 @@ def test_cli_features_has_no_block_options(tmp_path, capsys, corpus_dir):
         assert run_cli("features", nets, "-o", tmp_path / "features.csv", option) == 1
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
     assert not (tmp_path / "features.csv").exists()
+
+
+def test_cli_classify_has_no_swap_positive(tmp_path, capsys):
+    # the controversial class is always the positive one
+    out = tmp_path / "results"
+    assert run_cli("classify", tmp_path / "f.csv", tmp_path / "l.csv", "-o", out, "--swap-positive") == 1
+    assert "unrecognized arguments: --swap-positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_window_excludes_everything(tmp_path, capsys):

@@ -102,8 +102,9 @@ def test_partition_all_zero():
 
 
 def test_partition_rejects_negative_threshold():
-    with pytest.raises(InputError):
-        partition_terms([], -0.1)
+    for threshold in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError):
+            partition_terms([], threshold)
 
 
 def test_label_distribution_examples():

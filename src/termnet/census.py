@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -504,10 +505,12 @@ def census_parallel(g: DirectedGraph, workers: int) -> CensusVector:
     """census(g) with its roots sharded round-robin across worker processes.
 
     Integer partial counts (one shard's may be negative) are summed, so the
-    result is identical for every worker count.
+    result is identical for every worker count.  No more processes start
+    than the host has cores.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    workers = min(workers, os.cpu_count() or 1)
     if workers == 1 or g.node_count < 3:
         return census(g)
     shards = [range(w, g.node_count, workers) for w in range(workers)]

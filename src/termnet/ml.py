@@ -283,24 +283,62 @@ def train_svm(X: np.ndarray, y: np.ndarray, C: float = SVM_C, iterations: int = 
 
     Minimizes lambda/2 ||w||^2 + mean hinge loss with lambda = 1/(C n), step
     1/(lambda t), and the usual 1/sqrt(lambda) radius projection.  The bias is
-    an augmented constant feature, so it is (slightly) regularized too.
+    an augmented constant feature, so it is (slightly) regularized too.  The
+    iterates are trained in the Gram form (see _pegasos) and returned as
+    weights = Xa.T @ beta.
     """
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    s = 2.0 * np.asarray(y, dtype=np.float64) - 1.0
-    Xa = np.hstack([X, np.ones((n, 1))])
-    lam = 1.0 / (C * n)
-    radius = 1.0 / math.sqrt(lam)
-    w = np.zeros(Xa.shape[1])
+    Xa = _augment(np.asarray(X, dtype=np.float64))
+    (beta,) = _pegasos([Xa @ Xa.T], [y], C, iterations)
+    return SvmModel(weights=Xa.T @ beta)
+
+
+def _augment(X: np.ndarray) -> np.ndarray:
+    """X with a constant 1 column appended (the SVM's bias feature)."""
+    return np.hstack([X, np.ones((X.shape[0], 1))])
+
+
+def _pegasos(grams: list, labels: list, C: float = SVM_C, iterations: int = SVM_ITERATIONS) -> list:
+    """Full-batch Pegasos for several problems at once, in the Gram (dual) form.
+
+    Problem i has Gram matrix grams[i] = Xa Xa.T over its n_i augmented rows
+    and 0/1 labels labels[i].  Every Pegasos iterate lies in the row span,
+    w = Xa.T beta (Shalev-Shwartz et al., ICML 2007, section 4), so a step
+    needs only the Gram matrix: with u = K beta = Xa w the training margins,
+
+        beta <- (1 - 1/t) beta + [s u < 1] s / (lambda_i n_i t),
+
+    then u = K beta and ||w||^2 = beta . u, and beta and u scale together
+    when w leaves the radius 1/sqrt(lambda_i), lambda_i = 1/(C n_i).  The
+    problems are stacked into one zero-padded (problems, n, n) array with
+    s = +-1 and 0 on the padding, so padded rows get no coefficient and
+    enter no margin or norm; each step is one stacked matmul.  Returns
+    beta for each problem, of length n_i.
+    """
+    if not labels:
+        return []
+    sizes = np.array([len(lab) for lab in labels])
+    n = int(sizes.max())
+    K = np.zeros((len(labels), n, n))
+    S = np.zeros((len(labels), n))
+    for i, (gram, lab) in enumerate(zip(grams, labels)):
+        K[i, : sizes[i], : sizes[i]] = gram
+        S[i, : sizes[i]] = 2.0 * np.asarray(lab, dtype=np.float64) - 1.0
+    lam = 1.0 / (C * sizes)
+    gain = S / (lam * sizes)[:, None]  # s / (lambda n), scaled by 1/t at step t
+    radius2 = 1.0 / lam  # the squared radius
+    beta = np.zeros_like(S)
+    u = np.zeros_like(S)
     for t in range(1, iterations + 1):
-        margins = s * (Xa @ w)
-        viol = margins < 1.0
-        grad = lam * w - (Xa[viol].T @ s[viol]) / n
-        w = w - grad / (lam * t)
-        norm = math.sqrt(float(w @ w))
-        if norm > radius:
-            w *= radius / norm
-    return SvmModel(weights=w)
+        beta *= 1.0 - 1.0 / t
+        beta += (S * u < 1.0) * gain / t
+        np.matmul(K, beta[:, :, None], out=u[:, :, None])
+        norm2 = np.einsum("ij,ij->i", beta, u)
+        over = norm2 > radius2
+        if over.any():  # scale only the problems over the radius: a zero norm never divides
+            scale = np.sqrt(radius2[over] / norm2[over])[:, None]
+            beta[over] *= scale
+            u[over] *= scale
+    return [b[:k] for b, k in zip(beta, sizes.tolist())]
 
 
 def _best_splits(X, y, counts, feats):
@@ -529,6 +567,24 @@ def stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np.
     return assign
 
 
+def _svm_fold_predictions(X: np.ndarray, y: np.ndarray, test_masks: list) -> list:
+    """Each fold's test predictions from one SVM run over all folds.
+
+    A fold is standardized on its training rows as for any classifier; only
+    its Gram matrix Xa Xa.T and its test rows' kernel Xa_test Xa.T are kept,
+    and all folds train together (_pegasos).  The prediction is
+    Xa_test Xa.T beta >= 0, i.e. Xa_test w >= 0.
+    """
+    grams, kernels = [], []
+    for test_mask in test_masks:
+        X_std, means, stds = standardize(X[~test_mask])
+        Xa = _augment(X_std)
+        grams.append(Xa @ Xa.T)
+        kernels.append(_augment(_rescale(X[test_mask], means, stds)) @ Xa.T)
+    betas = _pegasos(grams, [y[~test_mask] for test_mask in test_masks])
+    return [(kernel @ beta >= 0.0).astype(np.int64) for kernel, beta in zip(kernels, betas)]
+
+
 _HYPERPARAMS = {
     "blr": {"tol": BLR_TOL, "max_iter": BLR_MAX_ITER},
     "svm": {"C": SVM_C, "iterations": SVM_ITERATIONS},
@@ -547,8 +603,10 @@ def cross_validate(
 
     Standardization is fit on the training folds only (the forest sees raw
     features; trees are scale-invariant).  Folds whose training split is
-    single-class are skipped and listed in the report.  With the seed fixed
-    the whole report is reproducible bit for bit.
+    single-class are skipped and listed in the report.  BLR and the forest
+    train fold by fold; the SVM trains every scored fold at once, in the Gram
+    form, keeping O(folds n^2) floats (see _svm_fold_predictions).  With the
+    seed fixed the whole report is reproducible bit for bit.
     """
     if classifier not in _HYPERPARAMS:
         raise InputError(f"unknown classifier {classifier!r}")
@@ -562,37 +620,34 @@ def cross_validate(
     children = master.spawn(folds + 1)
     assign = stratified_folds(y, folds, np.random.default_rng(children[0]))
 
-    tp = fp = tn = fn = 0
-    fold_acc: list[float] = []
+    scored: list[int] = []
     skipped: list[int] = []
-    warnings = 0
     for f in range(folds):
         test_mask = assign == f
-        train_mask = ~test_mask
-        if not test_mask.any():
-            skipped.append(f)
-            continue
-        y_train = y[train_mask]
-        if len(set(y_train.tolist())) < 2:
-            skipped.append(f)
-            continue
-        X_train, X_test = X[train_mask], X[test_mask]
-        y_test = y[test_mask]
+        usable = test_mask.any() and len(set(y[~test_mask].tolist())) >= 2
+        (scored if usable else skipped).append(f)
 
-        if classifier == "rfc":
-            model = train_rfc(X_train, y_train, children[1 + f])
-            pred = model.predict(X_test)
-        else:
+    warnings = 0
+    if classifier == "svm":
+        preds = _svm_fold_predictions(X, y, [assign == f for f in scored])
+    else:
+        preds = []
+        for f in scored:
+            test_mask = assign == f
+            X_train, y_train, X_test = X[~test_mask], y[~test_mask], X[test_mask]
+            if classifier == "rfc":
+                preds.append(train_rfc(X_train, y_train, children[1 + f]).predict(X_test))
+                continue
             X_std, means, stds = standardize(X_train)
-            X_test_std = _rescale(X_test, means, stds)
-            if classifier == "blr":
-                model = train_blr(X_std, y_train)
-                if not model.converged:
-                    warnings += 1
-            else:
-                model = train_svm(X_std, y_train)
-            pred = model.predict(X_test_std)
+            model = train_blr(X_std, y_train)
+            if not model.converged:
+                warnings += 1
+            preds.append(model.predict(_rescale(X_test, means, stds)))
 
+    tp = fp = tn = fn = 0
+    fold_acc: list[float] = []
+    for f, pred in zip(scored, preds):
+        y_test = y[assign == f]
         pos_pred = pred == 1
         pos_true = y_test == 1
         tp += int(np.sum(pos_pred & pos_true))

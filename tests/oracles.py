@@ -3,8 +3,8 @@
 Everything here is deliberately written the slow, obvious way (explicit
 permutation minimization, triple loops, dense SVD, a forest that grows one
 tree at a time, scores one feature and walks one row at a time, a logistic
-ascent on boolean masks) and shares no code with the package
-beyond the documented bit layout.  The one exception is the
+ascent on boolean masks, a primal SVM that trains one fold at a time) and
+shares no code with the package beyond the documented bit layout.  The one exception is the
 term scan, which calls the package's `term_matches` and `build_graph`: the
 term pattern is the definition of a match, and what the scan checks is the
 package's single-pass candidate index, not the pattern.
@@ -381,6 +381,30 @@ def reference_blr(X, y, tol, max_iter):
             return w, False, it
         w, z, ll, step = w_new, z_new, ll_new, t
     return w, False, max_iter
+
+
+def reference_svm(X, y, C, iterations):
+    """The library's Pegasos schedule in the primal, one problem at a time:
+    w moves against the subgradient of lambda/2 ||w||^2 + mean hinge loss
+    with lambda = 1/(C n) and step 1/(lambda t), then is projected onto the
+    ball of radius 1/sqrt(lambda).  The bias is an augmented constant
+    feature.  Returns the (d+1,) weights."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    s = 2.0 * np.asarray(y, dtype=np.float64) - 1.0
+    Xa = np.hstack([X, np.ones((n, 1))])
+    lam = 1.0 / (C * n)
+    radius = 1.0 / math.sqrt(lam)
+    w = np.zeros(Xa.shape[1])
+    for t in range(1, iterations + 1):
+        margins = s * (Xa @ w)
+        viol = margins < 1.0
+        grad = lam * w - (Xa[viol].T @ s[viol]) / n
+        w = w - grad / (lam * t)
+        norm = math.sqrt(float(w @ w))
+        if norm > radius:
+            w *= radius / norm
+    return w
 
 
 class ReferenceTree:

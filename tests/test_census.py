@@ -187,6 +187,33 @@ def test_census_parallel_matches_serial():
         census_parallel(g, 0)
 
 
+@pytest.mark.parametrize("cores, pool", [(3, 3), (8, 8), (1, None), (None, None)])
+def test_census_parallel_starts_no_more_processes_than_cores(monkeypatch, cores, pool):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    census_mod = importlib.import_module("termnet.census")  # `termnet.census` is also the function
+    monkeypatch.setattr(census_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(census_mod.os, "cpu_count", lambda: cores)
+    g = gen_random_digraph(40, 0.1, seed=4)
+    assert census_parallel(g, 5000).counts == census(g).counts
+    assert sizes == ([] if pool is None else [pool])
+
+
 # dyad types as drawn below: 1 = out (u -> v), 2 = in (v -> u), 3 = mutual
 def _dyad_edges(u, v, t):
     return ([(u, v)] if t & 1 else []) + ([(v, u)] if t & 2 else [])

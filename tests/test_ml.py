@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import termnet
@@ -33,6 +33,7 @@ from oracles import (
     reference_confusion_metrics,
     reference_forest,
     reference_forest_predict,
+    reference_svm,
     svd_pca2,
 )
 
@@ -231,6 +232,12 @@ def test_blr_equals_reference_blr(problem):
 # ---------------------------------------------------------------- SVM
 
 
+# libcst, which Hypothesis imports to print a failing example, warns on import;
+# as an error that warning would hide the example
+warnings_as_errors = pytest.mark.filterwarnings("error", "ignore::DeprecationWarning:libcst")
+
+
+@warnings_as_errors
 def test_svm_separates_with_margin(rng):
     n = 100
     X = np.vstack([rng.normal(size=(n // 2, 2)) + [3.0, 3.0], rng.normal(size=(n // 2, 2)) - [3.0, 3.0]])
@@ -239,6 +246,7 @@ def test_svm_separates_with_margin(rng):
     assert float(np.mean(model.predict(X) == y)) >= 0.99
 
 
+@warnings_as_errors
 def test_svm_deterministic(rng):
     X = rng.normal(size=(40, 5))
     y = (rng.random(40) < 0.5).astype(int)
@@ -247,12 +255,120 @@ def test_svm_deterministic(rng):
     assert np.array_equal(a.weights, b.weights)
 
 
+@warnings_as_errors
 def test_svm_weights_bounded():
     X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     y = np.array([1, 1, 0, 0])
     model = train_svm(X, y)
     lam = 1.0 / (1.0 * 4)
     assert float(np.linalg.norm(model.weights)) <= 1.0 / math.sqrt(lam) + 1e-9
+
+
+def reference_svm_cv(X, y, folds, seed):
+    """Cross-validation the slow way: the library's folds and standardization,
+    then reference_svm on one fold at a time.  Returns the pooled (tp, fp,
+    tn, fn), the fold accuracies and the smallest |test margin|."""
+    children = np.random.SeedSequence(seed).spawn(folds + 1)
+    assign = stratified_folds(y, folds, np.random.default_rng(children[0]))
+    confusion = np.zeros(4, dtype=int)
+    accuracies, closest = [], math.inf
+    for f in range(folds):
+        test = assign == f
+        if not test.any() or len(set(y[~test].tolist())) < 2:
+            continue
+        X_std, means, stds = standardize(X[~test])
+        w = reference_svm(X_std, y[~test], ml.SVM_C, ml.SVM_ITERATIONS)
+        z = ml._rescale(X[test], means, stds) @ w[:-1] + w[-1]
+        closest = min(closest, float(np.abs(z).min()))
+        pred, truth = z >= 0.0, y[test] == 1
+        confusion += [np.sum(pred & truth), np.sum(pred & ~truth), np.sum(~pred & ~truth), np.sum(~pred & truth)]
+        accuracies.append(float(np.mean(pred == truth)))
+    return tuple(confusion.tolist()), tuple(accuracies), closest
+
+
+def svm_problem(n, d, seed, noise, constant):
+    """n x d normal features, labels from the first column plus noise
+    (0 gives separable labels); `constant` pins the last of d >= 2 columns.
+    (With every column constant, the margins land exactly on the hinge at 1,
+    where the two summation orders may fall on either side.)"""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = (X[:, 0] + noise * rng.normal(size=n) > 0).astype(np.int64)
+    if constant and d > 1:
+        X[:, -1] = 3.0
+    return X, y
+
+
+@warnings_as_errors
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(10, 30),
+    d=st.integers(1, 40),
+    folds=st.integers(2, 10),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.0, 1.0, 10.0]),
+    constant=st.booleans(),
+)
+@example(n=23, d=4, folds=5, seed=1, noise=1.0, constant=False)  # d+1 <= n, folds of 5 and 4 rows
+@example(n=19, d=30, folds=4, seed=2, noise=1.0, constant=True)  # d+1 > n, folds of 5 and 4 rows
+@example(n=30, d=29, folds=10, seed=3, noise=10.0, constant=False)  # d+1 == n, equal folds
+def test_svm_folds_train_together_like_one_at_a_time(n, d, folds, seed, noise, constant):
+    X, y = svm_problem(n, d, seed, noise, constant)
+    confusion, accuracies, closest = reference_svm_cv(X, y, folds, seed)
+    assume(closest > 1e-9)  # a test row on the boundary may fall either way
+    ds = Dataset(name="p", X=X, y=y, row_terms=tuple(map(str, range(n))), col_names=tuple(map(str, range(d))))
+    report = cross_validate(ds, "svm", folds=folds, seed=seed)
+    assert report.confusion == confusion
+    assert report.fold_accuracies == accuracies
+
+    X_std = standardize(X)[0]
+    want = reference_svm(X_std, y, ml.SVM_C, ml.SVM_ITERATIONS)
+    got = train_svm(X_std, y).weights
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@warnings_as_errors
+def test_pegasos_stacks_problems_of_different_sizes(rng):
+    # each problem in the padded stack gets its own n, lambda and norm: the
+    # stack must give every problem the weights it gets alone, and those
+    # must be the primal oracle's
+    problems = []
+    for n, d in ((9, 3), (8, 3), (5, 12), (8, 1)):
+        Xa = np.hstack([rng.normal(size=(n, d)), np.ones((n, 1))])
+        problems.append((Xa, rng.integers(0, 2, size=n)))
+    for iterations in (1, 2, 50):
+        stacked = ml._pegasos([Xa @ Xa.T for Xa, _ in problems], [y for _, y in problems], 1.0, iterations)
+        for (Xa, y), beta in zip(problems, stacked, strict=True):
+            assert beta.shape == (Xa.shape[0],)
+            (alone,) = ml._pegasos([Xa @ Xa.T], [y], 1.0, iterations)
+            want = reference_svm(Xa[:, :-1], y, 1.0, iterations)
+            for w in (Xa.T @ beta, Xa.T @ alone):
+                assert np.linalg.norm(w - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@warnings_as_errors
+def test_svm_zero_norm_is_not_projected():
+    # constant features and balanced labels keep w at zero: the radius
+    # projection must not divide by the zero norm
+    X = np.full((8, 2), 5.0)
+    y = np.array([0, 1] * 4)
+    assert not train_svm(X, y).weights.any()
+    assert not reference_svm(X, y, 1.0, 100).any()
+    ds = Dataset(name="flat", X=X, y=y, row_terms=tuple(map(str, range(8))), col_names=("a", "b"))
+    report = cross_validate(ds, "svm", folds=2, seed=0)
+    assert report.skipped_folds == ()
+    assert sum(report.confusion) == 8
+
+
+@warnings_as_errors
+def test_svm_single_class_skips_every_fold(rng):
+    X = rng.normal(size=(12, 3))
+    ds = Dataset(name="one", X=X, y=np.ones(12, dtype=np.int64), row_terms=tuple(map(str, range(12))), col_names=tuple("abc"))
+    report = cross_validate(ds, "svm", folds=4, seed=0)
+    assert report.skipped_folds == (0, 1, 2, 3)
+    assert report.confusion == (0, 0, 0, 0)
+    assert report.fold_accuracies == ()
+    assert report.to_json_obj()["accuracy_fold_mean"] == 0.0
 
 
 # ---------------------------------------------------------------- RFC

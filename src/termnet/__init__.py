@@ -23,13 +23,12 @@ from .ingest import (
     TermNetworkSet,
     build_corpus,
     parse_records,
-    term_matches,
 )
 from .ranking import aggregate_ratings, label_distribution, partition_terms
 from .metrics import GlobalFeatures, global_feature_vector
 from .census import CensusVector, build_class_table, census, census_parallel
 from .ml import assemble_feature_sets, cross_validate, pca2, standardize
-from .synth import SynthSpec, gen_random_digraph, generate_corpus
+from .synth import SynthSpec, generate_corpus
 
 __all__ = [
     "DirectedGraph",
@@ -39,7 +38,6 @@ __all__ = [
     "InteractionRecord",
     "TermNetworkSet",
     "parse_records",
-    "term_matches",
     "build_corpus",
     "aggregate_ratings",
     "partition_terms",
@@ -55,7 +53,6 @@ __all__ = [
     "pca2",
     "cross_validate",
     "SynthSpec",
-    "gen_random_digraph",
     "generate_corpus",
     "__version__",
 ]

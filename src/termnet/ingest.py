@@ -33,7 +33,6 @@ __all__ = [
     "parse_window_bound",
     "read_records_file",
     "read_terms_file",
-    "term_matches",
 ]
 
 MAX_BAD_FRACTION = 0.10  # more malformed non-blank lines than this is a hard error
@@ -47,15 +46,15 @@ class InteractionKind(Enum):
     QUOTE_RETWEET = "quote"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionRecord:
-    post_id: str
+    """What the networks read of a record; its `post_id` and `timestamp` are checked, then dropped."""
+
     author: str
     text: str
     mentioned: tuple[str, ...] = ()
     reply_to_author: str | None = None
     quoted_author: str | None = None
-    timestamp: str = "1970-01-01T00:00:00+00:00"
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def parse_window_bound(value: str, end_of_day: bool) -> datetime:
 
 
 def _record_from_obj(obj) -> tuple[InteractionRecord, datetime]:
-    """The checked record and its parsed timestamp."""
+    """The checked record and its parsed timestamp; an empty handle means none."""
     if not isinstance(obj, dict):
         raise InputError("record is not a JSON object")
     post_id = obj.get("post_id")
@@ -119,15 +118,7 @@ def _record_from_obj(obj) -> tuple[InteractionRecord, datetime]:
     if len(joined) > FIELD_LIMIT:  # bytes >= characters; a longer handle makes an unreadable edge file
         if max(map(len, (author, *mentioned, reply_to or "", quoted or ""))) > FIELD_LIMIT:
             raise InputError(f"a handle longer than {FIELD_LIMIT} characters, csv's field limit")
-    record = InteractionRecord(
-        post_id=post_id,
-        author=author,
-        text=text,
-        mentioned=tuple(mentioned),
-        reply_to_author=reply_to or None,
-        quoted_author=quoted or None,
-        timestamp=ts,
-    )
+    record = InteractionRecord(author, text, tuple(filter(None, mentioned)), reply_to or None, quoted or None)
     return record, parse_timestamp(ts)
 
 
@@ -184,12 +175,6 @@ def _term_pattern(term: str) -> re.Pattern:
         return re.compile(re.escape(term) + r"(?!\w)", re.IGNORECASE)
     # keyword: delimited on both sides by non-alphanumerics or boundaries
     return re.compile(r"(?<![^\W_])" + re.escape(term) + r"(?![^\W_])", re.IGNORECASE)
-
-
-def term_matches(text: str, term: str) -> bool:
-    if not term:
-        raise InputError("term must be non-empty")
-    return _term_pattern(term).search(text) is not None
 
 
 # A token is a maximal run of Unicode letters and digits; `-`, `_`, `#` and
@@ -252,7 +237,7 @@ def build_corpus(records: list[InteractionRecord], terms: list[str]) -> list[Ter
     No term may equal another one under re.IGNORECASE (`stop` and `ſtop`
     match the same records); a record matching several terms contributes to
     each of them.  A record matches a term when the term's pattern
-    (`term_matches`) finds it in the text.  The records are read once:
+    (`_term_pattern`) finds it in the text.  The records are read once:
     each text is split into tokens, the tokens' keys look up the terms whose
     first token has the same key, and only those terms' patterns run.  A
     term's first token always lines up with one whole token of any text it

@@ -44,8 +44,17 @@ FEATURE_SET_ORDER = tuple(f"{family}-{part}" for family in ("global", "local") f
 CLASSIFIER_ORDER = ("blr", "svm", "rfc")
 
 SUMMARY_NAME = "summary.csv"
+
+
+def _edge_file(cell: str) -> str:
+    """A `<name>.edges.csv` file name inside the networks directory: no `/` and no NUL."""
+    if not re.fullmatch(r"[^/\x00]+\.edges\.csv", cell):
+        raise ValueError(f"{cell!r} is not a <name>.edges.csv file name")
+    return cell
+
+
 SUMMARY_COLUMNS = dict(
-    term=str, interaction=one_of(*KINDS), nodes=count, edges=count, matched_records=count, file=str
+    term=str, interaction=one_of(*KINDS), nodes=count, edges=count, matched_records=count, file=_edge_file
 )
 PARALLEL_CENSUS_MIN_NODES = 800  # below this, fork overhead beats root sharding
 
@@ -92,7 +101,7 @@ def write_networks(corpus: list[TermNetworkSet], outdir, manifest_hash: str) -> 
         uncounted = dict(SUMMARY_COLUMNS, nodes=str, edges=str, matched_records=str)
         for *_, fname in read_table(summary, uncounted, "summary", key=0):
             old = os.path.join(str(outdir), fname)
-            if os.path.basename(fname) == fname and fname.endswith(".edges.csv") and os.path.isfile(old):
+            if os.path.isfile(old):
                 os.remove(old)
     slugs = slugify_terms([ts.term for ts in corpus])
     rows = []

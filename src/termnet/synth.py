@@ -1,5 +1,4 @@
-"""Deterministic synthetic corpora and random digraphs for tests and
-end-to-end experiments.
+"""Deterministic synthetic corpora for tests and end-to-end experiments.
 
 The corpus generator plants two structural regimes.  "Hub" terms funnel
 interactions into a handful of high in-degree accounts that never respond, so
@@ -21,15 +20,12 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .graphs import DirectedGraph
 from .manifest import InputError
 from .ranking import RATINGS_COLUMNS
 
 __all__ = [
     "SynthCorpus",
     "SynthSpec",
-    "gen_random_digraph",
-    "gen_random_digraph_m",
     "generate_corpus",
     "write_corpus",
 ]
@@ -45,33 +41,6 @@ _P_MENTION = 0.8
 _P_SECOND_HUB = 0.3
 _P_REPLY = 0.55
 _P_QUOTE = 0.45
-
-
-def gen_random_digraph(n: int, p: float, seed: int) -> DirectedGraph:
-    """G(n, p): every ordered pair (u, v), u != v, kept with probability p.
-
-    node_count is n even when some nodes end up isolated.
-    """
-    if n < 0 or not 0.0 <= p <= 1.0:
-        raise ValueError(f"need n >= 0 and p in [0,1], got n={n}, p={p}")
-    rng = np.random.default_rng(seed)
-    mask = rng.random((n, n)) < p
-    np.fill_diagonal(mask, False)
-    src, dst = np.nonzero(mask)
-    return DirectedGraph(n, list(zip(src.tolist(), dst.tolist())))
-
-
-def gen_random_digraph_m(n: int, m: int, seed: int) -> DirectedGraph:
-    """Uniform digraph with exactly m distinct edges (no self-loops)."""
-    slots = n * (n - 1)
-    if not 0 <= m <= slots:
-        raise ValueError(f"m={m} outside 0..{slots} for n={n}")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(slots, size=m, replace=False)
-    u = idx // (n - 1)
-    r = idx % (n - 1)
-    v = np.where(r >= u, r + 1, r)
-    return DirectedGraph(n, list(zip(u.tolist(), v.tolist())))
 
 
 @dataclass(frozen=True)

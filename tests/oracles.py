@@ -5,9 +5,10 @@ permutation minimization, triple loops, dense SVD, a forest that grows one
 tree at a time, scores one feature and walks one row at a time, a logistic
 ascent on boolean masks, a primal SVM that trains one fold at a time) and
 shares no code with the package beyond the documented bit layout.  The one exception is the
-term scan, which calls the package's `term_matches` and `build_graph`: the
-term pattern is the definition of a match, and what the scan checks is the
-package's single-pass candidate index, not the pattern.
+term scan, which calls the package's `_term_pattern` (through `term_matches`)
+and `build_graph`: the term pattern is the definition of a match, and what the
+scan checks is the package's single-pass candidate index, not the pattern.
+The random digraph generators at the end make inputs, not answers.
 """
 
 import itertools
@@ -15,8 +16,9 @@ import math
 
 import numpy as np
 
-from termnet.graphs import build_graph
-from termnet.ingest import InteractionKind, TermNetworkSet, term_matches
+from termnet.graphs import DirectedGraph, build_graph
+from termnet.ingest import InteractionKind, TermNetworkSet, _term_pattern
+from termnet.manifest import InputError
 
 # row-major ordered pairs (i, j), i != j; bit 0 of the code is the LAST pair
 def ordered_pairs(k):
@@ -508,6 +510,13 @@ def reference_forest_predict(trees, X):
     return np.array([1 if 2 * v > len(trees) else 0 for v in votes], dtype=np.int64)
 
 
+def term_matches(text: str, term: str) -> bool:
+    """Whether the term's pattern finds it in `text`: the definition of a match."""
+    if not term:
+        raise InputError("term must be non-empty")
+    return _term_pattern(term).search(text) is not None
+
+
 def scan_corpus(records, terms):
     """Per term, every record's text searched with that term's pattern.
 
@@ -531,3 +540,30 @@ def scan_corpus(records, terms):
         graphs = {kind: build_graph(p) for kind, p in pairs.items()}
         corpus.append(TermNetworkSet(term=term, graphs=graphs, matched_records=matched))
     return corpus
+
+
+def gen_random_digraph(n: int, p: float, seed: int) -> DirectedGraph:
+    """G(n, p): every ordered pair (u, v), u != v, kept with probability p.
+
+    node_count is n even when some nodes end up isolated.
+    """
+    if n < 0 or not 0.0 <= p <= 1.0:
+        raise ValueError(f"need n >= 0 and p in [0,1], got n={n}, p={p}")
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < p
+    np.fill_diagonal(mask, False)
+    src, dst = np.nonzero(mask)
+    return DirectedGraph(n, list(zip(src.tolist(), dst.tolist())))
+
+
+def gen_random_digraph_m(n: int, m: int, seed: int) -> DirectedGraph:
+    """Uniform digraph with exactly m distinct edges (no self-loops)."""
+    slots = n * (n - 1)
+    if not 0 <= m <= slots:
+        raise ValueError(f"m={m} outside 0..{slots} for n={n}")
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(slots, size=m, replace=False)
+    u = idx // (n - 1)
+    r = idx % (n - 1)
+    v = np.where(r >= u, r + 1, r)
+    return DirectedGraph(n, list(zip(u.tolist(), v.tolist())))

@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import gen_random_digraph, gen_random_digraph_m
 from termnet import ml
 from termnet.census import build_class_table, census, census_parallel
 from termnet.cli import main as cli_main
 from termnet.ingest import build_corpus, parse_records
 from termnet.metrics import global_feature_vector
 from termnet.ranking import RatingRow, aggregate_ratings, partition_terms
-from termnet.synth import SynthSpec, gen_random_digraph, gen_random_digraph_m, generate_corpus
+from termnet.synth import SynthSpec, generate_corpus
 
 
 def announce(capsys, n, ok, detail):

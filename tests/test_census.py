@@ -20,9 +20,9 @@ from termnet.census import (
     get_class_table,
 )
 from termnet.graphs import DirectedGraph, build_graph
-from termnet.synth import gen_random_digraph
 
 import oracles
+from oracles import gen_random_digraph
 
 
 def test_class_counts(class_table):

@@ -205,6 +205,41 @@ def test_summary_duplicate_row_is_rejected(valid, tmp_path):
     assert "duplicate row" in err and not (tmp_path / "f.csv").exists()
 
 
+# a summary `file` cell that is no `<name>.edges.csv` file name; `{outside}` is an absolute path
+BAD_FILE_CELLS = ["../outside.edges.csv", "{outside}", "a\x00b.edges.csv", "sub/x.edges.csv", "x.csv"]
+
+
+def _summary_listing(valid: Path, tmp_path: Path, cell: str) -> Path:
+    """A copy of the valid networks whose first summary row lists `cell`, next to
+    `outside.edges.csv`, a readable copy of the edge file that row named."""
+    nets = tmp_path / "nets"
+    shutil.copytree(valid / "nets", nets)
+    first = read_summary(nets)[0][-1]
+    shutil.copy(nets / first, tmp_path / "outside.edges.csv")
+    _edit_row(nets / "summary.csv", 0, 5, cell.format(outside=tmp_path / "outside.edges.csv"))
+    return nets
+
+
+@pytest.mark.parametrize("manifest", [False, True])
+@pytest.mark.parametrize("cell", BAD_FILE_CELLS)
+def test_summary_file_must_be_an_edge_file_name(valid, tmp_path, cell, manifest):
+    # features read and hashed the file a path named, and a NUL byte exited 2
+    nets = _summary_listing(valid, tmp_path, cell)
+    rc, err = run("features", nets, "-o", tmp_path / "f.csv", *["--manifest"] * manifest)
+    assert_input_error(rc, err, nets / "summary.csv")
+    assert "column 'file'" in err and not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("cell", BAD_FILE_CELLS)
+def test_networks_rejects_a_reused_directory_whose_summary_lists_no_file_name(valid, tmp_path, cell):
+    nets = _summary_listing(valid, tmp_path, cell)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    rc, err = run("networks", valid / "corpus/records.jsonl", valid / "corpus/terms.txt", "-o", nets)
+    assert_input_error(rc, err, nets / "summary.csv")
+    assert "column 'file'" in err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 def test_features_duplicate_row_is_rejected(valid, tmp_path):
     features = tmp_path / "features.csv"
     shutil.copy(valid / "features.csv", features)
@@ -339,10 +374,10 @@ def test_only_text_columns_are_declared_str():
     assert text == {
         "features.csv": ["term"],
         "labels.csv": ["term"],
-        "nets/summary.csv": ["term", "file"],
+        "nets/summary.csv": ["term"],
         "corpus/ratings.csv": ["term", "participant"],
     }
-    assert len(TYPED_COLUMNS) == 444 + 4 + 4 + 1
+    assert len(TYPED_COLUMNS) == 444 + 4 + 5 + 1
 
 
 @pytest.mark.parametrize("rel, column", TYPED_COLUMNS)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gzip
 import json
@@ -20,10 +21,10 @@ from termnet.ingest import (
     parse_timestamp,
     read_records_file,
     read_terms_file,
-    term_matches,
 )
 
 import oracles
+from oracles import term_matches
 
 
 GOOD_LINE = '{"post_id":"1","author":"a","text":"hi @b","mentioned":["b"],"timestamp":"2020-11-09T00:00:00Z"}'
@@ -44,7 +45,7 @@ def test_parse_single_record():
     result = parse_records(GOOD_LINE)
     assert result.failures == []
     (rec,) = result.records
-    assert rec.post_id == "1"
+    assert rec.text == "hi @b"
     assert rec.author == "a"
     assert rec.mentioned == ("b",)
     assert rec.reply_to_author is None
@@ -83,27 +84,45 @@ def test_parse_field_validation():
         make_record(reply_to_author=7),
         "[1,2,3]",
     ]
-    padding = [make_record(post_id=f"good-{i}") for i in range(9 * len(cases))]  # keeps 7 bad lines at 10 %
+    padding = [make_record(text=f"good-{i}") for i in range(9 * len(cases))]  # keeps 7 bad lines at 10 %
     result = parse_records("\n".join(cases + padding))
-    assert [r.post_id for r in result.records] == [f"good-{i}" for i in range(len(padding))]
+    assert [r.text for r in result.records] == [f"good-{i}" for i in range(len(padding))]
     assert [lineno for lineno, _ in result.failures] == list(range(1, len(cases) + 1))
 
 
 def test_records_outside_window_count_as_good_lines():
     # 1 malformed line and 9 valid records, only 1 of them inside the window
-    lines = ["not json"] + [make_record(post_id=str(i), timestamp=f"2020-11-{10 + i:02d}T00:00:00Z") for i in range(9)]
+    lines = ["not json"] + [make_record(text=str(i), timestamp=f"2020-11-{10 + i:02d}T00:00:00Z") for i in range(9)]
     lo = parse_timestamp("2020-11-10T00:00:00Z")
     result = parse_records("\n".join(lines), lo, lo)
-    assert [r.post_id for r in result.records] == ["0"]
+    assert [r.text for r in result.records] == ["0"]
     assert result.failures == [(1, "invalid JSON: Expecting value")]
     with pytest.raises(InputError, match="2 of 10 lines malformed"):
         parse_records("\n".join(["junk"] + lines[1:-1] + ["junk"]), lo, lo)
 
 
 def test_parse_keeps_input_order():
-    lines = [make_record(post_id=str(i)) for i in range(5)]
+    lines = [make_record(text=str(i)) for i in range(5)]
     result = parse_records("\n".join(lines))
-    assert [r.post_id for r in result.records] == ["0", "1", "2", "3", "4"]
+    assert [r.text for r in result.records] == ["0", "1", "2", "3", "4"]
+
+
+def test_parsed_record_keeps_only_what_the_networks_read():
+    names = [f.name for f in dataclasses.fields(InteractionRecord)]
+    assert names == ["author", "text", "mentioned", "reply_to_author", "quoted_author"]
+    (rec,) = parse_records(GOOD_LINE).records
+    assert not hasattr(rec, "__dict__")
+
+
+def test_empty_handles_mean_none():
+    line = make_record(text="topic", mentioned=["", "b", ""], reply_to_author="", quoted_author="")
+    (rec,) = parse_records(line).records
+    assert (rec.mentioned, rec.reply_to_author, rec.quoted_author) == (("b",), None, None)
+    (nets,) = build_corpus([rec], ["topic"])
+    mention = nets.graphs[InteractionKind.MENTION]
+    assert {(mention.handle(u), mention.handle(v)) for u, v in mention.edges} == {("a", "b")}
+    assert mention.handles == ("a", "b")
+    assert nets.graphs[InteractionKind.REPLY].node_count == nets.graphs[InteractionKind.QUOTE_RETWEET].node_count == 0
 
 
 def test_parse_timestamp_variants():
@@ -314,7 +333,7 @@ def test_token_keys_never_part_characters_the_pattern_equates():
 
 def test_build_corpus_unicode_case_folding():
     texts = ["ſtop now", "#Stop", "İs it", "ıs", "\u212ain", "µ here", "#ſTOP_x", "naïve na", "Straße"]
-    records = [InteractionRecord(post_id=str(i), author="a", text=t, mentioned=("b",)) for i, t in enumerate(texts)]
+    records = [InteractionRecord(author="a", text=t, mentioned=("b",)) for t in texts]
     terms = ["stop", "#stop", "is", "kin", "μ", "na", "strasse"]
     corpus = build_corpus(records, terms)
     assert_same_corpus(corpus, oracles.scan_corpus(records, terms))
@@ -324,7 +343,7 @@ def test_build_corpus_unicode_case_folding():
 def test_build_corpus_term_split_by_combining_iota():
     # U+0345 is not a letter, yet IGNORECASE equates it with the letter iota
     texts = ["a\u0345", "aι b", "a\u0345b", "aιb", "aΙ"]
-    records = [InteractionRecord(post_id=str(i), author="a", text=t, mentioned=("b",)) for i, t in enumerate(texts)]
+    records = [InteractionRecord(author="a", text=t, mentioned=("b",)) for t in texts]
     terms = ["aι", "a\u0345b"]
     corpus = build_corpus(records, terms)
     assert_same_corpus(corpus, oracles.scan_corpus(records, terms))
@@ -347,11 +366,10 @@ def property_records(draw):
     pieces = st.one_of(st.sampled_from(WORDS), st.text(ALPHABET, max_size=3))
     seps = st.sampled_from(["", " ", " ", "-", "_", "#", "."])
     records = []
-    for i in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(0, 12))):
         parts = draw(st.lists(st.tuples(seps, pieces), max_size=6))
         records.append(
             InteractionRecord(
-                post_id=str(i),
                 author=draw(HANDLES),
                 text="".join(sep + word for sep, word in parts),
                 mentioned=tuple(draw(st.lists(HANDLES, max_size=2))),

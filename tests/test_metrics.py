@@ -9,9 +9,9 @@ from termnet.metrics import (
     reciprocity,
     transitivity,
 )
-from termnet.synth import gen_random_digraph
 
 import oracles
+from oracles import gen_random_digraph
 
 
 def test_density_examples():

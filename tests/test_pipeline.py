@@ -36,9 +36,10 @@ from termnet.pipeline import (
     write_networks,
 )
 from termnet.ranking import read_labels_csv, write_labels_csv
-from termnet.synth import SynthSpec, gen_random_digraph_m, generate_corpus, write_corpus
+from termnet.synth import SynthSpec, generate_corpus, write_corpus
 
 import oracles
+from oracles import gen_random_digraph_m
 
 
 # ---------------------------------------------------------------- helpers
@@ -67,22 +68,22 @@ def test_parse_window_bound():
 
 def test_filter_records_window_inclusive():
     lines = [
-        json.dumps({"post_id": str(i), "author": "a", "text": "x", "timestamp": f"2020-11-{9 + i:02d}T12:00:00Z"})
+        json.dumps({"post_id": str(i), "author": "a", "text": str(i), "timestamp": f"2020-11-{9 + i:02d}T12:00:00Z"})
         for i in range(5)
     ]
     text = "\n".join(lines)
     lo = parse_window_bound("2020-11-10T12:00:00Z", False)
     hi = parse_window_bound("2020-11-12T12:00:00Z", True)
-    assert [r.post_id for r in parse_records(text, lo, hi).records] == ["1", "2", "3"]
-    assert [r.post_id for r in parse_records(text).records] == ["0", "1", "2", "3", "4"]
-    assert [r.post_id for r in parse_records(text, lo).records] == ["1", "2", "3", "4"]
+    assert [r.text for r in parse_records(text, lo, hi).records] == ["1", "2", "3"]
+    assert [r.text for r in parse_records(text).records] == ["0", "1", "2", "3", "4"]
+    assert [r.text for r in parse_records(text, lo).records] == ["1", "2", "3", "4"]
 
 
 def test_bare_to_date_keeps_the_whole_last_second():
     stamps = ["2020-12-07T23:59:59.500Z", "2020-12-07T23:59:59.999999Z", "2020-12-08T00:00:00Z"]
-    lines = [json.dumps({"post_id": str(i), "author": "a", "text": "x", "timestamp": t}) for i, t in enumerate(stamps)]
+    lines = [json.dumps({"post_id": str(i), "author": "a", "text": str(i), "timestamp": t}) for i, t in enumerate(stamps)]
     kept = parse_records("\n".join(lines), None, parse_window_bound("2020-12-07", end_of_day=True)).records
-    assert [r.post_id for r in kept] == ["0", "1"]
+    assert [r.text for r in kept] == ["0", "1"]
 
 
 # ---------------------------------------------------------------- slugs
@@ -410,9 +411,12 @@ def test_cli_networks_window_matches_per_term_scan(tmp_path, capsys):
     assert run_cli("networks", corpus / "records.jsonl", corpus / "terms.txt", "-o", nets, *window) == 0
     capsys.readouterr()
 
-    records = parse_records((corpus / "records.jsonl").read_text()).records
+    lines = (corpus / "records.jsonl").read_text().splitlines()
+    records = parse_records(lines).records
+    stamps = [parse_timestamp(json.loads(line)["timestamp"]) for line in lines]
+    assert len(records) == len(stamps)
     lo, hi = parse_window_bound(window[1], end_of_day=False), parse_window_bound(window[3], end_of_day=True)
-    kept = [r for r in records if lo <= parse_timestamp(r.timestamp) <= hi]
+    kept = [r for r, stamp in zip(records, stamps) if lo <= stamp <= hi]
     assert 0 < len(kept) < len(records)
     want = tmp_path / "want"
     manifest_hash = json.loads((nets / "manifest.json").read_text())["manifest_sha256"]
@@ -547,8 +551,14 @@ def test_write_networks_removes_only_the_listed_edge_files(tmp_path, corpus_dir)
     (outdir / "notes.edges.csv").write_text("not listed\n", encoding="utf-8")
     outside = tmp_path / "outside.edges.csv"
     outside.write_text("listed with a path\n", encoding="utf-8")
-    with open(outdir / "summary.csv", "a", encoding="utf-8") as fh:
-        fh.write(f"x,mention,0,0,0,../{outside.name}\nx,mention,0,0,0,{outside}\n")
+    summary = (outdir / "summary.csv").read_text(encoding="utf-8")
+    before = set(os.listdir(outdir))
+    for listed in (f"../{outside.name}", str(outside)):  # a path is no file name: nothing is removed
+        (outdir / "summary.csv").write_text(summary + f"x,mention,0,0,0,{listed}\n", encoding="utf-8")
+        with pytest.raises(InputError, match="column 'file'"):
+            write_networks(build_corpus(records, terms[:3]), outdir, manifest_hash="b" * 64)
+        assert set(os.listdir(outdir)) == before
+    (outdir / "summary.csv").write_text(summary, encoding="utf-8")
     second = write_networks(build_corpus(records, terms[:3]), outdir, manifest_hash="b" * 64)
     assert len(first) == 18 and [row[-1] for row in second] == [row[-1] for row in first[:9]]
     assert set(os.listdir(outdir)) == {row[-1] for row in second} | {"summary.csv", "notes.edges.csv"}

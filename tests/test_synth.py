@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from termnet.ingest import build_corpus, parse_records, parse_timestamp, read_terms_file, term_matches
+from oracles import gen_random_digraph, gen_random_digraph_m, term_matches
+from termnet.ingest import build_corpus, parse_records, parse_timestamp, read_terms_file
 from termnet.ranking import (
     CONTROVERSIAL,
     NON_CONTROVERSIAL,
@@ -9,7 +12,7 @@ from termnet.ranking import (
     partition_terms,
     read_ratings_csv,
 )
-from termnet.synth import SynthSpec, gen_random_digraph, gen_random_digraph_m, generate_corpus, write_corpus
+from termnet.synth import SynthSpec, generate_corpus, write_corpus
 
 
 def test_gen_random_digraph_bounds():
@@ -93,10 +96,10 @@ def test_corpus_records_match_their_own_term_only():
     corpus = generate_corpus(spec)
     records = parse_records(corpus.records_jsonl).records
     terms = corpus.terms_txt.splitlines()
-    for i, term in enumerate(terms):
+    for term in terms:
         matching = [r for r in records if term_matches(r.text, term)]
         assert len(matching) == 10
-        assert all(r.post_id.startswith(f"p{i:03d}-") for r in matching)
+        assert all(r.text.startswith(f"{term} take ") for r in matching)
 
 
 def test_ratings_recover_ground_truth_exactly(tmp_path):
@@ -146,8 +149,10 @@ def test_signal_separates_hub_usage():
     # three hubs; non-controversial terms stay inside the 12-user community
     corpus = generate_corpus(SynthSpec(n_terms=2, records_per_term=80, seed=13, signal=1.0))
     records = parse_records(corpus.records_jsonl).records
-    contr = [r for r in records if r.post_id.startswith("p000-")]
-    non = [r for r in records if r.post_id.startswith("p001-")]
+    contr_term, non_term = corpus.terms_txt.split()
+    contr = [r for r in records if r.text.startswith(f"{contr_term} take ")]
+    non = [r for r in records if r.text.startswith(f"{non_term} take ")]
+    assert len(contr) == len(non) == 80
     hub_names = {f"u{i:03d}x{j:02d}" for i in (0, 1) for j in range(3)}
     contr_targets = [m for r in contr for m in r.mentioned]
     non_targets = [m for r in non for m in r.mentioned]
@@ -158,9 +163,10 @@ def test_signal_separates_hub_usage():
 def test_zero_signal_mixes_regimes():
     corpus = generate_corpus(SynthSpec(n_terms=2, records_per_term=200, seed=17, signal=0.0))
     records = parse_records(corpus.records_jsonl).records
-    for prefix in ("p000-", "p001-"):
-        subset = [r for r in records if r.post_id.startswith(prefix)]
-        hub_names = {f"u{int(prefix[1:4]):03d}x{j:02d}" for j in range(3)}
+    for i, term in enumerate(corpus.terms_txt.split()):
+        subset = [r for r in records if r.text.startswith(f"{term} take ")]
+        assert len(subset) == 200
+        hub_names = {f"u{i:03d}x{j:02d}" for j in range(3)}
         hub_hits = sum(1 for r in subset for m in r.mentioned if m in hub_names)
         total = sum(len(r.mentioned) for r in subset)
         assert 0.25 < hub_hits / total < 0.75  # q_hub = 0.5 either way
@@ -175,7 +181,8 @@ def test_write_corpus_files(tmp_path):
 
 def test_timestamps_inside_window():
     corpus = generate_corpus(SynthSpec(n_terms=2, records_per_term=50, seed=8))
-    records = parse_records(corpus.records_jsonl).records
-    stamps = sorted(parse_timestamp(r.timestamp) for r in records)
+    lines = corpus.records_jsonl.splitlines()
+    assert len(parse_records(lines).records) == len(lines)
+    stamps = sorted(parse_timestamp(json.loads(line)["timestamp"]) for line in lines)
     assert stamps[0].isoformat() >= "2020-11-09T00:00:00+00:00"
     assert stamps[-1].isoformat() < "2020-12-08T00:00:00+00:00"

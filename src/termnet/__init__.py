@@ -7,6 +7,7 @@ subgraphs on 3 and 4 nodes, and runs a binary classification protocol
 (PCA, logistic regression / linear SVM / random forest, 10-fold CV).
 """
 
+import importlib
 import os
 
 # One BLAS thread: a threaded BLAS may sum in a different order and change
@@ -24,11 +25,27 @@ from .ingest import (
     build_corpus,
     parse_records,
 )
-from .ranking import aggregate_ratings, label_distribution, partition_terms
+from .ranking import aggregate_ratings, partition_terms
 from .metrics import GlobalFeatures, global_feature_vector
 from .census import CensusVector, build_class_table, census, census_parallel
-from .ml import assemble_feature_sets, cross_validate, pca2, standardize
-from .synth import SynthSpec, generate_corpus
+
+# The names that compute with numpy, by module: each loads numpy on first use,
+# so the stages that do not compute with it start without it.
+_NUMPY_NAMES = dict(
+    assemble_feature_sets="ml",
+    cross_validate="ml",
+    pca2="ml",
+    standardize="ml",
+    SynthSpec="synth",
+    generate_corpus="synth",
+)
+
+
+def __getattr__(name):
+    if name in _NUMPY_NAMES:
+        return getattr(importlib.import_module(f".{_NUMPY_NAMES[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DirectedGraph",
@@ -41,18 +58,12 @@ __all__ = [
     "build_corpus",
     "aggregate_ratings",
     "partition_terms",
-    "label_distribution",
     "GlobalFeatures",
     "global_feature_vector",
     "CensusVector",
     "build_class_table",
     "census",
     "census_parallel",
-    "assemble_feature_sets",
-    "standardize",
-    "pca2",
-    "cross_validate",
-    "SynthSpec",
-    "generate_corpus",
+    *_NUMPY_NAMES,
     "__version__",
 ]

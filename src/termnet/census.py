@@ -1,8 +1,9 @@
 """Exact census of weakly-connected induced directed subgraphs on 3 and 4 nodes.
 
-The class universe is built once by exhaustive canonicalization of every
+The class universe is built once, in pure Python, by canonicalizing every
 labeled adjacency code (64 for k=3, 4096 for k=4): the canonical form of a
-code is the minimum code over all node permutations, and codes whose
+code is the minimum code over all node permutations, found by orbit
+enumeration in ascending code order, and codes whose
 undirected skeleton is connected are grouped into isomorphism classes.  That
 yields 13 size-3 and 199 size-4 classes, 212 in total, indexed by ascending
 canonical code with the size-3 block first.
@@ -35,11 +36,8 @@ import hashlib
 import itertools
 import os
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from . import manifest
 from .graphs import DirectedGraph, pair_order
@@ -163,36 +161,48 @@ def _skeleton_connected_masks(k: int) -> list[bool]:
     return out
 
 
-def _canonicalize_all(k: int) -> tuple[np.ndarray, np.ndarray]:
+def _bit_image(m: int, image: list[int]):
+    """code -> the OR of image[s] over the set bits s (shifts) of an m-bit code, m even.
+
+    Two lookups, one per half of the code, each table built one bit at a time.
+    """
+    h = m // 2
+
+    def half(offset: int) -> list[int]:
+        out = [0] * (1 << h)
+        for c in range(1, 1 << h):
+            out[c] = out[c & (c - 1)] | image[offset + (c & -c).bit_length() - 1]
+        return out
+
+    low, high, mask = half(0), half(h), (1 << h) - 1
+    return lambda code: low[code & mask] | high[code >> h]
+
+
+def _canonicalize_all(k: int) -> tuple[list[int], list[bool]]:
     """(canonical code, skeleton-connected flag) for every labeled k-node code.
 
-    Vectorized over all codes: for each node permutation the relabeled code is
-    a bit gather, expressed as a matmul of the bit matrix with permuted bit
-    weights; the canonical code is the elementwise minimum.
+    Orbit enumeration: the codes are walked in ascending order, and each code
+    not yet reached is relabeled under all k! node permutations, which marks
+    every code of its orbit with it, the orbit's smallest member.
     """
     pairs = pair_order(k)
     m = len(pairs)
-    pos = {pair: p for p, pair in enumerate(pairs)}
-    codes = np.arange(1 << m, dtype=np.int64)
-    # column p of `bits` is the bit of ordered pair pairs[p] (MSB-first layout)
-    bits = (codes[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1
-
-    canon = codes.copy()
-    for perm in itertools.permutations(range(k)):
-        weights = np.zeros(m, dtype=np.int64)
-        for p, (i, j) in enumerate(pairs):
-            q = pos[(perm[i], perm[j])]
-            weights[p] = 1 << (m - 1 - q)
-        np.minimum(canon, bits @ weights, out=canon)
+    shift = {pair: m - 1 - p for p, pair in enumerate(pairs)}
+    at = [pairs[m - 1 - s] for s in range(m)]  # the ordered pair of each bit shift
+    relabelings = [
+        _bit_image(m, [1 << shift[(perm[i], perm[j])] for i, j in at]) for perm in itertools.permutations(range(k))
+    ]
+    canon = [-1] * (1 << m)
+    for code in range(1 << m):
+        if canon[code] < 0:
+            for relabel in relabelings:
+                canon[relabel(code)] = code
 
     # skeleton mask: undirected pair (i,j), i<j, present iff either direction is
-    und_pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    skel = np.zeros(len(codes), dtype=np.int64)
-    for p, (i, j) in enumerate(und_pairs):
-        present = bits[:, pos[(i, j)]] | bits[:, pos[(j, i)]]
-        skel |= present << p
-    conn_by_mask = np.array(_skeleton_connected_masks(k), dtype=bool)
-    return canon, conn_by_mask[skel]
+    und = {(i, j): p for p, (i, j) in enumerate(itertools.combinations(range(k), 2))}
+    skeleton = _bit_image(m, [1 << und[(min(i, j), max(i, j))] for i, j in at])
+    conn_by_mask = _skeleton_connected_masks(k)
+    return canon, [conn_by_mask[skeleton(code)] for code in range(1 << m)]
 
 
 def build_class_table(unused=None, /) -> CanonicalClassTable:
@@ -201,36 +211,36 @@ def build_class_table(unused=None, /) -> CanonicalClassTable:
     The one positional parameter is ignored; it remains only because the
     benchmark harness calls `build_class_table(None)`.
     """
-    tables: dict[int, np.ndarray] = {}
-    canonical: dict[int, np.ndarray] = {}
+    tables: dict[int, list[int]] = {}
+    canonical: dict[int, list[int]] = {}
     base = 0
     for k, expected in ((3, CLASS_COUNT_3), (4, CLASS_COUNT_4)):
         canon, connected = _canonicalize_all(k)
-        classes = np.unique(canon[connected])  # sorted: class ids ascend with canonical code
+        classes = sorted({c for c, conn in zip(canon, connected) if conn})  # class ids ascend with canonical code
         if len(classes) != expected:
             raise RuntimeError(
                 f"k={k}: found {len(classes)} weakly-connected classes, expected "
-                f"{expected}; canonical codes: {classes.tolist()}"
+                f"{expected}; canonical codes: {classes}"
             )
-        table = np.where(connected, base + np.searchsorted(classes, canon), -1).astype(np.int64)
+        class_id = {c: base + i for i, c in enumerate(classes)}
+        table = [class_id[c] if conn else -1 for c, conn in zip(canon, connected)]
         # soundness: a code and its canonical form share one class; isomorphic
         # relabelings never change skeleton connectivity
-        bad = (connected != connected[canon]) | (table != table[canon])
-        if bad.any():
-            code = int(np.argmax(bad))
-            raise RuntimeError(f"k={k}: code {code:#x} inconsistent with canonical {int(canon[code]):#x}")
+        for code, c in enumerate(canon):
+            if connected[code] != connected[c] or table[code] != table[c]:
+                raise RuntimeError(f"k={k}: code {code:#x} inconsistent with canonical {c:#x}")
         tables[k], canonical[k] = table, classes
         base += expected
 
     digest = hashlib.sha256()
     digest.update(_TABLE_FORMAT.encode())
-    digest.update(tables[3].tobytes())
-    digest.update(tables[4].tobytes())
+    digest.update(array("q", tables[3]).tobytes())
+    digest.update(array("q", tables[4]).tobytes())
     return CanonicalClassTable(
-        class_of_code3=tuple(tables[3].tolist()),
-        class_of_code4=tuple(tables[4].tolist()),
-        canonical_codes3=tuple(canonical[3].tolist()),
-        canonical_codes4=tuple(canonical[4].tolist()),
+        class_of_code3=tuple(tables[3]),
+        class_of_code4=tuple(tables[4]),
+        canonical_codes3=tuple(canonical[3]),
+        canonical_codes4=tuple(canonical[4]),
         content_hash=digest.hexdigest(),
     )
 
@@ -513,6 +523,8 @@ def census_parallel(g: DirectedGraph, workers: int) -> CensusVector:
     workers = min(workers, os.cpu_count() or 1)
     if workers == 1 or g.node_count < 3:
         return census(g)
+    from concurrent.futures import ProcessPoolExecutor  # here: its import chain would slow every process's start
+
     shards = [range(w, g.node_count, workers) for w in range(workers)]
     totals = [0] * TOTAL_CLASSES
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -35,7 +35,6 @@ from .ranking import (
     write_labels_csv,
     read_labels_csv,
 )
-from .synth import SynthSpec, write_corpus
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,6 +194,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import SynthSpec, write_corpus  # here, not at the top: only classify and synth load numpy
+
     spec = SynthSpec(n_terms=args.terms, records_per_term=args.records, seed=args.seed, signal=args.signal)
     manifest = RunManifest(
         command="synth",

@@ -130,7 +130,7 @@ def build_graph(pairs: Iterable[tuple[str, str]]) -> DirectedGraph:
     """
     index: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
-    for src, dst in pairs:
+    for src, dst in dict.fromkeys(pairs):  # repeats dropped before interning, first appearance kept
         if src == dst:
             continue
         u = index.setdefault(src, len(index))
@@ -157,4 +157,4 @@ def write_edge_csv(g: DirectedGraph, path, manifest_hash: str) -> None:
 
 def read_edge_csv(path) -> DirectedGraph:
     """Rebuild a graph from a `write_edge_csv` file."""
-    return build_graph(read_table(path, EDGE_COLUMNS, "edge-list", key=0))
+    return build_graph(map(tuple, read_table(path, EDGE_COLUMNS, "edge-list", key=0)))

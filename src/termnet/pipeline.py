@@ -13,7 +13,6 @@ import os
 import re
 from dataclasses import dataclass
 
-from . import ml
 from .census import TOTAL_CLASSES, CensusVector, census, census_parallel
 from .graphs import DirectedGraph, read_edge_csv, write_edge_csv
 from .ingest import InteractionKind, TermNetworkSet
@@ -116,8 +115,16 @@ def write_networks(corpus: list[TermNetworkSet], outdir, manifest_hash: str) -> 
 
 
 def read_summary(networks_dir) -> list[list]:
-    """The rows of a networks directory's summary.csv, in file order; no (term, interaction) twice."""
-    return read_table(os.path.join(str(networks_dir), SUMMARY_NAME), SUMMARY_COLUMNS, "summary", key=2)
+    """The rows of a networks directory's summary.csv, in file order; no (term, interaction) and no
+    file twice."""
+    path = os.path.join(str(networks_dir), SUMMARY_NAME)
+    rows = read_table(path, SUMMARY_COLUMNS, "summary", key=2)
+    files = set()
+    for *_, fname in rows:
+        if fname in files:
+            raise InputError(f"{path}: file {fname} is listed twice")
+        files.add(fname)
+    return rows
 
 
 def read_networks(networks_dir) -> list[NetworkRef]:
@@ -208,6 +215,8 @@ def classify_datasets(
     `positive_class`.  Outputs depend only on the inputs and manifest
     parameters.
     """
+    from . import ml  # here, not at the top: only classify and synth load numpy
+
     datasets = ml.assemble_feature_sets(global_vecs, local_vecs, labels)
     os.makedirs(outdir, exist_ok=True)
 

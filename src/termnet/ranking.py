@@ -16,27 +16,17 @@ __all__ = [
     "CONTROVERSIAL",
     "DEFAULT_THRESHOLD",
     "LABELS_COLUMNS",
-    "LIKERT_NAMES",
     "NON_CONTROVERSIAL",
     "RATINGS_COLUMNS",
     "RatingAggregate",
     "RatingRow",
     "TermLabel",
     "aggregate_ratings",
-    "label_distribution",
     "partition_terms",
     "read_ratings_csv",
     "read_labels_csv",
     "write_labels_csv",
 ]
-
-LIKERT_NAMES = (
-    "Neutral",
-    "Somewhat Controversial",
-    "Controversial",
-    "Very Controversial",
-    "Highly Controversial",
-)
 
 CONTROVERSIAL = "controversial"
 NON_CONTROVERSIAL = "non-controversial"
@@ -111,19 +101,6 @@ def partition_terms(aggs: list[RatingAggregate], threshold: float = DEFAULT_THRE
         )
         for a in aggs
     ]
-
-
-def label_distribution(rows: list[RatingRow]) -> dict[str, float]:
-    """Percentage of all ratings at each Likert level, keyed by level name."""
-    if not rows:
-        raise InputError("label_distribution requires at least one rating")
-    counts = [0] * 5
-    for row in rows:
-        if not 0 <= row.score <= 4:
-            raise InputError(f"score {row.score} outside 0..4")
-        counts[row.score] += 1
-    n = len(rows)
-    return {LIKERT_NAMES[i]: 100.0 * counts[i] / n for i in range(5)}
 
 
 def read_ratings_csv(path) -> list[RatingRow]:

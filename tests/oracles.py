@@ -8,7 +8,10 @@ shares no code with the package beyond the documented bit layout.  The one excep
 term scan, which calls the package's `_term_pattern` (through `term_matches`)
 and `build_graph`: the term pattern is the definition of a match, and what the
 scan checks is the package's single-pass candidate index, not the pattern.
-The random digraph generators at the end make inputs, not answers.
+`reference_class_table` builds the class table array-wise with numpy, a
+second route beside the package's orbit enumeration.  `label_distribution`
+tabulates ratings as the paper does; no stage writes that table.  The
+random digraph generators at the end make inputs, not answers.
 """
 
 import itertools
@@ -108,6 +111,33 @@ def _class_lookup():
         lookups = [[index.get((k, c), -1) for c in _canon_map(k)] for k in (3, 4)]
         _CLASS_LOOKUP.extend(lookups + [len(index)])
     return _CLASS_LOOKUP
+
+
+def reference_class_table():
+    """(class_of_code3, class_of_code4, canonical_codes3, canonical_codes4), built array-wise.
+
+    Every code's relabeling under a permutation is a bit gather, taken for all
+    codes at once as a matmul of the bit matrix with the permuted bit weights;
+    the canonical code is the elementwise minimum.
+    """
+    tables, canonical, base = [], [], 0
+    for k in (3, 4):
+        pairs = ordered_pairs(k)
+        m = len(pairs)
+        pos = {pair: p for p, pair in enumerate(pairs)}
+        codes = np.arange(1 << m, dtype=np.int64)
+        # column p of `bits` is the bit of ordered pair pairs[p] (MSB-first layout)
+        bits = (codes[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1
+        canon = codes.copy()
+        for perm in itertools.permutations(range(k)):
+            weights = np.array([1 << (m - 1 - pos[(perm[i], perm[j])]) for i, j in pairs], dtype=np.int64)
+            np.minimum(canon, bits @ weights, out=canon)
+        connected = np.array([skeleton_connected(code, k) for code in range(1 << m)])
+        classes = np.unique(canon[connected])
+        tables.append(np.where(connected, base + np.searchsorted(classes, canon), -1).tolist())
+        canonical.append(classes.tolist())
+        base += len(classes)
+    return tables[0], tables[1], canonical[0], canonical[1]
 
 
 def brute_census(g):
@@ -540,6 +570,28 @@ def scan_corpus(records, terms):
         graphs = {kind: build_graph(p) for kind, p in pairs.items()}
         corpus.append(TermNetworkSet(term=term, graphs=graphs, matched_records=matched))
     return corpus
+
+
+LIKERT_NAMES = (
+    "Neutral",
+    "Somewhat Controversial",
+    "Controversial",
+    "Very Controversial",
+    "Highly Controversial",
+)
+
+
+def label_distribution(rows) -> dict[str, float]:
+    """Percentage of all ratings at each Likert level, keyed by level name."""
+    if not rows:
+        raise InputError("label_distribution requires at least one rating")
+    counts = [0] * 5
+    for row in rows:
+        if not 0 <= row.score <= 4:
+            raise InputError(f"score {row.score} outside 0..4")
+        counts[row.score] += 1
+    n = len(rows)
+    return {LIKERT_NAMES[i]: 100.0 * counts[i] / n for i in range(5)}
 
 
 def gen_random_digraph(n: int, p: float, seed: int) -> DirectedGraph:

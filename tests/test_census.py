@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import time
@@ -207,7 +208,7 @@ def test_census_parallel_starts_no_more_processes_than_cores(monkeypatch, cores,
             return list(map(fn, *iterables))
 
     census_mod = importlib.import_module("termnet.census")  # `termnet.census` is also the function
-    monkeypatch.setattr(census_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)  # imported on use
     monkeypatch.setattr(census_mod.os, "cpu_count", lambda: cores)
     g = gen_random_digraph(40, 0.1, seed=4)
     assert census_parallel(g, 5000).counts == census(g).counts
@@ -333,6 +334,18 @@ def test_census_vector_normalization():
 def test_class_table_hash_is_pinned():
     # every features manifest and the benchmark's class-table reference depend on these bytes
     assert get_class_table().content_hash == "e39da4c4a5e1b87e78378f3b355e94933f538e60598a21c34ccd6026f5e5bc7c"
+
+
+def test_class_table_equals_reference_class_table(class_table):
+    class3, class4, canonical3, canonical4 = oracles.reference_class_table()
+    assert list(class_table.class_of_code3) == class3
+    assert list(class_table.class_of_code4) == class4
+    assert list(class_table.canonical_codes3) == canonical3
+    assert list(class_table.canonical_codes4) == canonical4
+    # the hash reads the table as int64 bytes, which numpy writes the same way
+    digest = hashlib.sha256(b"termnet-class-table-v1")
+    digest.update(np.array(class3, dtype=np.int64).tobytes() + np.array(class4, dtype=np.int64).tobytes())
+    assert class_table.content_hash == digest.hexdigest()
 
 
 @pytest.mark.parametrize(

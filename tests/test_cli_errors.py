@@ -230,6 +230,21 @@ def test_summary_file_must_be_an_edge_file_name(valid, tmp_path, cell, manifest)
     assert "column 'file'" in err and not (tmp_path / "f.csv").exists()
 
 
+@pytest.mark.parametrize("manifest", [False, True])
+def test_summary_file_listed_twice_is_rejected(valid, tmp_path, manifest):
+    # term001's mention row named #term000's network, with its counts: features exited 0
+    # with term001's features computed from #term000's network
+    nets = tmp_path / "nets"
+    shutil.copytree(valid / "nets", nets)
+    rows = read_summary(nets)
+    taken, row = rows[0], next(i for i, r in enumerate(rows) if r[:2] == ["term001", "mention"])
+    for column in (2, 3, 5):  # nodes, edges, file
+        _edit_row(nets / "summary.csv", row, column, str(taken[column]))
+    rc, err = run("features", nets, "-o", tmp_path / "f.csv", *["--manifest"] * manifest)
+    assert_input_error(rc, err, nets / "summary.csv")
+    assert f"file {taken[5]} is listed twice" in err and not (tmp_path / "f.csv").exists()
+
+
 @pytest.mark.parametrize("cell", BAD_FILE_CELLS)
 def test_networks_rejects_a_reused_directory_whose_summary_lists_no_file_name(valid, tmp_path, cell):
     nets = _summary_listing(valid, tmp_path, cell)

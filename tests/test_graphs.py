@@ -39,6 +39,19 @@ def test_build_graph_interns_first_appearance():
     assert [g.handle(i) for i in range(3)] == ["x", "y", "z"]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd")), min_size=1, max_size=12), st.data())
+def test_build_graph_ignores_repeats_of_earlier_pairs(pairs, data):
+    repeated = list(pairs)
+    for _ in range(data.draw(st.integers(0, 10))):
+        at = data.draw(st.integers(1, len(repeated)))
+        repeated.insert(at, repeated[data.draw(st.integers(0, at - 1))])
+    g = build_graph(repeated)
+    assert g == build_graph(pairs)  # node count, edges and handles in order
+    handles = [h for src, dst in pairs if src != dst for h in (src, dst)]
+    assert list(g.handles) == sorted(set(handles), key=handles.index)  # first appearance
+
+
 def test_build_graph_idempotent_on_own_edge_list():
     g = build_graph([("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")])
     pairs = [(g.handle(u), g.handle(v)) for u, v in g.sorted_edges()]

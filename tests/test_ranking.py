@@ -6,16 +6,16 @@ import pytest
 from termnet.manifest import InputError
 from termnet.ranking import (
     CONTROVERSIAL,
-    LIKERT_NAMES,
     NON_CONTROVERSIAL,
     RatingRow,
     aggregate_ratings,
-    label_distribution,
     partition_terms,
     read_labels_csv,
     read_ratings_csv,
     write_labels_csv,
 )
+
+from oracles import LIKERT_NAMES, label_distribution
 
 
 def rows_for(term, scores):

@@ -27,7 +27,7 @@ from .ingest import (
 )
 from .ranking import aggregate_ratings, partition_terms
 from .metrics import GlobalFeatures, global_feature_vector
-from .census import CensusVector, build_class_table, census, census_parallel
+from .census import CensusVector, build_class_table, census
 
 # The names that compute with numpy, by module: each loads numpy on first use,
 # so the stages that do not compute with it start without it.
@@ -63,7 +63,6 @@ __all__ = [
     "CensusVector",
     "build_class_table",
     "census",
-    "census_parallel",
     *_NUMPY_NAMES,
     "__version__",
 ]

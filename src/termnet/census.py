@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import os
 from array import array
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,7 +49,6 @@ __all__ = [
     "CensusVector",
     "build_class_table",
     "census",
-    "census_parallel",
     "get_class_table",
 ]
 
@@ -345,14 +343,13 @@ def _term_deltas() -> list[array]:
     return deltas
 
 
-def _count_from_roots(g: DirectedGraph, roots) -> list[int]:
-    """Census counts of the work owned by the given roots.
+def _count_from_roots(g: DirectedGraph) -> list[int]:
+    """The 212 class counts of g, from one pass over its nodes as roots.
 
     Nodes are ranked by descending skeleton degree (ties by id).  A root owns
     its own star products, every edge to a higher-ranked neighbor, and every
-    listed triangle, K4 and induced C4 whose lowest-ranked node it is.  Each
-    piece of work has exactly one owner, so partial counts over any partition
-    of the nodes sum to the census (a single part may hold negative counts).
+    listed triangle, K4 and induced C4 whose lowest-ranked node it is, so each
+    piece of work is done exactly once.
     """
     adj = g.skeleton_adjacency
     outs = g._out_sets
@@ -369,7 +366,7 @@ def _count_from_roots(g: DirectedGraph, roots) -> list[int]:
         rank[v] = r
 
     tally = [0] * _TALLY_SIZE
-    for x in roots:
+    for x in range(n):
         nx = adj[x]
         if len(nx) < 2:
             continue  # centers nothing; its one edge is its neighbor's or counts nothing
@@ -508,28 +505,15 @@ def census(g: DirectedGraph) -> CensusVector:
     """Exact 212-class census of g; graphs with under 3 nodes yield zeros."""
     if g.node_count < 3:
         return CensusVector.from_counts([0] * TOTAL_CLASSES)
-    return CensusVector.from_counts(_count_from_roots(g, range(g.node_count)))
+    return CensusVector.from_counts(_count_from_roots(g))
 
 
 def census_parallel(g: DirectedGraph, workers: int) -> CensusVector:
-    """census(g) with its roots sharded round-robin across worker processes.
+    """census(g), counted in this process whatever `workers` (>= 1) is.
 
-    Integer partial counts (one shard's may be negative) are summed, so the
-    result is identical for every worker count.  No more processes start
-    than the host has cores.
+    Kept only because perfbench traces this name (ROADMAP item 3).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    workers = min(workers, os.cpu_count() or 1)
-    if workers == 1 or g.node_count < 3:
-        return census(g)
-    from concurrent.futures import ProcessPoolExecutor  # here: its import chain would slow every process's start
-
-    shards = [range(w, g.node_count, workers) for w in range(workers)]
-    totals = [0] * TOTAL_CLASSES
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for partial in pool.map(_count_from_roots, [g] * workers, shards):
-            for i, c in enumerate(partial):
-                totals[i] += c
-    return CensusVector.from_counts(totals)
+    return census(g)
 

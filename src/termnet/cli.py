@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_feat = sub.add_parser("features", help="global metrics and subgraph census per network")
     p_feat.add_argument("networks_dir")
     p_feat.add_argument("-o", "--out", required=True)
-    p_feat.add_argument("--workers", type=int, default=1, help="processes sharing the census of each network of 800+ nodes, at most one per core")
+    p_feat.add_argument("--workers", type=int, default=1, help="ignored: every census is counted in this process (must be >= 1)")
     p_feat.add_argument("--manifest", action="store_true", help="print the run manifest and exit")
 
     p_rank = sub.add_parser("rank", help="aggregate ratings and label terms")
@@ -143,7 +143,7 @@ def _cmd_features(args) -> int:
     if args.manifest:
         return _emit_manifest(manifest)
     refs = read_networks(args.networks_dir)
-    rows = compute_features(refs, workers=args.workers)
+    rows = compute_features(refs)
     write_features_csv(rows, args.out, manifest.sha256)
     manifest.write(args.out + ".manifest.json")
     print(f"wrote {len(rows)} feature rows to {args.out}")

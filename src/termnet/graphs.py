@@ -3,7 +3,7 @@
 Every feature extractor shares this representation: a simple directed graph
 (no self-loops, no parallel edges) over dense integer node ids, with
 precomputed out/in/skeleton adjacency lists.  Graphs are immutable after
-construction, so concurrent read-only access from worker processes is safe.
+construction.
 
 Subgraph bit layout (shared by all modules): for k ordered nodes, the code is
 the adjacency matrix read row by row with the diagonal skipped, most
@@ -116,9 +116,6 @@ class DirectedGraph:
 
     def __repr__(self) -> str:
         return f"DirectedGraph(nodes={self.node_count}, edges={len(self.edges)})"
-
-    def __reduce__(self):
-        return (DirectedGraph, (self.node_count, self.sorted_edges(), self.handles))
 
 
 def build_graph(pairs: Iterable[tuple[str, str]]) -> DirectedGraph:

@@ -13,7 +13,7 @@ import os
 import re
 from dataclasses import dataclass
 
-from .census import TOTAL_CLASSES, CensusVector, census, census_parallel
+from .census import TOTAL_CLASSES, CensusVector, census
 from .graphs import DirectedGraph, read_edge_csv, write_edge_csv
 from .ingest import InteractionKind, TermNetworkSet
 from .manifest import InputError, count, finite, one_of, read_table, write_csv, write_json
@@ -55,7 +55,6 @@ def _edge_file(cell: str) -> str:
 SUMMARY_COLUMNS = dict(
     term=str, interaction=one_of(*KINDS), nodes=count, edges=count, matched_records=count, file=_edge_file
 )
-PARALLEL_CENSUS_MIN_NODES = 800  # below this, fork overhead beats root sharding
 
 
 # ---------------------------------------------------------------- networks
@@ -162,18 +161,12 @@ class FeatureRow:
     census: CensusVector
 
 
-def compute_features(refs: list[NetworkRef], workers: int = 1) -> list[FeatureRow]:
+def compute_features(refs: list[NetworkRef]) -> list[FeatureRow]:
     """Feature rows ordered term-ascending, interaction in fixed kind order."""
-    ordered = sorted(refs, key=lambda r: (r.term, KINDS.index(r.kind)))
-    rows = []
-    for ref in ordered:
-        gf = global_feature_vector(ref.graph)
-        if workers > 1 and ref.graph.node_count >= PARALLEL_CENSUS_MIN_NODES:
-            cv = census_parallel(ref.graph, workers)
-        else:
-            cv = census(ref.graph)
-        rows.append(FeatureRow(term=ref.term, kind=ref.kind, global_features=gf, census=cv))
-    return rows
+    return [
+        FeatureRow(ref.term, ref.kind, global_feature_vector(ref.graph), census(ref.graph))
+        for ref in sorted(refs, key=lambda r: (r.term, KINDS.index(r.kind)))
+    ]
 
 
 def write_features_csv(rows: list[FeatureRow], path, manifest_hash: str) -> None:

@@ -2,8 +2,9 @@
 
 Only `classify` and `synth` compute with numpy.  Every other command, and the
 `--manifest` run of every command but `synth`, starts without numpy and
-without the process pool's modules.  Each command runs in a fresh interpreter,
-because this one has loaded numpy already.
+without the process pool's modules, `features` also on a network of 900
+nodes at `--workers 2`.  Each command runs in a fresh interpreter, because
+this one has loaded numpy already.
 """
 
 import contextlib
@@ -17,6 +18,11 @@ import pytest
 
 import termnet
 from termnet.cli import main
+from termnet.graphs import build_graph
+from termnet.ingest import InteractionKind, TermNetworkSet
+from termnet.pipeline import write_networks
+
+from oracles import gen_random_digraph_m
 
 SRC = os.path.dirname(os.path.dirname(termnet.__file__))
 UNWANTED = ("numpy", "concurrent.futures.process")
@@ -52,7 +58,8 @@ print(json.dumps([code, NumpySpy.seen]))
 
 @pytest.fixture(scope="module")
 def stage_inputs(tmp_path_factory):
-    """synth --terms 6 --records 20, its networks, features and labels."""
+    """synth --terms 6 --records 20, its networks, features and labels, and a networks
+    directory whose mention network has 900 nodes."""
     root = tmp_path_factory.mktemp("stages")
     corpus = root / "corpus"
     with contextlib.redirect_stdout(io.StringIO()):
@@ -63,6 +70,10 @@ def stage_inputs(tmp_path_factory):
             ["rank", corpus / "ratings.csv", "-o", root / "labels.csv"],
         ):
             assert main([str(a) for a in argv]) == 0
+    big = gen_random_digraph_m(900, 3000, seed=4)
+    graphs = {kind: build_graph([]) for kind in InteractionKind}
+    graphs[InteractionKind.MENTION] = build_graph((f"u{u}", f"u{v}") for u, v in big.sorted_edges())
+    write_networks([TermNetworkSet(term="#big", graphs=graphs, matched_records=3000)], root / "big-nets", "c" * 64)
     return root
 
 
@@ -86,6 +97,7 @@ NUMPY_FREE = {
     "networks": NETWORKS,
     "features": FEATURES,
     "features --workers 2": FEATURES + ["--workers", "2"],
+    "features --workers 2 on 900 nodes": ["features", "{}/big-nets", "-o", "{}/out-big-features.csv", "--workers", "2"],
     "rank": RANK,
     "class-table": CLASS_TABLE,
     **{f"{argv[0]} --manifest": argv + ["--manifest"] for argv in (NETWORKS, FEATURES, RANK, CLASSIFY, CLASS_TABLE)},

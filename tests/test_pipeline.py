@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import termnet
-from termnet import ml, pipeline
-from termnet.census import census_parallel, get_class_table
+from termnet import ml
+from termnet.census import get_class_table
 from termnet.cli import main
 from termnet.graphs import build_graph
 from termnet.ingest import (
@@ -27,7 +27,6 @@ from termnet.manifest import InputError
 from termnet.pipeline import (
     CLASSIFIER_ORDER,
     FEATURE_SET_ORDER,
-    PARALLEL_CENSUS_MIN_NODES,
     compute_features,
     read_features_csv,
     read_networks,
@@ -312,7 +311,8 @@ def test_cli_classify_matches_library(tmp_path, capsys):
 
 @pytest.fixture()
 def big_nets(tmp_path, capsys):
-    """Small synthetic networks plus one mention network above the sharding threshold."""
+    """Small synthetic networks plus one mention network of 900 nodes, a size at which
+    `features` once sharded the census over a process pool."""
     corpus = tmp_path / "corpus"
     nets = tmp_path / "nets"
     run_cli("synth", "-o", corpus, "--terms", 3, "--records", 25, "--seed", 2)
@@ -324,30 +324,31 @@ def big_nets(tmp_path, capsys):
     graphs[InteractionKind.MENTION] = build_graph((f"u{u}", f"u{v}") for u, v in big.sorted_edges())
     networks.append(TermNetworkSet(term="#big", graphs=graphs, matched_records=3000))
     write_networks(networks, nets, manifest_hash="c" * 64)
-    assert max(ref.graph.node_count for ref in read_networks(nets)) >= PARALLEL_CENSUS_MIN_NODES
+    assert max(ref.graph.node_count for ref in read_networks(nets)) >= 800
     return nets
 
 
 @pytest.fixture()
-def sharded(monkeypatch):
-    """(nodes, workers) of every root-sharded census the features stage runs."""
-    calls = []
+def no_pool(monkeypatch):
+    """Makes any process pool fail to start, and checks that the test leaves no process or thread behind."""
 
-    def spy(g, workers):
-        calls.append((g.node_count, workers))
-        return census_parallel(g, workers)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(pipeline, "census_parallel", spy)
-    return calls
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)  # a pool would be imported on use
+    threads = threading.active_count()
+    assert multiprocessing.active_children() == []
+    yield
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
-def test_cli_features_byte_identical_across_workers(tmp_path, capsys, big_nets, sharded):
+def test_cli_features_byte_identical_across_workers(tmp_path, capsys, big_nets, no_pool):
+    # --workers is still parsed but ignored: every census runs in this process
     f1, f3 = tmp_path / "f1.csv", tmp_path / "f3.csv"
     assert run_cli("features", big_nets, "-o", f1, "--workers", 1) == 0
-    assert sharded == []
     assert run_cli("features", big_nets, "-o", f3, "--workers", 3) == 0
     capsys.readouterr()
-    assert [workers for _, workers in sharded] == [3]
     assert f1.read_bytes() == f3.read_bytes()
     m1 = json.loads((tmp_path / "f1.csv.manifest.json").read_text())
     m3 = json.loads((tmp_path / "f3.csv.manifest.json").read_text())
@@ -355,10 +356,9 @@ def test_cli_features_byte_identical_across_workers(tmp_path, capsys, big_nets, 
     assert m1["parameters"] == {} and len(m1["class_table_hash"]) == 64
 
 
-def test_cli_features_census_serial_by_default(tmp_path, capsys, big_nets, sharded):
+def test_cli_features_census_serial_by_default(tmp_path, capsys, big_nets, no_pool):
     assert run_cli("features", big_nets, "-o", tmp_path / "features.csv") == 0
     capsys.readouterr()
-    assert sharded == []
 
 
 def test_cli_features_has_no_block_options(tmp_path, capsys, corpus_dir):

@@ -352,7 +352,7 @@ def _count_from_roots(g: DirectedGraph) -> list[int]:
     piece of work is done exactly once.
     """
     adj = g.skeleton_adjacency
-    outs = g._out_sets
+    outs = [set(ns) for ns in g.out_adjacency]  # the hot membership test for dyad types
     n = g.node_count
     # typed degrees: out-only, in-only and mutual neighbors
     deg_out = [0] * n

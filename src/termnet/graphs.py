@@ -2,7 +2,7 @@
 
 Every feature extractor shares this representation: a simple directed graph
 (no self-loops, no parallel edges) over dense integer node ids, with
-precomputed out/in/skeleton adjacency lists.  Graphs are immutable after
+sorted out/in/skeleton adjacency tuples.  Graphs are immutable after
 construction.
 
 Subgraph bit layout (shared by all modules): for k ordered nodes, the code is
@@ -41,19 +41,13 @@ def pair_order(k: int) -> list[tuple[int, int]]:
 class DirectedGraph:
     """Simple directed graph over node ids 0..node_count-1.
 
-    `handles` optionally maps each id back to the original user handle;
-    synthetic graphs may leave it as None.
+    The sorted out-adjacency is the one stored copy of the edge set; the
+    sorted in- and skeleton adjacencies are derived from it once.  `handles`
+    optionally maps each id back to the original user handle; synthetic
+    graphs may leave it as None.
     """
 
-    __slots__ = (
-        "node_count",
-        "edges",
-        "out_adjacency",
-        "in_adjacency",
-        "skeleton_adjacency",
-        "handles",
-        "_out_sets",
-    )
+    __slots__ = ("node_count", "edge_count", "out_adjacency", "in_adjacency", "skeleton_adjacency", "handles")
 
     def __init__(
         self,
@@ -63,36 +57,31 @@ class DirectedGraph:
     ):
         if node_count < 0:
             raise ValueError("node_count must be >= 0")
-        edge_set = set()
+        out_nbrs = [[] for _ in range(node_count)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop ({u},{v}) not allowed")
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise ValueError(f"edge ({u},{v}) outside node range 0..{node_count - 1}")
-            edge_set.add((u, v))
+            out_nbrs[u].append(v)
         if handles is not None and len(handles) != node_count:
             raise ValueError("handles length must equal node_count")
 
-        out_nbrs = [[] for _ in range(node_count)]
-        in_nbrs = [[] for _ in range(node_count)]
-        for u, v in edge_set:
-            out_nbrs[u].append(v)
-            in_nbrs[v].append(u)
-
         self.node_count = node_count
-        self.edges = frozenset(edge_set)
-        self.out_adjacency = tuple(tuple(sorted(ns)) for ns in out_nbrs)
-        self.in_adjacency = tuple(tuple(sorted(ns)) for ns in in_nbrs)
-        self.skeleton_adjacency = tuple(
-            tuple(sorted(set(out_nbrs[i]) | set(in_nbrs[i]))) for i in range(node_count)
-        )
+        self.out_adjacency = tuple(tuple(sorted(set(ns))) for ns in out_nbrs)  # repeats collapse
+        self.edge_count = sum(map(len, self.out_adjacency))
+        in_nbrs = [[] for _ in range(node_count)]
+        for u, ns in enumerate(self.out_adjacency):
+            for v in ns:
+                in_nbrs[v].append(u)  # u ascends, so each list is sorted
+        self.in_adjacency = tuple(map(tuple, in_nbrs))
+        self.skeleton_adjacency = tuple(tuple(sorted({*o, *i})) for o, i in zip(self.out_adjacency, in_nbrs))
         self.handles = tuple(handles) if handles is not None else None
-        # set-based out-neighborhoods: the hot membership test for subgraph codes
-        self._out_sets = [set(ns) for ns in self.out_adjacency]
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edge set, rebuilt from `out_adjacency` on each access."""
+        return frozenset(self.sorted_edges())
 
     def handle(self, node: int) -> str:
         if self.handles is None:
@@ -100,22 +89,19 @@ class DirectedGraph:
         return self.handles[node]
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return [(u, v) for u, ns in enumerate(self.out_adjacency) for v in ns]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedGraph):
             return NotImplemented
-        return (
-            self.node_count == other.node_count
-            and self.edges == other.edges
-            and self.handles == other.handles
-        )
+        # the out-adjacency fixes the node count and the other two adjacencies
+        return self.out_adjacency == other.out_adjacency and self.handles == other.handles
 
     def __hash__(self):
-        return hash((self.node_count, self.edges))
+        return hash(self.out_adjacency)
 
     def __repr__(self) -> str:
-        return f"DirectedGraph(nodes={self.node_count}, edges={len(self.edges)})"
+        return f"DirectedGraph(nodes={self.node_count}, edges={self.edge_count})"
 
 
 def build_graph(pairs: Iterable[tuple[str, str]]) -> DirectedGraph:

@@ -142,9 +142,15 @@ def parse_records(lines, window_from: datetime | None = None, window_to: datetim
             continue
         total += 1
         try:
-            record, instant = _record_from_obj(json.loads(line))
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
             failures.append((lineno, f"invalid JSON: {exc.msg}"))
+            continue
+        except (RecursionError, ValueError) as exc:  # nesting too deep; an int past Python's digit limit
+            failures.append((lineno, f"invalid JSON: {exc}"))
+            continue
+        try:
+            record, instant = _record_from_obj(obj)
         except (InputError, UnicodeEncodeError) as exc:
             failures.append((lineno, str(exc)))
         else:

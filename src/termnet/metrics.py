@@ -61,33 +61,34 @@ def density(g: DirectedGraph) -> tuple[float, bool]:
     return g.edge_count / (n * (n - 1)), True
 
 
+def _reciprocated(g: DirectedGraph) -> int:
+    """Edges (u, v) whose reverse (v, u) is an edge too: summed over u, the
+    mutual neighbors |out(u) & in(u)| = |out(u)| + |in(u)| - |skeleton(u)|."""
+    return sum(len(o) + len(i) - len(s) for o, i, s in zip(g.out_adjacency, g.in_adjacency, g.skeleton_adjacency))
+
+
 def reciprocity(g: DirectedGraph) -> tuple[float, bool]:
     """Fraction of edges whose reverse edge also exists; undefined when |E|=0."""
     if g.edge_count == 0:
         return 0.0, False
-    recip = sum(1 for (u, v) in g.edges if (v, u) in g.edges)
-    return recip / g.edge_count, True
+    return _reciprocated(g) / g.edge_count, True
 
 
 def transitivity(g: DirectedGraph) -> tuple[float, bool]:
     """Fraction of directed 2-paths u->v->w (u != w) closed by edge u->w.
 
-    Total 2-paths through middle node v is in(v)*out(v) minus v's reciprocal
-    partners (those give u->v->u, excluded by u != w).  Closed paths are
+    Total 2-paths through middle node v is in(v)*out(v) minus v's mutual
+    neighbors (those give u->v->u, excluded by u != w).  Closed paths are
     counted per closing edge (u,w) as |out(u) & in(w)|; the common neighbor v
     is distinct from u and w automatically since self-loops cannot exist.
     """
-    outs = g._out_sets
-    ins = [set(ns) for ns in g.in_adjacency]
-
-    total = 0
-    for v in range(g.node_count):
-        o = outs[v]
-        total += len(ins[v]) * len(o) - sum(1 for u in ins[v] if u in o)
+    total = sum(len(i) * len(o) for o, i in zip(g.out_adjacency, g.in_adjacency)) - _reciprocated(g)
     if total == 0:
         return 0.0, False
 
-    closed = sum(len(outs[u] & ins[w]) for (u, w) in g.edges)
+    outs = [set(ns) for ns in g.out_adjacency]
+    ins = [set(ns) for ns in g.in_adjacency]
+    closed = sum(len(outs[u] & ins[w]) for u, ws in enumerate(g.out_adjacency) for w in ws)
     return closed / total, True
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "LogisticModel",
     "PcaResult",
     "RandomForestModel",
-    "SvmModel",
     "assemble_feature_sets",
     "confusion_metrics",
     "cross_validate",
@@ -36,7 +35,6 @@ __all__ = [
     "stratified_folds",
     "train_blr",
     "train_rfc",
-    "train_svm",
 ]
 
 BLR_TOL = 1e-8
@@ -218,19 +216,16 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / d, e / d)
 
 
-class _LinearModel:
-    """Sign of X @ w + b, with `weights` = (w, b) of length d+1."""
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        z = X @ self.weights[:-1] + self.weights[-1]
-        return (z >= 0.0).astype(np.int64)
-
-
 @dataclass(frozen=True)
-class LogisticModel(_LinearModel):
+class LogisticModel:
     weights: np.ndarray  # (d+1,), last entry is the intercept
     converged: bool
     iterations: int
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Sign of X @ w + b, with `weights` = (w, b)."""
+        z = X @ self.weights[:-1] + self.weights[-1]
+        return (z >= 0.0).astype(np.int64)
 
 
 def train_blr(X: np.ndarray, y: np.ndarray, tol: float = BLR_TOL, max_iter: int = BLR_MAX_ITER) -> LogisticModel:
@@ -273,25 +268,6 @@ def train_blr(X: np.ndarray, y: np.ndarray, tol: float = BLR_TOL, max_iter: int 
     return LogisticModel(weights=w, converged=False, iterations=max_iter)
 
 
-@dataclass(frozen=True)
-class SvmModel(_LinearModel):
-    weights: np.ndarray  # (d+1,), last entry is the (regularized) bias
-
-
-def train_svm(X: np.ndarray, y: np.ndarray, C: float = SVM_C, iterations: int = SVM_ITERATIONS) -> SvmModel:
-    """Linear SVM by the deterministic full-batch Pegasos schedule.
-
-    Minimizes lambda/2 ||w||^2 + mean hinge loss with lambda = 1/(C n), step
-    1/(lambda t), and the usual 1/sqrt(lambda) radius projection.  The bias is
-    an augmented constant feature, so it is (slightly) regularized too.  The
-    iterates are trained in the Gram form (see _pegasos) and returned as
-    weights = Xa.T @ beta.
-    """
-    Xa = _augment(np.asarray(X, dtype=np.float64))
-    (beta,) = _pegasos([Xa @ Xa.T], [y], C, iterations)
-    return SvmModel(weights=Xa.T @ beta)
-
-
 def _augment(X: np.ndarray) -> np.ndarray:
     """X with a constant 1 column appended (the SVM's bias feature)."""
     return np.hstack([X, np.ones((X.shape[0], 1))])
@@ -299,6 +275,11 @@ def _augment(X: np.ndarray) -> np.ndarray:
 
 def _pegasos(grams: list, labels: list, C: float = SVM_C, iterations: int = SVM_ITERATIONS) -> list:
     """Full-batch Pegasos for several problems at once, in the Gram (dual) form.
+
+    The linear SVM: each problem minimizes lambda/2 ||w||^2 + mean hinge loss
+    by the deterministic full-batch Pegasos schedule, step 1/(lambda t) and
+    the usual 1/sqrt(lambda) radius projection.  The bias is the augmented
+    constant feature (_augment), so it is (slightly) regularized too.
 
     Problem i has Gram matrix grams[i] = Xa Xa.T over its n_i augmented rows
     and 0/1 labels labels[i].  Every Pegasos iterate lies in the row span,

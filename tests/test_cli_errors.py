@@ -338,6 +338,37 @@ def test_lone_surrogate_in_any_string_field_is_malformed(valid, field, value):
     assert [lineno for lineno, _ in result.failures] == [4] and len(result.records) == 19
 
 
+def _networks_with_bad_line(valid, tmp_path, bad: str) -> tuple[int, str, Path]:
+    """networks over 20 good records and then `bad`: (exit code, stderr, records file)."""
+    records = tmp_path / "records.jsonl"
+    lines = (valid / "corpus/records.jsonl").read_text(encoding="utf-8").splitlines()[:20]
+    records.write_text("\n".join(lines + [bad]) + "\n", encoding="utf-8")
+    rc, err = run("networks", records, valid / "corpus/terms.txt", "-o", tmp_path / "nets")
+    return rc, err, records
+
+
+def test_json_nested_past_the_recursion_limit_is_a_malformed_line(valid, tmp_path):
+    # json.loads raises RecursionError, not JSONDecodeError
+    rc, err, records = _networks_with_bad_line(valid, tmp_path, "[" * 100_000 + "]" * 100_000)
+    assert rc == 0 and f"{records}:21: invalid JSON: " in err, err
+
+
+def test_json_int_past_the_digit_limit_is_a_malformed_line(valid, tmp_path):
+    # json.loads raises ValueError("Exceeds the limit (4300 digits) ..."), not JSONDecodeError
+    rc, err, records = _networks_with_bad_line(valid, tmp_path, '{"post_id": ' + "9" * 5000 + "}")
+    assert rc == 0 and f"{records}:21: invalid JSON: " in err, err
+
+
+def test_a_value_error_past_json_loads_is_a_bug(valid, tmp_path, monkeypatch):
+    # only json.loads's errors make a malformed line: a ValueError from the record check is an internal error
+    def broken(obj):
+        raise ValueError("bug")
+
+    monkeypatch.setattr("termnet.ingest._record_from_obj", broken)
+    rc, err, _ = _networks_with_bad_line(valid, tmp_path, "{}")
+    assert rc == 2 and err.splitlines()[-1] == "internal error: ValueError: bug", err
+
+
 def test_failed_classify_leaves_no_manifest(valid, tmp_path):
     labels = tmp_path / "labels.csv"
     head = (valid / "labels.csv").read_text(encoding="utf-8").splitlines()[:2]

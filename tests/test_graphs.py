@@ -88,14 +88,33 @@ def test_degree_sums_equal_edge_count(rng):
 
 def test_adjacency_consistent_with_edges(rng):
     n = 10
-    edges = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.25]
-    g = DirectedGraph(n, edges)
-    rebuilt = {(u, v) for u in range(n) for v in g.out_adjacency[u]}
-    assert rebuilt == g.edges
-    rebuilt_in = {(u, v) for v in range(n) for u in g.in_adjacency[v]}
-    assert rebuilt_in == g.edges
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.25]
+    pairs += [pairs[int(i)] for i in rng.integers(0, len(pairs), size=5)]  # repeats collapse
+    rng.shuffle(pairs)
+    g = DirectedGraph(n, pairs)
     for u in range(n):
-        assert set(g.skeleton_adjacency[u]) == {v for v in range(n) if (u, v) in g.edges or (v, u) in g.edges}
+        outs = {v for a, v in pairs if a == u}
+        ins = {a for a, v in pairs if v == u}
+        assert g.out_adjacency[u] == tuple(sorted(outs))
+        assert g.in_adjacency[u] == tuple(sorted(ins))
+        assert g.skeleton_adjacency[u] == tuple(sorted(outs | ins))
+    assert g.edge_count == len(set(pairs))
+    assert g.sorted_edges() == sorted(set(pairs))
+    assert g.edges == set(pairs)
+
+
+def test_graph_stores_only_its_adjacency():
+    assert DirectedGraph.__slots__ == (
+        "node_count",
+        "edge_count",
+        "out_adjacency",
+        "in_adjacency",
+        "skeleton_adjacency",
+        "handles",
+    )
+    g = build_graph([("a", "b"), ("b", "a"), ("b", "c")])
+    assert not hasattr(g, "__dict__")
+    assert (g.node_count, g.edge_count) == (3, 3)
 
 
 def test_rejects_self_loops_and_bad_indices():

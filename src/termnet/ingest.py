@@ -15,7 +15,7 @@ import io
 import json
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import date, datetime, time, timezone
 from enum import Enum
 
 from .graphs import DirectedGraph, build_graph
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 MAX_BAD_FRACTION = 0.10  # more malformed non-blank lines than this is a hard error
+_JSON_WHITESPACE = " \t\r\n"  # a line of these alone is blank; str.strip() would also drop \xa0, \x0c, ...
 
 
 class InteractionKind(Enum):
@@ -82,14 +83,19 @@ def parse_timestamp(value: str) -> datetime:
 
 
 def parse_window_bound(value: str, end_of_day: bool) -> datetime:
-    """ISO-8601 instant; a bare date means start (or end) of that UTC day."""
-    if re.fullmatch(r"\d{4}-\d{2}-\d{2}", value):
-        value = value + ("T23:59:59.999999Z" if end_of_day else "T00:00:00Z")
-    return parse_timestamp(value)
+    """ISO-8601 instant; a bare date (any form `date.fromisoformat` reads) means start (or end) of that UTC day."""
+    try:
+        day = date.fromisoformat(value)
+    except ValueError:
+        return parse_timestamp(value)
+    return datetime.combine(day, time.max if end_of_day else time.min, timezone.utc)
 
 
-def _record_from_obj(obj) -> tuple[InteractionRecord, datetime]:
-    """The checked record and its parsed timestamp; an empty handle means none."""
+def _record_from_obj(obj) -> tuple[str, str, list[str], str | None, str | None, datetime]:
+    """The checked author, text, mentioned, reply and quote targets, and parsed timestamp.
+
+    An empty reply or quote target is returned as None; `mentioned` may still hold empty handles.
+    """
     if not isinstance(obj, dict):
         raise InputError("record is not a JSON object")
     post_id = obj.get("post_id")
@@ -118,8 +124,7 @@ def _record_from_obj(obj) -> tuple[InteractionRecord, datetime]:
     if len(joined) > FIELD_LIMIT:  # bytes >= characters; a longer handle makes an unreadable edge file
         if max(map(len, (author, *mentioned, reply_to or "", quoted or ""))) > FIELD_LIMIT:
             raise InputError(f"a handle longer than {FIELD_LIMIT} characters, csv's field limit")
-    record = InteractionRecord(author, text, tuple(filter(None, mentioned)), reply_to or None, quoted or None)
-    return record, parse_timestamp(ts)
+    return author, text, mentioned, reply_to or None, quoted or None, parse_timestamp(ts)
 
 
 def parse_records(lines, window_from: datetime | None = None, window_to: datetime | None = None) -> ParseResult:
@@ -129,16 +134,28 @@ def parse_records(lines, window_from: datetime | None = None, window_to: datetim
     within [window_from, window_to] (inclusive; an unset bound is open) are
     kept.  Malformed lines are reported with their line numbers rather than
     dropped silently; more than MAX_BAD_FRACTION of the non-blank lines
-    malformed is a hard error.  A valid record outside the window is a good
-    line.
+    malformed is a hard error.  A line is blank when it holds JSON whitespace
+    alone (space, tab, CR, LF); any other line is parsed and counted.  A valid
+    record outside the window is a good line.
+
+    Each kept record holds its own text, but records share one object per
+    distinct handle and per distinct mention tuple, so memory grows with the
+    distinct handles, not with their references.  The memo lives for this
+    call only.  On a stream that never repeats a handle it saves nothing,
+    and its entries cost up to about 50 % more memory per record (records of
+    two short handles each) than unshared copies would.
     """
     if isinstance(lines, str):
         lines = io.StringIO(lines)
+    # share_*(v, v) returns the first object equal to v seen in this call; handles get a memo of
+    # their own because a dict whose keys are all str stores no hashes, so its entries are smaller
+    share_handle = {}.setdefault
+    share_mentions = {}.setdefault
     records: list[InteractionRecord] = []
     failures: list[tuple[int, str]] = []
     total = 0
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line.strip(_JSON_WHITESPACE):
             continue
         total += 1
         try:
@@ -150,12 +167,21 @@ def parse_records(lines, window_from: datetime | None = None, window_to: datetim
             failures.append((lineno, f"invalid JSON: {exc}"))
             continue
         try:
-            record, instant = _record_from_obj(obj)
+            author, text, mentioned, reply_to, quoted, instant = _record_from_obj(obj)
         except (InputError, UnicodeEncodeError) as exc:
             failures.append((lineno, str(exc)))
         else:
             if (window_from is None or window_from <= instant) and (window_to is None or instant <= window_to):
-                records.append(record)
+                mentioned = tuple([share_handle(m, m) for m in mentioned if m])
+                records.append(
+                    InteractionRecord(
+                        share_handle(author, author),
+                        text,
+                        share_mentions(mentioned, mentioned),
+                        reply_to and share_handle(reply_to, reply_to),
+                        quoted and share_handle(quoted, quoted),
+                    )
+                )
 
     if total and len(failures) / total > MAX_BAD_FRACTION:
         raise InputError(

@@ -4,6 +4,7 @@ import gzip
 import json
 import re
 import string
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,17 @@ def test_parse_field_validation():
     assert [lineno for lineno, _ in result.failures] == list(range(1, len(cases) + 1))
 
 
+@pytest.mark.parametrize("space", ["\xa0", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2003", "\u2028", "\u3000"])
+def test_a_line_of_non_json_whitespace_is_malformed(space):
+    # str.strip() removes these, but JSON does not count them as whitespace
+    good = [make_record(text=str(i)) for i in range(9)]
+    result = parse_records("\n".join(good[:4] + [space, " \t\r"] + good[4:]))
+    assert [r.text for r in result.records] == [str(i) for i in range(9)]
+    assert [lineno for lineno, _ in result.failures] == [5]
+    with pytest.raises(InputError, match="1 of 2 lines malformed"):
+        parse_records(good[0] + "\n" + space + "\n \n")
+
+
 def test_records_outside_window_count_as_good_lines():
     # 1 malformed line and 9 valid records, only 1 of them inside the window
     lines = ["not json"] + [make_record(text=str(i), timestamp=f"2020-11-{10 + i:02d}T00:00:00Z") for i in range(9)]
@@ -123,6 +135,64 @@ def test_empty_handles_mean_none():
     assert {(mention.handle(u), mention.handle(v)) for u, v in mention.edges} == {("a", "b")}
     assert mention.handles == ("a", "b")
     assert nets.graphs[InteractionKind.REPLY].node_count == nets.graphs[InteractionKind.QUOTE_RETWEET].node_count == 0
+
+
+def test_records_share_one_object_per_handle_and_mention_list():
+    lines = [
+        make_record(author="alice", mentioned=["bob", "carol"], reply_to_author="dave", quoted_author="erin"),
+        make_record(author="alice", mentioned=["bob", "carol"], reply_to_author="dave", quoted_author="erin"),
+        make_record(author="bob", mentioned=["carol", "", "alice"], reply_to_author="erin", quoted_author="dave"),
+    ]
+    first, second, third = parse_records("\n".join(lines)).records
+    for field in ("author", "mentioned", "reply_to_author", "quoted_author"):
+        assert getattr(first, field) is getattr(second, field), field
+    assert third.author is first.mentioned[0]
+    assert third.mentioned[0] is first.mentioned[1] and third.mentioned[1] is first.author
+    assert third.reply_to_author is first.quoted_author and third.quoted_author is first.reply_to_author
+
+
+_TARGETS = ('"mentioned": ["{}"]', '"reply_to_author": "{}"', '"quoted_author": "{}"')
+
+
+def _peak_bytes_per_record(n, handle):
+    """Peak traced bytes per record of parsing n lines shaped like the `hubs` records.
+
+    Each line holds an author and one mention, reply or quote target, named by
+    handle(i, 0) and handle(i, 1).  The lines are built before tracing starts,
+    so only the parse is measured.
+    """
+    lines = [
+        f'{{"author": "{handle(i, 0)}", {_TARGETS[i % 3].format(handle(i, 1))}, "post_id": "p{i:07d}", '
+        f'"text": "topic take {i}", "timestamp": "2020-11-09T12:00:00Z"}}\n'
+        for i in range(n)
+    ]
+    tracemalloc.start()
+    try:
+        result = parse_records(line for line in lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == n and not result.failures
+    return peak / n
+
+
+# Peak bytes per record (tracemalloc, CPython 3.11) when every record holds its own copy of
+# each handle, as before records shared them; about the same on both streams below.
+_UNSHARED_BYTES_PER_RECORD = 276
+
+
+def test_repeated_handles_are_stored_once():
+    # 50,000 records over 500 handles: about 147 bytes a record
+    per_record = _peak_bytes_per_record(50_000, lambda i, k: f"user{(i * (6 * k + 1) + k) % 500:05d}")
+    assert per_record < 200, per_record
+
+
+def test_a_stream_without_repeated_handles_costs_at_most_half_again():
+    # The worst case: no handle repeats, so each memo entry costs memory and saves none.  The
+    # peak per record swings with the memo's fill, from 1.2x to 1.53x unshared; it is highest
+    # just after the handle memo grows, as it does at 21,846 handles (11,000 records here).
+    per_record = _peak_bytes_per_record(11_000, lambda i, k: f"{'ab'[k]}{i:07d}")
+    assert per_record <= 1.55 * _UNSHARED_BYTES_PER_RECORD, per_record
 
 
 def test_parse_timestamp_variants():

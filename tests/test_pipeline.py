@@ -60,8 +60,10 @@ def corpus_dir(tmp_path):
 
 
 def test_parse_window_bound():
-    assert parse_window_bound("2020-11-09", end_of_day=False).isoformat() == "2020-11-09T00:00:00+00:00"
-    assert parse_window_bound("2020-11-09", end_of_day=True).isoformat() == "2020-11-09T23:59:59.999999+00:00"
+    # every bare-date form date.fromisoformat reads: extended, basic and ISO week date
+    for day in ("2020-11-09", "20201109", "2020-W46-1"):
+        assert parse_window_bound(day, end_of_day=False).isoformat() == "2020-11-09T00:00:00+00:00", day
+        assert parse_window_bound(day, end_of_day=True).isoformat() == "2020-11-09T23:59:59.999999+00:00", day
     assert parse_window_bound("2020-11-09T05:06:07Z", end_of_day=True).isoformat() == "2020-11-09T05:06:07+00:00"
 
 

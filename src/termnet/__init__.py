@@ -24,6 +24,7 @@ from .ingest import (
     TermNetworkSet,
     build_corpus,
     parse_records,
+    read_corpus,
 )
 from .ranking import aggregate_ratings, partition_terms
 from .metrics import GlobalFeatures, global_feature_vector
@@ -56,6 +57,7 @@ __all__ = [
     "TermNetworkSet",
     "parse_records",
     "build_corpus",
+    "read_corpus",
     "aggregate_ratings",
     "partition_terms",
     "GlobalFeatures",

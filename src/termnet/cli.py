@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .census import get_class_table
-from .ingest import build_corpus, parse_window_bound, read_records_file, read_terms_file
+from .ingest import parse_window_bound, read_corpus, read_terms_file
 from .manifest import InputError, RunManifest, file_sha256, json_text
 from .pipeline import (
     SUMMARY_NAME,
@@ -113,12 +113,12 @@ def _cmd_networks(args) -> int:
     )
     if args.manifest:
         return _emit_manifest(manifest)
-    result = read_records_file(args.records, window_from, window_to)
-    for lineno, reason in result.failures[:20]:
+    # the 10 % verdict comes at the end of the records, before anything in -o is touched
+    corpus, failures, malformed = read_corpus(args.records, read_terms_file(args.terms), window_from, window_to)
+    for lineno, reason in failures:
         print(f"warning: {args.records}:{lineno}: {reason}", file=sys.stderr)
-    if result.failures:
-        print(f"warning: {args.records}: {len(result.failures)} malformed lines skipped", file=sys.stderr)
-    corpus = build_corpus(result.records, read_terms_file(args.terms))
+    if malformed:
+        print(f"warning: {args.records}: {malformed} malformed lines skipped", file=sys.stderr)
     rows = write_networks(corpus, args.outdir, manifest.sha256)
     manifest.write(os.path.join(args.outdir, "manifest.json"))
     print(f"wrote {len(rows)} networks for {len(corpus)} terms to {args.outdir}")

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timezone
 from enum import Enum
+from typing import Callable, Iterable, Iterator
 
 from .graphs import DirectedGraph, build_graph
 from .manifest import FIELD_LIMIT, InputError, open_text
@@ -31,6 +32,7 @@ __all__ = [
     "parse_records",
     "parse_timestamp",
     "parse_window_bound",
+    "read_corpus",
     "read_records_file",
     "read_terms_file",
 ]
@@ -127,73 +129,107 @@ def _record_from_obj(obj) -> tuple[str, str, list[str], str | None, str | None, 
     return author, text, mentioned, reply_to or None, quoted or None, parse_timestamp(ts)
 
 
-def parse_records(lines, window_from: datetime | None = None, window_to: datetime | None = None) -> ParseResult:
-    """Parse line-delimited JSON records, keeping input order.
+class _RecordStream:
+    """The windowed records of `lines`, parsed one line at a time as they are iterated.
 
-    `lines` is a str or any iterable of str lines.  Only records stamped
-    within [window_from, window_to] (inclusive; an unset bound is open) are
-    kept.  Malformed lines are reported with their line numbers rather than
-    dropped silently; more than MAX_BAD_FRACTION of the non-blank lines
-    malformed is a hard error.  A line is blank when it holds JSON whitespace
-    alone (space, tab, CR, LF); any other line is parsed and counted.  A valid
-    record outside the window is a good line.
+    `lines` is a str or any iterable of str lines; records come out in input
+    order and only those stamped within [window_from, window_to] (inclusive;
+    an unset bound is open).  A line is blank when it holds JSON whitespace
+    alone (space, tab, CR, LF); any other line is parsed and counted, and a
+    valid record outside the window is a good line.  Malformed lines are
+    counted in `malformed` and listed in `failures` as (1-based line number,
+    reason): all of them, or the first `keep_failures`.  Once the lines run
+    out, more than MAX_BAD_FRACTION of the non-blank lines malformed is an
+    InputError.
 
-    Each kept record holds its own text, but records share one object per
-    distinct handle and per distinct mention tuple, so memory grows with the
-    distinct handles, not with their references.  The memo lives for this
-    call only.  On a stream that never repeats a handle it saves nothing,
-    and its entries cost up to about 50 % more memory per record (records of
-    two short handles each) than unshared copies would.
+    Records share one object per distinct handle; with `share_mentions`,
+    also one per distinct mention tuple.  The memos live as long as one
+    iteration.  A caller that keeps no record gains nothing from the second
+    memo, which grows with the distinct mention lists.
     """
-    if isinstance(lines, str):
-        lines = io.StringIO(lines)
-    # share_*(v, v) returns the first object equal to v seen in this call; handles get a memo of
-    # their own because a dict whose keys are all str stores no hashes, so its entries are smaller
-    share_handle = {}.setdefault
-    share_mentions = {}.setdefault
-    records: list[InteractionRecord] = []
-    failures: list[tuple[int, str]] = []
-    total = 0
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip(_JSON_WHITESPACE):
-            continue
-        total += 1
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            failures.append((lineno, f"invalid JSON: {exc.msg}"))
-            continue
-        except (RecursionError, ValueError) as exc:  # nesting too deep; an int past Python's digit limit
-            failures.append((lineno, f"invalid JSON: {exc}"))
-            continue
-        try:
-            author, text, mentioned, reply_to, quoted, instant = _record_from_obj(obj)
-        except (InputError, UnicodeEncodeError) as exc:
-            failures.append((lineno, str(exc)))
-        else:
-            if (window_from is None or window_from <= instant) and (window_to is None or instant <= window_to):
-                mentioned = tuple([share_handle(m, m) for m in mentioned if m])
-                records.append(
-                    InteractionRecord(
+
+    def __init__(self, lines, window_from=None, window_to=None, keep_failures=None, share_mentions=False):
+        self.lines = io.StringIO(lines) if isinstance(lines, str) else lines
+        self.window_from = window_from
+        self.window_to = window_to
+        self.keep_failures = keep_failures
+        self.share_mentions = share_mentions
+        self.failures: list[tuple[int, str]] = []
+        self.malformed = 0
+
+    def _fail(self, lineno: int, reason: str) -> None:
+        self.malformed += 1
+        if self.keep_failures is None or len(self.failures) < self.keep_failures:
+            self.failures.append((lineno, reason))
+
+    def __iter__(self) -> Iterator[InteractionRecord]:
+        window_from, window_to = self.window_from, self.window_to
+        # share_*(v, v) returns the first object equal to v seen in this iteration; handles get a memo
+        # of their own because a dict whose keys are all str stores no hashes, so its entries are smaller
+        share_handle = {}.setdefault
+        share_mentions = {}.setdefault if self.share_mentions else None
+        total = 0
+        for lineno, line in enumerate(self.lines, start=1):
+            if not line.strip(_JSON_WHITESPACE):
+                continue
+            total += 1
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                self._fail(lineno, f"invalid JSON: {exc.msg}")
+                continue
+            except (RecursionError, ValueError) as exc:  # nesting too deep; an int past Python's digit limit
+                self._fail(lineno, f"invalid JSON: {exc}")
+                continue
+            try:
+                author, text, mentioned, reply_to, quoted, instant = _record_from_obj(obj)
+            except (InputError, UnicodeEncodeError) as exc:
+                self._fail(lineno, str(exc))
+            else:
+                if (window_from is None or window_from <= instant) and (window_to is None or instant <= window_to):
+                    mentioned = tuple([share_handle(m, m) for m in mentioned if m])
+                    yield InteractionRecord(
                         share_handle(author, author),
                         text,
-                        share_mentions(mentioned, mentioned),
+                        share_mentions(mentioned, mentioned) if share_mentions else mentioned,
                         reply_to and share_handle(reply_to, reply_to),
                         quoted and share_handle(quoted, quoted),
                     )
-                )
 
-    if total and len(failures) / total > MAX_BAD_FRACTION:
-        raise InputError(
-            f"{len(failures)} of {total} lines malformed "
-            f"(limit {MAX_BAD_FRACTION:.0%}); first: line {failures[0][0]}: {failures[0][1]}"
-        )
-    return ParseResult(records=records, failures=failures)
+        if total and self.malformed / total > MAX_BAD_FRACTION:
+            lineno, reason = self.failures[0]
+            raise InputError(
+                f"{self.malformed} of {total} lines malformed "
+                f"(limit {MAX_BAD_FRACTION:.0%}); first: line {lineno}: {reason}"
+            )
+
+
+def parse_records(lines, window_from: datetime | None = None, window_to: datetime | None = None) -> ParseResult:
+    """Every windowed record of `lines` and every malformed line, in input order.
+
+    The lines, the window, the blank-line rule and the 10 % rule are those of
+    `_RecordStream`.  Each record holds its own text, but records share one
+    object per distinct handle and per distinct mention tuple, so memory
+    grows with the records' texts and the distinct handles, not with the
+    handles' references.  The memos live for this call only.  On a stream
+    that never repeats a handle they save nothing, and their entries cost up
+    to about 50 % more memory per record (records of two short handles
+    each) than unshared copies would.  `read_corpus` builds the networks
+    without keeping the records.
+    """
+    stream = _RecordStream(lines, window_from, window_to, share_mentions=True)
+    records = list(stream)
+    return ParseResult(records=records, failures=stream.failures)
+
+
+def _open_records(path):
+    """A records file as text; names ending .gz are gzip-decompressed."""
+    return open_text(path, gzip.open if str(path).endswith(".gz") else open)
 
 
 def read_records_file(path, window_from: datetime | None = None, window_to: datetime | None = None) -> ParseResult:
     """parse_records over a file; names ending .gz are gzip-decompressed."""
-    with open_text(path, gzip.open if str(path).endswith(".gz") else open) as fh:
+    with _open_records(path) as fh:
         try:
             return parse_records(fh, window_from, window_to)
         except InputError as exc:  # the 10 % rule
@@ -246,34 +282,14 @@ _KEYS = _KeyTable()
 _SPLIT_KEYS = frozenset("ι\u0345")
 
 
-def _term_networks(term: str, matching: list[InteractionRecord]) -> TermNetworkSet:
-    """Three graphs for one term from its matching records, in record order."""
-    return TermNetworkSet(
-        term=term,
-        graphs={
-            InteractionKind.MENTION: build_graph((r.author, m) for r in matching for m in r.mentioned),
-            InteractionKind.REPLY: build_graph(
-                (r.author, r.reply_to_author) for r in matching if r.reply_to_author is not None
-            ),
-            InteractionKind.QUOTE_RETWEET: build_graph(
-                (r.author, r.quoted_author) for r in matching if r.quoted_author is not None
-            ),
-        },
-        matched_records=len(matching),
-    )
-
-
-def build_corpus(records: list[InteractionRecord], terms: list[str]) -> list[TermNetworkSet]:
-    """One TermNetworkSet per term, input order preserved.
+def _matcher(terms: list[str]) -> Callable[[Iterable[InteractionRecord]], list[TermNetworkSet]]:
+    """Check `terms` now; return the function that builds their networks from records.
 
     No term may equal another one under re.IGNORECASE (`stop` and `ſtop`
-    match the same records); a record matching several terms contributes to
-    each of them.  A record matches a term when the term's pattern
-    (`_term_pattern`) finds it in the text.  The records are read once:
-    each text is split into tokens, the tokens' keys look up the terms whose
-    first token has the same key, and only those terms' patterns run.  A
-    term's first token always lines up with one whole token of any text it
-    matches, so the lookup skips only terms that cannot match.
+    match the same records), so a bad term is reported before any record is
+    read.  The returned function reads its records once and keeps none of
+    them: each matching record adds its (author, target) pairs to its term's
+    three edge dicts, whose key order is the pairs' first appearance.
     """
     # terms the patterns equate share a key: every character folds the way `_KEYS`
     # folds letters and digits, so U+0345 and cased symbols such as Ⓐ fold too
@@ -298,24 +314,94 @@ def build_corpus(records: list[InteractionRecord], terms: list[str]) -> list[Ter
         else:
             table = hashtags if term.startswith("#") else keywords
             table.setdefault(first.group().translate(_KEYS), []).append(i)
-
     patterns = [_term_pattern(term) for term in terms]
-    matching: list[list[InteractionRecord]] = [[] for _ in terms]
-    for rec in records:
-        text = rec.text
-        keys = _TOKEN.findall(text.translate(_KEYS))
-        candidates = set(every_record)
-        for found in map(keywords.get, keys):
-            if found:
-                candidates.update(found)
-        if "#" in text:
-            for found in map(hashtags.get, keys):
+
+    def match(records: Iterable[InteractionRecord]) -> list[TermNetworkSet]:
+        matched = [0] * len(terms)
+        mentions: list[dict[tuple[str, str], None]] = [{} for _ in terms]
+        replies: list[dict[tuple[str, str], None]] = [{} for _ in terms]
+        quotes: list[dict[tuple[str, str], None]] = [{} for _ in terms]
+        for rec in records:
+            text = rec.text
+            keys = _TOKEN.findall(text.translate(_KEYS))
+            candidates = set(every_record)
+            for found in map(keywords.get, keys):
                 if found:
                     candidates.update(found)
-        for i in candidates:
-            if patterns[i].search(text) is not None:
-                matching[i].append(rec)
-    return [_term_networks(term, recs) for term, recs in zip(terms, matching)]
+            if "#" in text:
+                for found in map(hashtags.get, keys):
+                    if found:
+                        candidates.update(found)
+            for i in candidates:
+                if patterns[i].search(text) is not None:
+                    matched[i] += 1
+                    author = rec.author
+                    for m in rec.mentioned:
+                        mentions[i][author, m] = None
+                    if rec.reply_to_author is not None:
+                        replies[i][author, rec.reply_to_author] = None
+                    if rec.quoted_author is not None:
+                        quotes[i][author, rec.quoted_author] = None
+        return [
+            TermNetworkSet(
+                term=term,
+                graphs={
+                    InteractionKind.MENTION: build_graph(mentions[i]),
+                    InteractionKind.REPLY: build_graph(replies[i]),
+                    InteractionKind.QUOTE_RETWEET: build_graph(quotes[i]),
+                },
+                matched_records=matched[i],
+            )
+            for i, term in enumerate(terms)
+        ]
+
+    return match
+
+
+def build_corpus(records: list[InteractionRecord], terms: list[str]) -> list[TermNetworkSet]:
+    """One TermNetworkSet per term, input order preserved.
+
+    No term may equal another one under re.IGNORECASE; a record matching
+    several terms contributes to each of them.  A record matches a term when
+    the term's pattern (`_term_pattern`) finds it in the text.  The records
+    are read once: each text is split into tokens, the tokens' keys look up
+    the terms whose first token has the same key, and only those terms'
+    patterns run.  A term's first token always lines up with one whole token
+    of any text it matches, so the lookup skips only terms that cannot match.
+
+    Memory beyond `records` grows with the distinct (author, target) pairs
+    of each term, not with the matching records: no record is kept.
+    """
+    return _matcher(terms)(records)
+
+
+_REPORTED_FAILURES = 20  # the malformed lines `read_corpus` lists; the rest are only counted
+
+
+def _stream_corpus(lines, match, window_from=None, window_to=None):
+    """`match` over the records of `lines` as they are parsed: (networks, first failures, malformed count)."""
+    records = _RecordStream(lines, window_from, window_to, keep_failures=_REPORTED_FAILURES)
+    return match(records), records.failures, records.malformed
+
+
+def read_corpus(
+    path, terms: list[str], window_from: datetime | None = None, window_to: datetime | None = None
+) -> tuple[list[TermNetworkSet], list[tuple[int, str]], int]:
+    """build_corpus over read_records_file's records, without holding them.
+
+    Returns the networks, the first 20 malformed lines as (line number,
+    reason) and the count of all of them.  Each record is parsed, windowed
+    and matched as it is read, so peak memory grows with the distinct edges
+    and distinct handles, not with the records.  The terms are checked
+    before the file is read, and the 10 % rule is applied when it ends.
+    """
+    # _matcher, not build_corpus: perfbench/spans.py wraps build_corpus and takes len() of its records
+    match = _matcher(terms)
+    with _open_records(path) as fh:
+        try:
+            return _stream_corpus(fh, match, window_from, window_to)
+        except InputError as exc:  # the 10 % rule
+            raise InputError(f"{path}: {exc}") from None
 
 
 def read_terms_file(path) -> list[str]:

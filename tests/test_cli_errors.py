@@ -460,6 +460,35 @@ def test_too_many_malformed_lines_names_the_records_file(tmp_path):
     assert str(info.value).startswith(f"{records}: 1 of 1 lines malformed (limit 10%); first: line 1: ")
 
 
+def test_malformed_lines_at_the_end_leave_the_previous_networks(valid, tmp_path):
+    # the 10 % rule is known only when the records run out, and still fails before -o is touched
+    nets, terms = tmp_path / "nets", valid / "corpus/terms.txt"
+    lines = (valid / "corpus/records.jsonl").read_text(encoding="utf-8").splitlines()
+    assert run("networks", valid / "corpus/records.jsonl", terms, "-o", nets)[0] == 0
+    before = {path.name: path.read_bytes() for path in nets.iterdir()}
+    assert {"summary.csv", "manifest.json"} < set(before) and len(before) == 2 + 3 * 6
+    records = tmp_path / "records.jsonl"
+    bad = len(lines) // 9 + 1  # just over 10 % of all the lines
+    records.write_text("\n".join(lines + ["junk"] * bad) + "\n", encoding="utf-8")
+    rc, err = run("networks", records, terms, "-o", nets)
+    assert_input_error(rc, err)
+    assert err.splitlines() == [
+        f"error: {records}: {bad} of {len(lines) + bad} lines malformed (limit 10%); "
+        f"first: line {len(lines) + 1}: invalid JSON: Expecting value"
+    ]
+    assert {path.name: path.read_bytes() for path in nets.iterdir()} == before
+
+
+def test_a_duplicate_term_is_reported_before_the_records_are_read(tmp_path):
+    records, terms = tmp_path / "records.jsonl", tmp_path / "terms.txt"
+    records.write_text("junk\n" * 5, encoding="utf-8")
+    terms.write_text("Tag\ntag\n", encoding="utf-8")
+    rc, err = run("networks", records, terms, "-o", tmp_path / "nets")
+    assert_input_error(rc, err)
+    assert err.splitlines() == ["error: duplicate term (case-insensitive): 'tag' equals 'Tag'"]
+    assert not (tmp_path / "nets").exists()
+
+
 def test_handle_over_the_csv_field_limit_is_a_malformed_line(valid, tmp_path):
     # csv reads no field over FIELD_LIMIT characters back, so networks writes no such handle
     records, terms = tmp_path / "records.jsonl", valid / "corpus/terms.txt"

@@ -15,6 +15,8 @@ from termnet.ingest import (
     _KEYS,
     _SPLIT_KEYS,
     _KeyTable,
+    _matcher,
+    _stream_corpus,
     InteractionKind,
     InteractionRecord,
     build_corpus,
@@ -193,6 +195,42 @@ def test_a_stream_without_repeated_handles_costs_at_most_half_again():
     # just after the handle memo grows, as it does at 21,846 handles (11,000 records here).
     per_record = _peak_bytes_per_record(11_000, lambda i, k: f"{'ab'[k]}{i:07d}")
     assert per_record <= 1.55 * _UNSHARED_BYTES_PER_RECORD, per_record
+
+
+def _networks_core_peak_bytes(n):
+    """Peak traced bytes of building the networks from n generated lines, as `networks` does.
+
+    Every 20th line is malformed; the others repeat 7 authors and 5 mention
+    and 3 reply targets, so the distinct edges and handles stay few.  The
+    lines come from a generator: nothing holds them but the parse.
+    """
+
+    def lines():
+        for i in range(n):
+            if i % 20 == 0:
+                yield "junk\n"
+                continue
+            yield (
+                f'{{"author": "u{i % 7}", "mentioned": ["u{i % 5}"], "reply_to_author": "u{i % 3}", '
+                f'"post_id": "p{i}", "text": "topic take {i}", "timestamp": "2020-11-09T12:00:00Z"}}\n'
+            )
+
+    match = _matcher(["topic", "#other"])
+    tracemalloc.start()
+    try:
+        corpus, failures, malformed = _stream_corpus(lines(), match)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (malformed, len(failures)) == (n // 20, 20)
+    assert [ts.matched_records for ts in corpus] == [n - n // 20, 0]
+    return peak
+
+
+def test_networks_memory_does_not_grow_with_the_records():
+    # about 10.5 KB at both sizes; holding the records (or every failure) costs about 150 bytes each
+    small, large = _networks_core_peak_bytes(2_000), _networks_core_peak_bytes(8_000)
+    assert large <= 1.25 * small, (small, large)
 
 
 def test_parse_timestamp_variants():

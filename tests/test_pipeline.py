@@ -641,7 +641,7 @@ def test_cli_internal_error_is_exit_2(tmp_path, capsys, monkeypatch, error):
     def boom(*a, **kw):
         raise error("invariant violated")
 
-    monkeypatch.setattr(cli_mod, "build_corpus", boom)
+    monkeypatch.setattr(cli_mod, "read_corpus", boom)
     rc = run_cli("networks", corpus / "records.jsonl", corpus / "terms.txt", "-o", tmp_path / "out")
     assert rc == 2
     assert capsys.readouterr().err == f"internal error: {error.__name__}: {error('invariant violated')}\n"

@@ -13,10 +13,13 @@ import functools
 import gzip
 import io
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timezone
 from enum import Enum
+from json.decoder import WHITESPACE
+from json.scanner import make_scanner
 from typing import Callable, Iterable, Iterator
 
 from .graphs import DirectedGraph, build_graph
@@ -93,10 +96,37 @@ def parse_window_bound(value: str, end_of_day: bool) -> datetime:
     return datetime.combine(day, time.max if end_of_day else time.min, timezone.utc)
 
 
-def _record_from_obj(obj) -> tuple[str, str, list[str], str | None, str | None, datetime]:
-    """The checked author, text, mentioned, reply and quote targets, and parsed timestamp.
+# json.loads(s) for a str s is three Python calls around the C scanner of one default decoder
+_scan_once = make_scanner(json.JSONDecoder())
+_skip_whitespace = WHITESPACE.match
 
-    An empty reply or quote target is returned as None; `mentioned` may still hold empty handles.
+
+def _loads(line: str):
+    """json.loads(line): the same value, or the same error with the same message and position."""
+    if line[:1] == "\ufeff":
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    try:
+        obj, end = _scan_once(line, len(line) - len(line.lstrip(_JSON_WHITESPACE)))
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", line, err.value) from None
+    if end != len(line.rstrip(_JSON_WHITESPACE)):  # a value never ends in whitespace
+        raise json.JSONDecodeError("Extra data", line, _skip_whitespace(line, end).end())
+    return obj
+
+
+def _all_str(items: list) -> bool:
+    """all(isinstance(m, str) for m in items), checked in C by str.join."""
+    try:
+        "".join(items)
+    except TypeError:
+        return False
+    return True
+
+
+def _record_from_obj(obj, line: str) -> tuple[str, str, list[str], str | None, str | None, datetime]:
+    """The checked author, text, mentioned, reply and quote targets, and parsed timestamp of `obj`, read from `line`.
+
+    Empty mentioned handles are dropped, and an empty reply or quote target is returned as None.
     """
     if not isinstance(obj, dict):
         raise InputError("record is not a JSON object")
@@ -110,7 +140,7 @@ def _record_from_obj(obj) -> tuple[str, str, list[str], str | None, str | None, 
     if not isinstance(text, str):
         raise InputError("missing text")
     mentioned = obj.get("mentioned", [])
-    if not isinstance(mentioned, list) or not all(isinstance(m, str) for m in mentioned):
+    if not isinstance(mentioned, list) or not _all_str(mentioned):
         raise InputError("mentioned must be a list of strings")
     reply_to = obj.get("reply_to_author")
     if reply_to is not None and not isinstance(reply_to, str):
@@ -121,11 +151,15 @@ def _record_from_obj(obj) -> tuple[str, str, list[str], str | None, str | None, 
     ts = obj.get("timestamp")
     if not isinstance(ts, str):
         raise InputError("missing timestamp")
-    # json.loads keeps an escaped lone surrogate, which no UTF-8 file can hold: UnicodeEncodeError
-    joined = "".join((post_id, author, text, ts, *mentioned, reply_to or "", quoted or "")).encode()
-    if len(joined) > FIELD_LIMIT:  # bytes >= characters; a longer handle makes an unreadable edge file
-        if max(map(len, (author, *mentioned, reply_to or "", quoted or ""))) > FIELD_LIMIT:
-            raise InputError(f"a handle longer than {FIELD_LIMIT} characters, csv's field limit")
+    # A lone surrogate, which no UTF-8 file can hold, comes from a \u escape (json.loads keeps it) or from
+    # a non-ASCII str line; no decoded field is longer than its line.  Other lines skip the join.
+    if not line.isascii() or "\\u" in line or len(line) > FIELD_LIMIT:
+        joined = "".join((post_id, author, text, ts, *mentioned, reply_to or "", quoted or "")).encode()
+        if len(joined) > FIELD_LIMIT:  # bytes >= characters; a longer handle makes an unreadable edge file
+            if max(map(len, (author, *mentioned, reply_to or "", quoted or ""))) > FIELD_LIMIT:
+                raise InputError(f"a handle longer than {FIELD_LIMIT} characters, csv's field limit")
+    if "" in mentioned:
+        mentioned = [m for m in mentioned if m]
     return author, text, mentioned, reply_to or None, quoted or None, parse_timestamp(ts)
 
 
@@ -142,18 +176,17 @@ class _RecordStream:
     out, more than MAX_BAD_FRACTION of the non-blank lines malformed is an
     InputError.
 
-    Records share one object per distinct handle; with `share_mentions`,
-    also one per distinct mention tuple.  The memos live as long as one
-    iteration.  A caller that keeps no record gains nothing from the second
-    memo, which grows with the distinct mention lists.
+    Each record comes out as a plain (author, text, mentioned, reply_to,
+    quoted) tuple, where `mentioned` is a list of the non-empty mentioned
+    handles and an absent target is None.  The stream keeps nothing of a
+    record once it is yielded and shares no objects between records.
     """
 
-    def __init__(self, lines, window_from=None, window_to=None, keep_failures=None, share_mentions=False):
+    def __init__(self, lines, window_from=None, window_to=None, keep_failures=None):
         self.lines = io.StringIO(lines) if isinstance(lines, str) else lines
         self.window_from = window_from
         self.window_to = window_to
         self.keep_failures = keep_failures
-        self.share_mentions = share_mentions
         self.failures: list[tuple[int, str]] = []
         self.malformed = 0
 
@@ -162,19 +195,15 @@ class _RecordStream:
         if self.keep_failures is None or len(self.failures) < self.keep_failures:
             self.failures.append((lineno, reason))
 
-    def __iter__(self) -> Iterator[InteractionRecord]:
+    def __iter__(self) -> Iterator[tuple[str, str, list[str], str | None, str | None]]:
         window_from, window_to = self.window_from, self.window_to
-        # share_*(v, v) returns the first object equal to v seen in this iteration; handles get a memo
-        # of their own because a dict whose keys are all str stores no hashes, so its entries are smaller
-        share_handle = {}.setdefault
-        share_mentions = {}.setdefault if self.share_mentions else None
         total = 0
         for lineno, line in enumerate(self.lines, start=1):
             if not line.strip(_JSON_WHITESPACE):
                 continue
             total += 1
             try:
-                obj = json.loads(line)
+                obj = _loads(line)
             except json.JSONDecodeError as exc:
                 self._fail(lineno, f"invalid JSON: {exc.msg}")
                 continue
@@ -182,19 +211,12 @@ class _RecordStream:
                 self._fail(lineno, f"invalid JSON: {exc}")
                 continue
             try:
-                author, text, mentioned, reply_to, quoted, instant = _record_from_obj(obj)
+                author, text, mentioned, reply_to, quoted, instant = _record_from_obj(obj, line)
             except (InputError, UnicodeEncodeError) as exc:
                 self._fail(lineno, str(exc))
             else:
                 if (window_from is None or window_from <= instant) and (window_to is None or instant <= window_to):
-                    mentioned = tuple([share_handle(m, m) for m in mentioned if m])
-                    yield InteractionRecord(
-                        share_handle(author, author),
-                        text,
-                        share_mentions(mentioned, mentioned) if share_mentions else mentioned,
-                        reply_to and share_handle(reply_to, reply_to),
-                        quoted and share_handle(quoted, quoted),
-                    )
+                    yield author, text, mentioned, reply_to, quoted
 
         if total and self.malformed / total > MAX_BAD_FRACTION:
             lineno, reason = self.failures[0]
@@ -208,8 +230,9 @@ def parse_records(lines, window_from: datetime | None = None, window_to: datetim
     """Every windowed record of `lines` and every malformed line, in input order.
 
     The lines, the window, the blank-line rule and the 10 % rule are those of
-    `_RecordStream`.  Each record holds its own text, but records share one
-    object per distinct handle and per distinct mention tuple, so memory
+    `_RecordStream`, whose tuples this call turns into `InteractionRecord`s.
+    Each record holds its own text, but records share one object per
+    distinct handle and per distinct mention tuple, so memory
     grows with the records' texts and the distinct handles, not with the
     handles' references.  The memos live for this call only.  On a stream
     that never repeats a handle they save nothing, and their entries cost up
@@ -217,8 +240,23 @@ def parse_records(lines, window_from: datetime | None = None, window_to: datetim
     each) than unshared copies would.  `read_corpus` builds the networks
     without keeping the records.
     """
-    stream = _RecordStream(lines, window_from, window_to, share_mentions=True)
-    records = list(stream)
+    # share(v, v) returns the first object equal to v seen in this call; handles get a memo of their
+    # own because a dict whose keys are all str stores no hashes, so its entries are smaller
+    share_handle = {}.setdefault
+    share_mentions = {}.setdefault
+    stream = _RecordStream(lines, window_from, window_to)
+    records = []
+    for author, text, mentioned, reply_to, quoted in stream:
+        mentioned = tuple([share_handle(m, m) for m in mentioned])
+        records.append(
+            InteractionRecord(
+                share_handle(author, author),
+                text,
+                share_mentions(mentioned, mentioned),
+                reply_to and share_handle(reply_to, reply_to),
+                quoted and share_handle(quoted, quoted),
+            )
+        )
     return ParseResult(records=records, failures=stream.failures)
 
 
@@ -281,15 +319,28 @@ _KEYS = _KeyTable()
 # term's do not.  Such terms are checked against every record.
 _SPLIT_KEYS = frozenset("ι\u0345")
 
+# bytes.translate table from each ASCII character to its key byte: a letter or digit to its `_KEYS`
+# key, any other character to a space, which ends a token as the character does
+_ASCII_KEYS = bytes(ord(_KEYS[c]) if chr(c).isalnum() else 32 for c in range(128)).ljust(256)
 
-def _matcher(terms: list[str]) -> Callable[[Iterable[InteractionRecord]], list[TermNetworkSet]]:
+
+def _token_keys(text: str) -> list[str]:
+    """The keys of the tokens of `text`: `_TOKEN.findall(text.translate(_KEYS))`."""
+    if text.isascii():  # the same keys without a regex or a per-character dict lookup
+        return text.encode().translate(_ASCII_KEYS).decode().split()
+    return _TOKEN.findall(text.translate(_KEYS))
+
+
+def _matcher(terms: list[str]) -> Callable[[Iterable[tuple]], list[TermNetworkSet]]:
     """Check `terms` now; return the function that builds their networks from records.
 
     No term may equal another one under re.IGNORECASE (`stop` and `ſtop`
     match the same records), so a bad term is reported before any record is
-    read.  The returned function reads its records once and keeps none of
-    them: each matching record adds its (author, target) pairs to its term's
-    three edge dicts, whose key order is the pairs' first appearance.
+    read.  The returned function reads its records, as (author, text,
+    mentioned, reply_to, quoted) tuples, once and keeps none of them: each
+    matching record adds its (author, target) pairs to its term's three edge
+    dicts, whose key order is the pairs' first appearance.  The edges share
+    one object per distinct handle of the matching records.
     """
     # terms the patterns equate share a key: every character folds the way `_KEYS`
     # folds letters and digits, so U+0345 and cased symbols such as Ⓐ fold too
@@ -316,14 +367,15 @@ def _matcher(terms: list[str]) -> Callable[[Iterable[InteractionRecord]], list[T
             table.setdefault(first.group().translate(_KEYS), []).append(i)
     patterns = [_term_pattern(term) for term in terms]
 
-    def match(records: Iterable[InteractionRecord]) -> list[TermNetworkSet]:
+    def match(records: Iterable[tuple]) -> list[TermNetworkSet]:
         matched = [0] * len(terms)
         mentions: list[dict[tuple[str, str], None]] = [{} for _ in terms]
         replies: list[dict[tuple[str, str], None]] = [{} for _ in terms]
         quotes: list[dict[tuple[str, str], None]] = [{} for _ in terms]
-        for rec in records:
-            text = rec.text
-            keys = _TOKEN.findall(text.translate(_KEYS))
+        handles: dict[str, str] = {}
+        share = handles.setdefault  # share(v, v): the first handle equal to v of a matching record
+        for author, text, mentioned, reply_to, quoted in records:
+            keys = _token_keys(text)
             candidates = set(every_record)
             for found in map(keywords.get, keys):
                 if found:
@@ -332,16 +384,23 @@ def _matcher(terms: list[str]) -> Callable[[Iterable[InteractionRecord]], list[T
                 for found in map(hashtags.get, keys):
                     if found:
                         candidates.update(found)
+            shared = False
             for i in candidates:
                 if patterns[i].search(text) is not None:
+                    if not shared:  # the record's first matching term
+                        shared = True
+                        author = share(author, author)
+                        mentioned = [share(m, m) for m in mentioned]
+                        reply_to = reply_to and share(reply_to, reply_to)
+                        quoted = quoted and share(quoted, quoted)
                     matched[i] += 1
-                    author = rec.author
-                    for m in rec.mentioned:
+                    for m in mentioned:
                         mentions[i][author, m] = None
-                    if rec.reply_to_author is not None:
-                        replies[i][author, rec.reply_to_author] = None
-                    if rec.quoted_author is not None:
-                        quotes[i][author, rec.quoted_author] = None
+                    if reply_to is not None:
+                        replies[i][author, reply_to] = None
+                    if quoted is not None:
+                        quotes[i][author, quoted] = None
+        handles.clear()  # the edges hold the handles; the graphs built next set the peak
         return [
             TermNetworkSet(
                 term=term,
@@ -358,6 +417,9 @@ def _matcher(terms: list[str]) -> Callable[[Iterable[InteractionRecord]], list[T
     return match
 
 
+_record_fields = operator.attrgetter("author", "text", "mentioned", "reply_to_author", "quoted_author")
+
+
 def build_corpus(records: list[InteractionRecord], terms: list[str]) -> list[TermNetworkSet]:
     """One TermNetworkSet per term, input order preserved.
 
@@ -372,7 +434,7 @@ def build_corpus(records: list[InteractionRecord], terms: list[str]) -> list[Ter
     Memory beyond `records` grows with the distinct (author, target) pairs
     of each term, not with the matching records: no record is kept.
     """
-    return _matcher(terms)(records)
+    return _matcher(terms)(map(_record_fields, records))
 
 
 _REPORTED_FAILURES = 20  # the malformed lines `read_corpus` lists; the rest are only counted
@@ -390,10 +452,11 @@ def read_corpus(
     """build_corpus over read_records_file's records, without holding them.
 
     Returns the networks, the first 20 malformed lines as (line number,
-    reason) and the count of all of them.  Each record is parsed, windowed
-    and matched as it is read, so peak memory grows with the distinct edges
-    and distinct handles, not with the records.  The terms are checked
-    before the file is read, and the 10 % rule is applied when it ends.
+    reason) and the count of all of them.  Each line is decoded by the C
+    JSON scanner, checked, windowed and matched as it is read, so peak
+    memory grows with the distinct edges and the distinct handles of the
+    matching records, not with the records.  The terms are checked before
+    the file is read, and the 10 % rule is applied when it ends.
     """
     # _matcher, not build_corpus: perfbench/spans.py wraps build_corpus and takes len() of its records
     match = _matcher(terms)

@@ -361,7 +361,7 @@ def test_json_int_past_the_digit_limit_is_a_malformed_line(valid, tmp_path):
 
 def test_a_value_error_past_json_loads_is_a_bug(valid, tmp_path, monkeypatch):
     # only json.loads's errors make a malformed line: a ValueError from the record check is an internal error
-    def broken(obj):
+    def broken(obj, line):
         raise ValueError("bug")
 
     monkeypatch.setattr("termnet.ingest._record_from_obj", broken)

@@ -7,16 +7,19 @@ import string
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from termnet.manifest import InputError
 from termnet.ingest import (
     _KEYS,
     _SPLIT_KEYS,
+    _TOKEN,
     _KeyTable,
+    _loads,
     _matcher,
     _stream_corpus,
+    _token_keys,
     InteractionKind,
     InteractionRecord,
     build_corpus,
@@ -104,6 +107,50 @@ def test_a_line_of_non_json_whitespace_is_malformed(space):
         parse_records(good[0] + "\n" + space + "\n \n")
 
 
+def _decoded(decode, line):
+    """What decode(line) gives: ("value", value), or the error's type and its message and position."""
+    try:
+        return "value", decode(line)
+    except json.JSONDecodeError as exc:
+        return type(exc), exc.msg, exc.pos
+    except (RecursionError, ValueError) as exc:  # the errors the parser also counts as malformed lines
+        return type(exc), str(exc)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+JSON_PADDING = st.text(" \t\r\n\xa0\x0c\ufeff", max_size=3)
+JSON_LINES = st.one_of(
+    st.tuples(JSON_PADDING, JSON_VALUES.map(json.dumps), JSON_PADDING, st.text('{}[]",:1.e-x ', max_size=2))
+    .map("".join),
+    st.text('{}[]",:0123456789.eE-+ntrufalse\\ \t\r\n\ufeff\xa0', max_size=16),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(JSON_LINES)
+@example("\ufeff{}")  # a leading BOM
+@example('{"a": \ufeff1}')  # a BOM inside the line
+@example("{}\ufeff")
+@example(' \t\r\n{"a": [1, 2.5, "x"]} \t\r\n')
+@example("\xa0{}")  # padding that is not JSON whitespace
+@example("{}\x0c")
+@example("{} {}")  # trailing data
+@example("1 2")
+@example('"a"x')
+@example("[" * 100_000 + "]" * 100_000)  # nesting past the recursion limit
+@example("1" * 5_000)  # an int past Python's digit limit
+@example("{}")
+@example('"a bare string"')
+@example("")
+@example(" \t")
+def test_loads_equals_json_loads(line):
+    assert _decoded(_loads, line) == _decoded(json.loads, line)
+
+
 def test_records_outside_window_count_as_good_lines():
     # 1 malformed line and 9 valid records, only 1 of them inside the window
     lines = ["not json"] + [make_record(text=str(i), timestamp=f"2020-11-{10 + i:02d}T00:00:00Z") for i in range(9)]
@@ -137,6 +184,27 @@ def test_empty_handles_mean_none():
     assert {(mention.handle(u), mention.handle(v)) for u, v in mention.edges} == {("a", "b")}
     assert mention.handles == ("a", "b")
     assert nets.graphs[InteractionKind.REPLY].node_count == nets.graphs[InteractionKind.QUOTE_RETWEET].node_count == 0
+
+
+def test_a_raw_lone_surrogate_in_a_str_line_is_malformed():
+    # no JSON escape made it, but no UTF-8 edge file could hold it either
+    obj = {"post_id": "1", "author": "a\ud800", "text": "x", "timestamp": "2020-11-09T12:00:00Z"}
+    bad = json.dumps(obj, ensure_ascii=False)
+    assert "\ud800" in bad and "\\u" not in bad
+    good = [make_record(text=str(i)) for i in range(9)]
+    result = parse_records([bad] + good)
+    assert [r.text for r in result.records] == [str(i) for i in range(9)]
+    ((lineno, reason),) = result.failures
+    assert lineno == 1 and "surrogates not allowed" in reason
+
+
+def test_an_escaped_backslash_before_u_is_a_good_record():
+    line = make_record(author="C:\\users", text="C:\\ud800 is a path", mentioned=["\\u00e9"])
+    assert "\\\\u" in line  # the raw line holds backslash, backslash, u
+    result = parse_records(line)
+    assert result.failures == []
+    (rec,) = result.records
+    assert (rec.author, rec.text, rec.mentioned) == ("C:\\users", "C:\\ud800 is a path", ("\\u00e9",))
 
 
 def test_records_share_one_object_per_handle_and_mention_list():
@@ -230,6 +298,35 @@ def _networks_core_peak_bytes(n):
 def test_networks_memory_does_not_grow_with_the_records():
     # about 10.5 KB at both sizes; holding the records (or every failure) costs about 150 bytes each
     small, large = _networks_core_peak_bytes(2_000), _networks_core_peak_bytes(8_000)
+    assert large <= 1.25 * small, (small, large)
+
+
+def _unmatched_stream_peak_bytes(n):
+    """Peak traced bytes of `networks`' core over n records, each with a new author and mention, matching no term."""
+
+    def lines():
+        for i in range(n):
+            yield (
+                f'{{"author": "a{i:07d}", "mentioned": ["m{i:07d}"], "post_id": "p{i}", '
+                f'"text": "nothing to see {i}", "timestamp": "2020-11-09T12:00:00Z"}}\n'
+            )
+
+    match = _matcher(["topic", "#other"])
+    tracemalloc.start()
+    try:
+        corpus, failures, malformed = _stream_corpus(lines(), match)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (malformed, failures) == (0, [])
+    assert [ts.matched_records for ts in corpus] == [0, 0]
+    return peak
+
+
+def test_handles_of_records_that_match_no_term_are_not_kept():
+    # only a matching record's handles are shared, so a stream of new handles that matches nothing
+    # keeps none of them; sharing every record's handles peaked at 1.6 MB and 6.5 MB here
+    small, large = _unmatched_stream_peak_bytes(10_000), _unmatched_stream_peak_bytes(40_000)
     assert large <= 1.25 * small, (small, large)
 
 
@@ -439,6 +536,20 @@ def test_token_keys_never_part_characters_the_pattern_equates():
         assert [bool(alnum.match(k)) for k in keys] == [bool(alnum.match(c)) for c in chars]
 
 
+def test_ascii_token_keys_equal_the_key_table():
+    # an ASCII text takes the bytes.translate path, any other text the _KEYS path
+    for c in range(128):
+        char = chr(c)
+        for text in (char, f"a{char}b", f"{char}Z9{char}{char}q", f"X{char}"):
+            assert _token_keys(text) == _TOKEN.findall(text.translate(_KEYS)), (c, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(max_codepoint=127)) | st.text(string.printable + "ſéİ\u0345ß"))
+def test_token_keys_are_the_keys_of_the_tokens(text):
+    assert _token_keys(text) == _TOKEN.findall(text.translate(_KEYS))
+
+
 def test_build_corpus_unicode_case_folding():
     texts = ["ſtop now", "#Stop", "İs it", "ıs", "\u212ain", "µ here", "#ſTOP_x", "naïve na", "Straße"]
     records = [InteractionRecord(author="a", text=t, mentioned=("b",)) for t in texts]
@@ -500,6 +611,8 @@ def property_terms(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(property_records(), property_terms())
+@example([InteractionRecord("a", "VAX pass-tag #Tag.me_is #vax_PASS kin", ("b",), "c", "d")], PROPERTY_TERMS)  # ASCII
+@example([InteractionRecord("a", "ſtop İs \u212ain µ ßa-aι #vax", ("b", "c"), "d")], PROPERTY_TERMS)  # not ASCII
 def test_build_corpus_equals_per_term_scan(records, terms):
     assert_same_corpus(build_corpus(records, terms), oracles.scan_corpus(records, terms))
 

@@ -113,7 +113,7 @@ def build_graph(pairs: Iterable[tuple[str, str]]) -> DirectedGraph:
     """
     index: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
-    for src, dst in dict.fromkeys(pairs):  # repeats dropped before interning, first appearance kept
+    for src, dst in pairs:  # a repeat interns nothing new, and DirectedGraph collapses its edge
         if src == dst:
             continue
         u = index.setdefault(src, len(index))

@@ -9,6 +9,7 @@ quoted author (quote retweet).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gzip
 import io
@@ -166,7 +167,8 @@ def _record_from_obj(obj, line: str) -> tuple[str, str, list[str], str | None, s
 class _RecordStream:
     """The windowed records of `lines`, parsed one line at a time as they are iterated.
 
-    `lines` is a str or any iterable of str lines; records come out in input
+    `lines` is a str or any iterable of str lines; a str is split where a
+    records file is, at LF, CR or CRLF.  Records come out in input
     order and only those stamped within [window_from, window_to] (inclusive;
     an unset bound is open).  A line is blank when it holds JSON whitespace
     alone (space, tab, CR, LF); any other line is parsed and counted, and a
@@ -183,7 +185,7 @@ class _RecordStream:
     """
 
     def __init__(self, lines, window_from=None, window_to=None, keep_failures=None):
-        self.lines = io.StringIO(lines) if isinstance(lines, str) else lines
+        self.lines = io.StringIO(lines, newline="") if isinstance(lines, str) else lines
         self.window_from = window_from
         self.window_to = window_to
         self.keep_failures = keep_failures
@@ -231,47 +233,27 @@ def parse_records(lines, window_from: datetime | None = None, window_to: datetim
 
     The lines, the window, the blank-line rule and the 10 % rule are those of
     `_RecordStream`, whose tuples this call turns into `InteractionRecord`s.
-    Each record holds its own text, but records share one object per
-    distinct handle and per distinct mention tuple, so memory
-    grows with the records' texts and the distinct handles, not with the
-    handles' references.  The memos live for this call only.  On a stream
-    that never repeats a handle they save nothing, and their entries cost up
-    to about 50 % more memory per record (records of two short handles
-    each) than unshared copies would.  `read_corpus` builds the networks
-    without keeping the records.
+    `read_corpus` builds the networks without keeping the records.
     """
-    # share(v, v) returns the first object equal to v seen in this call; handles get a memo of their
-    # own because a dict whose keys are all str stores no hashes, so its entries are smaller
-    share_handle = {}.setdefault
-    share_mentions = {}.setdefault
     stream = _RecordStream(lines, window_from, window_to)
-    records = []
-    for author, text, mentioned, reply_to, quoted in stream:
-        mentioned = tuple([share_handle(m, m) for m in mentioned])
-        records.append(
-            InteractionRecord(
-                share_handle(author, author),
-                text,
-                share_mentions(mentioned, mentioned),
-                reply_to and share_handle(reply_to, reply_to),
-                quoted and share_handle(quoted, quoted),
-            )
-        )
+    records = [InteractionRecord(a, t, tuple(m), r, q) for a, t, m, r, q in stream]
     return ParseResult(records=records, failures=stream.failures)
 
 
-def _open_records(path):
-    """A records file as text; names ending .gz are gzip-decompressed."""
-    return open_text(path, gzip.open if str(path).endswith(".gz") else open)
+@contextlib.contextmanager
+def _records_file(path):
+    """A records file's text lines, gzip-decompressed when the name ends .gz; the 10 % error names the file."""
+    with open_text(path, gzip.open if str(path).endswith(".gz") else open) as fh:
+        try:
+            yield fh
+        except InputError as exc:  # the 10 % rule
+            raise InputError(f"{path}: {exc}") from None
 
 
 def read_records_file(path, window_from: datetime | None = None, window_to: datetime | None = None) -> ParseResult:
     """parse_records over a file; names ending .gz are gzip-decompressed."""
-    with _open_records(path) as fh:
-        try:
-            return parse_records(fh, window_from, window_to)
-        except InputError as exc:  # the 10 % rule
-            raise InputError(f"{path}: {exc}") from None
+    with _records_file(path) as fh:
+        return parse_records(fh, window_from, window_to)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -460,11 +442,8 @@ def read_corpus(
     """
     # _matcher, not build_corpus: perfbench/spans.py wraps build_corpus and takes len() of its records
     match = _matcher(terms)
-    with _open_records(path) as fh:
-        try:
-            return _stream_corpus(fh, match, window_from, window_to)
-        except InputError as exc:  # the 10 % rule
-            raise InputError(f"{path}: {exc}") from None
+    with _records_file(path) as fh:
+        return _stream_corpus(fh, match, window_from, window_to)
 
 
 def read_terms_file(path) -> list[str]:

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from termnet.cli import main
-from termnet.ingest import parse_records, read_records_file, read_terms_file
+from termnet.ingest import parse_records, read_corpus, read_records_file, read_terms_file
 from termnet.manifest import FIELD_LIMIT, InputError, read_csv
 from termnet.pipeline import FEATURES_COLUMNS, SUMMARY_COLUMNS, read_features_csv, read_summary
 from termnet.ranking import LABELS_COLUMNS, RATINGS_COLUMNS, read_labels_csv, read_ratings_csv
@@ -452,11 +452,16 @@ def test_labels_and_ratings_readers_reject_a_repeated_key(valid, tmp_path):
         assert str(info.value).startswith(f"{target}: ")
 
 
-def test_too_many_malformed_lines_names_the_records_file(tmp_path):
-    records = tmp_path / "records.jsonl"
-    records.write_text("not json\n", encoding="utf-8")
+@pytest.mark.parametrize("name", ["records.jsonl", "records.jsonl.gz"])
+@pytest.mark.parametrize(
+    "read", [read_records_file, lambda path: read_corpus(path, ["x"])], ids=["read_records_file", "read_corpus"]
+)
+def test_too_many_malformed_lines_names_the_records_file(read, name, tmp_path):
+    records = tmp_path / name
+    data = b"not json\n"
+    records.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
     with pytest.raises(InputError) as info:
-        read_records_file(records)
+        read(records)
     assert str(info.value).startswith(f"{records}: 1 of 1 lines malformed (limit 10%); first: line 1: ")
 
 

@@ -46,8 +46,11 @@ def test_build_graph_ignores_repeats_of_earlier_pairs(pairs, data):
     for _ in range(data.draw(st.integers(0, 10))):
         at = data.draw(st.integers(1, len(repeated)))
         repeated.insert(at, repeated[data.draw(st.integers(0, at - 1))])
-    g = build_graph(repeated)
+    loop = data.draw(st.sampled_from("abcde"))
+    repeated.insert(data.draw(st.integers(0, len(repeated))), (loop, loop))
+    g = build_graph(pair for pair in repeated)  # a one-shot generator
     assert g == build_graph(pairs)  # node count, edges and handles in order
+    assert g == build_graph(list(dict.fromkeys(pair for pair in pairs if pair[0] != pair[1])))
     handles = [h for src, dst in pairs if src != dst for h in (src, dst)]
     assert list(g.handles) == sorted(set(handles), key=handles.index)  # first appearance
 

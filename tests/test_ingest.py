@@ -4,7 +4,9 @@ import gzip
 import json
 import re
 import string
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +27,7 @@ from termnet.ingest import (
     build_corpus,
     parse_records,
     parse_timestamp,
+    read_corpus,
     read_records_file,
     read_terms_file,
 )
@@ -207,20 +210,6 @@ def test_an_escaped_backslash_before_u_is_a_good_record():
     assert (rec.author, rec.text, rec.mentioned) == ("C:\\users", "C:\\ud800 is a path", ("\\u00e9",))
 
 
-def test_records_share_one_object_per_handle_and_mention_list():
-    lines = [
-        make_record(author="alice", mentioned=["bob", "carol"], reply_to_author="dave", quoted_author="erin"),
-        make_record(author="alice", mentioned=["bob", "carol"], reply_to_author="dave", quoted_author="erin"),
-        make_record(author="bob", mentioned=["carol", "", "alice"], reply_to_author="erin", quoted_author="dave"),
-    ]
-    first, second, third = parse_records("\n".join(lines)).records
-    for field in ("author", "mentioned", "reply_to_author", "quoted_author"):
-        assert getattr(first, field) is getattr(second, field), field
-    assert third.author is first.mentioned[0]
-    assert third.mentioned[0] is first.mentioned[1] and third.mentioned[1] is first.author
-    assert third.reply_to_author is first.quoted_author and third.quoted_author is first.reply_to_author
-
-
 _TARGETS = ('"mentioned": ["{}"]', '"reply_to_author": "{}"', '"quoted_author": "{}"')
 
 
@@ -246,21 +235,12 @@ def _peak_bytes_per_record(n, handle):
     return peak / n
 
 
-# Peak bytes per record (tracemalloc, CPython 3.11) when every record holds its own copy of
-# each handle, as before records shared them; about the same on both streams below.
+# Peak bytes per record (tracemalloc, CPython 3.11) when every record holds its own copy of each handle
 _UNSHARED_BYTES_PER_RECORD = 276
 
 
-def test_repeated_handles_are_stored_once():
-    # 50,000 records over 500 handles: about 147 bytes a record
-    per_record = _peak_bytes_per_record(50_000, lambda i, k: f"user{(i * (6 * k + 1) + k) % 500:05d}")
-    assert per_record < 200, per_record
-
-
 def test_a_stream_without_repeated_handles_costs_at_most_half_again():
-    # The worst case: no handle repeats, so each memo entry costs memory and saves none.  The
-    # peak per record swings with the memo's fill, from 1.2x to 1.53x unshared; it is highest
-    # just after the handle memo grows, as it does at 21,846 handles (11,000 records here).
+    # No handle repeats, and each record holds its own fields: about 270 bytes a record here
     per_record = _peak_bytes_per_record(11_000, lambda i, k: f"{'ab'[k]}{i:07d}")
     assert per_record <= 1.55 * _UNSHARED_BYTES_PER_RECORD, per_record
 
@@ -346,6 +326,18 @@ def test_read_records_gzip(tmp_path):
     result = read_records_file(path)
     assert len(result.records) == 1
     assert read_records_file(path, None, parse_timestamp("2020-11-08T23:59:59Z")).records == []
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_a_str_and_a_file_split_lines_alike(end, tmp_path):
+    good = [make_record(text=str(i)) for i in range(9)]
+    text = end.join(good[:3] + ["", " \t", "not json"] + good[3:]) + end
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(text.encode())
+    result = parse_records(text)
+    assert result == read_records_file(path)
+    assert [r.text for r in result.records] == [str(i) for i in range(9)]
+    assert result.failures == [(6, "invalid JSON: Expecting value")]
 
 
 def test_term_matches_hashtag():
@@ -629,3 +621,56 @@ def test_read_terms_file(tmp_path):
 
 def test_interaction_kind_names():
     assert [k.value for k in InteractionKind] == ["mention", "reply", "quote"]
+
+
+CORPUS_TERMS = ["vax", "#vax", "vax pass", "tag"]
+STAMPS = ["2020-11-08T23:00:00Z", "2020-11-09T12:00:00Z", "2020-11-10T00:30:00+01:00"]
+BAD_LINES = ["junk", "{}", "[1]", make_record(timestamp="yesterday"), make_record(author=""), make_record(mentioned="b")]
+GOOD_LINES = st.builds(
+    lambda author, words, mentioned, reply, quoted, stamp: make_record(
+        author=author, text=" ".join(words), mentioned=mentioned,
+        reply_to_author=reply, quoted_author=quoted, timestamp=stamp,
+    ),
+    HANDLES,
+    st.lists(st.sampled_from(["vax", "VAX", "#vax", "pass", "tag", "#tag", "other"]), max_size=4),
+    st.lists(HANDLES | st.just(""), max_size=2),
+    st.none() | st.just("") | HANDLES,
+    st.none() | HANDLES,
+    st.sampled_from(STAMPS),
+)
+BOUNDS = st.none() | st.sampled_from([parse_timestamp(stamp) for stamp in ["2020-11-09T00:00:00Z", STAMPS[1]]])
+
+
+@st.composite
+def records_file_lines(draw):
+    """Good lines, repeated so that a file can hold more than 20 malformed lines within the limit.
+
+    Malformed lines, up to one more than the 10 % rule allows, and two blank lines go in anywhere.
+    """
+    lines = draw(st.lists(GOOD_LINES, max_size=25)) * draw(st.integers(1, 10))
+    bad = draw(st.integers(0, len(lines) // 9 + 1))
+    for extra in draw(st.lists(st.sampled_from(BAD_LINES), min_size=bad, max_size=bad)) + ["", " \t"]:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(records_file_lines(), BOUNDS, BOUNDS, st.booleans())
+@example([make_record(text="vax pass", mentioned=["b"])] * 230 + ["junk"] * 23, None, None, False)  # 23 of 253
+@example([make_record(text="vax", mentioned=["b"])] * 9 + ["junk"] * 2, None, None, True)  # 2 of 11: over the limit
+def test_read_corpus_equals_build_corpus_over_read_records_file(lines, window_from, window_to, gz):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / ("records.jsonl.gz" if gz else "records.jsonl")
+        data = "".join(line + "\n" for line in lines).encode()
+        path.write_bytes(gzip.compress(data) if gz else data)
+        try:
+            parsed = read_records_file(path, window_from, window_to)
+        except InputError as exc:  # the 10 % rule
+            with pytest.raises(InputError) as info:
+                read_corpus(path, CORPUS_TERMS, window_from, window_to)
+            assert str(info.value) == str(exc)
+            return
+        corpus, failures, malformed = read_corpus(path, CORPUS_TERMS, window_from, window_to)
+    assert_same_corpus(corpus, build_corpus(parsed.records, CORPUS_TERMS))
+    assert failures == parsed.failures[:20]
+    assert malformed == len(parsed.failures)

@@ -5,6 +5,9 @@ stamped inside the collection window.  Each record that textually matches a
 term contributes edges to that term's three directed graphs: author ->
 mentioned user (mention), author -> replied-to author (reply), author ->
 quoted author (quote retweet).
+
+`read_corpus` reads a plain records file in byte-range parts, one forked
+process each, so call it from a single-threaded process.
 """
 
 from __future__ import annotations
@@ -15,10 +18,12 @@ import gzip
 import io
 import json
 import operator
+import os
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timezone
 from enum import Enum
+from itertools import chain, repeat
 from json.decoder import WHITESPACE
 from json.scanner import make_scanner
 from typing import Callable, Iterable, Iterator
@@ -167,16 +172,19 @@ def _record_from_obj(obj, line: str) -> tuple[str, str, list[str], str | None, s
 class _RecordStream:
     """The windowed records of `lines`, parsed one line at a time as they are iterated.
 
-    `lines` is a str or any iterable of str lines; a str is split where a
-    records file is, at LF, CR or CRLF.  Records come out in input
+    `lines` is a str or any iterable of str lines; a str is read as a
+    records file is: one leading U+FEFF is dropped, and lines end at LF, CR
+    or CRLF.  Records come out in input
     order and only those stamped within [window_from, window_to] (inclusive;
     an unset bound is open).  A line is blank when it holds JSON whitespace
     alone (space, tab, CR, LF); any other line is parsed and counted, and a
     valid record outside the window is a good line.  Malformed lines are
     counted in `malformed` and listed in `failures` as (1-based line number,
     reason): all of them, or the first `keep_failures`.  Once the lines run
-    out, more than MAX_BAD_FRACTION of the non-blank lines malformed is an
-    InputError.
+    out, `nonblank` and `line_count` hold the counts of non-blank and of all
+    lines.  The stream raises nothing for malformed lines: the caller applies
+    the 10 % rule (`_check_malformed`) to the whole input, which may be read
+    in several streams.
 
     Each record comes out as a plain (author, text, mentioned, reply_to,
     quoted) tuple, where `mentioned` is a list of the non-empty mentioned
@@ -185,12 +193,14 @@ class _RecordStream:
     """
 
     def __init__(self, lines, window_from=None, window_to=None, keep_failures=None):
-        self.lines = io.StringIO(lines, newline="") if isinstance(lines, str) else lines
+        self.lines = io.StringIO(lines.removeprefix("\ufeff"), newline="") if isinstance(lines, str) else lines
         self.window_from = window_from
         self.window_to = window_to
         self.keep_failures = keep_failures
         self.failures: list[tuple[int, str]] = []
         self.malformed = 0
+        self.nonblank = 0
+        self.line_count = 0
 
     def _fail(self, lineno: int, reason: str) -> None:
         self.malformed += 1
@@ -199,7 +209,7 @@ class _RecordStream:
 
     def __iter__(self) -> Iterator[tuple[str, str, list[str], str | None, str | None]]:
         window_from, window_to = self.window_from, self.window_to
-        total = 0
+        total = lineno = 0
         for lineno, line in enumerate(self.lines, start=1):
             if not line.strip(_JSON_WHITESPACE):
                 continue
@@ -219,24 +229,30 @@ class _RecordStream:
             else:
                 if (window_from is None or window_from <= instant) and (window_to is None or instant <= window_to):
                     yield author, text, mentioned, reply_to, quoted
+        self.nonblank, self.line_count = total, lineno
 
-        if total and self.malformed / total > MAX_BAD_FRACTION:
-            lineno, reason = self.failures[0]
-            raise InputError(
-                f"{self.malformed} of {total} lines malformed "
-                f"(limit {MAX_BAD_FRACTION:.0%}); first: line {lineno}: {reason}"
-            )
+
+def _check_malformed(malformed: int, nonblank: int, failures: list[tuple[int, str]]) -> None:
+    """The 10 % rule: more than MAX_BAD_FRACTION of the non-blank lines malformed is an InputError."""
+    if nonblank and malformed / nonblank > MAX_BAD_FRACTION:
+        lineno, reason = failures[0]
+        raise InputError(
+            f"{malformed} of {nonblank} lines malformed "
+            f"(limit {MAX_BAD_FRACTION:.0%}); first: line {lineno}: {reason}"
+        )
 
 
 def parse_records(lines, window_from: datetime | None = None, window_to: datetime | None = None) -> ParseResult:
     """Every windowed record of `lines` and every malformed line, in input order.
 
-    The lines, the window, the blank-line rule and the 10 % rule are those of
-    `_RecordStream`, whose tuples this call turns into `InteractionRecord`s.
+    The lines, the window and the blank-line rule are those of `_RecordStream`,
+    whose tuples this call turns into `InteractionRecord`s; more than
+    MAX_BAD_FRACTION of the non-blank lines malformed is an InputError.
     `read_corpus` builds the networks without keeping the records.
     """
     stream = _RecordStream(lines, window_from, window_to)
     records = [InteractionRecord(a, t, tuple(m), r, q) for a, t, m, r, q in stream]
+    _check_malformed(stream.malformed, stream.nonblank, stream.failures)
     return ParseResult(records=records, failures=stream.failures)
 
 
@@ -313,16 +329,43 @@ def _token_keys(text: str) -> list[str]:
     return _TOKEN.findall(text.translate(_KEYS))
 
 
-def _matcher(terms: list[str]) -> Callable[[Iterable[tuple]], list[TermNetworkSet]]:
-    """Check `terms` now; return the function that builds their networks from records.
+class _TermEdges:
+    """What matching keeps of the records, per term in term order.
+
+    `matched[i]` counts the records that match term i, and `kinds[k][i]`
+    holds the distinct (author, target) pairs of interaction k
+    (InteractionKind order) as dict keys, in order of first appearance.
+    `handles` maps each handle in the pairs to its one shared object.
+    """
+
+    def __init__(self, terms: list[str]):
+        self.terms = terms
+        self.matched = [0] * len(terms)
+        self.kinds = tuple([{} for _ in terms] for _ in InteractionKind)
+        self.handles: dict[str, str] = {}
+
+    def networks(self) -> list[TermNetworkSet]:
+        self.handles.clear()  # the edges hold the handles; the graphs built next set the peak
+        return [
+            TermNetworkSet(
+                term=term,
+                graphs={kind: build_graph(pairs[i]) for kind, pairs in zip(InteractionKind, self.kinds)},
+                matched_records=self.matched[i],
+            )
+            for i, term in enumerate(self.terms)
+        ]
+
+
+def _matcher(terms: list[str]) -> Callable[[Iterable[tuple]], _TermEdges]:
+    """Check `terms` now; return the function that matches records against them.
 
     No term may equal another one under re.IGNORECASE (`stop` and `ſtop`
     match the same records), so a bad term is reported before any record is
     read.  The returned function reads its records, as (author, text,
     mentioned, reply_to, quoted) tuples, once and keeps none of them: each
     matching record adds its (author, target) pairs to its term's three edge
-    dicts, whose key order is the pairs' first appearance.  The edges share
-    one object per distinct handle of the matching records.
+    dicts in the `_TermEdges` it returns.  The edges share one object per
+    distinct handle of the matching records.
     """
     # terms the patterns equate share a key: every character folds the way `_KEYS`
     # folds letters and digits, so U+0345 and cased symbols such as Ⓐ fold too
@@ -349,16 +392,16 @@ def _matcher(terms: list[str]) -> Callable[[Iterable[tuple]], list[TermNetworkSe
             table.setdefault(first.group().translate(_KEYS), []).append(i)
     patterns = [_term_pattern(term) for term in terms]
 
-    def match(records: Iterable[tuple]) -> list[TermNetworkSet]:
-        matched = [0] * len(terms)
-        mentions: list[dict[tuple[str, str], None]] = [{} for _ in terms]
-        replies: list[dict[tuple[str, str], None]] = [{} for _ in terms]
-        quotes: list[dict[tuple[str, str], None]] = [{} for _ in terms]
-        handles: dict[str, str] = {}
-        share = handles.setdefault  # share(v, v): the first handle equal to v of a matching record
+    def match(records: Iterable[tuple]) -> _TermEdges:
+        edges = _TermEdges(terms)
+        matched = edges.matched
+        mentions, replies, quotes = edges.kinds
+        share = edges.handles.setdefault  # share(v, v): the first handle equal to v of a matching record
         for author, text, mentioned, reply_to, quoted in records:
             keys = _token_keys(text)
-            candidates = set(every_record)
+            candidates = set()
+            if every_record:
+                candidates.update(every_record)
             for found in map(keywords.get, keys):
                 if found:
                     candidates.update(found)
@@ -382,19 +425,7 @@ def _matcher(terms: list[str]) -> Callable[[Iterable[tuple]], list[TermNetworkSe
                         replies[i][author, reply_to] = None
                     if quoted is not None:
                         quotes[i][author, quoted] = None
-        handles.clear()  # the edges hold the handles; the graphs built next set the peak
-        return [
-            TermNetworkSet(
-                term=term,
-                graphs={
-                    InteractionKind.MENTION: build_graph(mentions[i]),
-                    InteractionKind.REPLY: build_graph(replies[i]),
-                    InteractionKind.QUOTE_RETWEET: build_graph(quotes[i]),
-                },
-                matched_records=matched[i],
-            )
-            for i, term in enumerate(terms)
-        ]
+        return edges
 
     return match
 
@@ -416,7 +447,7 @@ def build_corpus(records: list[InteractionRecord], terms: list[str]) -> list[Ter
     Memory beyond `records` grows with the distinct (author, target) pairs
     of each term, not with the matching records: no record is kept.
     """
-    return _matcher(terms)(map(_record_fields, records))
+    return _matcher(terms)(map(_record_fields, records)).networks()
 
 
 _REPORTED_FAILURES = 20  # the malformed lines `read_corpus` lists; the rest are only counted
@@ -425,7 +456,193 @@ _REPORTED_FAILURES = 20  # the malformed lines `read_corpus` lists; the rest are
 def _stream_corpus(lines, match, window_from=None, window_to=None):
     """`match` over the records of `lines` as they are parsed: (networks, first failures, malformed count)."""
     records = _RecordStream(lines, window_from, window_to, keep_failures=_REPORTED_FAILURES)
-    return match(records), records.failures, records.malformed
+    edges = match(records)
+    _check_malformed(records.malformed, records.nonblank, records.failures)
+    return edges.networks(), records.failures, records.malformed
+
+
+_PART_BYTES = 1 << 20  # the least bytes of a part: a plain records file is read in size // _PART_BYTES parts or fewer
+
+
+def _part_bounds(fh) -> list[int]:
+    """Offsets [0, ..., size] that split the open binary file `fh` into parts of about equal size.
+
+    There are at most min(usable cores, size // _PART_BYTES) parts, and at
+    least one.  Each cut falls just after an LF byte, so every part starts a
+    line and no CRLF pair is split; a file with no LF to cut at is one part.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    parts = min(len(os.sched_getaffinity(0)), size // _PART_BYTES)
+    bounds = [0]
+    for k in range(1, parts):
+        at = max(size * k // parts - 1, bounds[-1])
+        fh.seek(at)
+        while chunk := fh.read(1 << 16):
+            lf = chunk.find(b"\n")
+            if lf >= 0:
+                break
+            at += len(chunk)
+        else:
+            break  # no LF after `at`
+        if at + lf + 1 == size:
+            break
+        bounds.append(at + lf + 1)
+    bounds.append(size)
+    return bounds
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes [start, end) of the file open at descriptor `fd`, read with os.pread: no shared offset moves."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        self.fd, self.pos, self.end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self.fd, min(len(buffer), self.end - self.pos), self.pos)
+        buffer[: len(data)] = data
+        self.pos += len(data)
+        return len(data)
+
+
+def _read_part(fd, start, end, match, window_from, window_to) -> tuple[_TermEdges, _RecordStream]:
+    """`match` over the records of bytes [start, end) of a records file, and the stream that parsed them.
+
+    The part at offset 0 is decoded as `utf-8-sig`, which drops a leading
+    BOM as open_text does; a later part as plain `utf-8`, so a U+FEFF that
+    starts one of its lines makes that line malformed, as in a whole read.
+    A non-UTF-8 byte raises UnicodeDecodeError.
+    """
+    with io.TextIOWrapper(_ByteRange(fd, start, end), "utf-8" if start else "utf-8-sig", newline="") as lines:
+        records = _RecordStream(lines, window_from, window_to, keep_failures=_REPORTED_FAILURES)
+        return match(records), records
+
+
+def _send_part(out, fd, start, end, match, window_from, window_to) -> None:
+    """Read one part (`_read_part`) and pickle its result to the binary file `out`.
+
+    The first pickle is the exception the read raised, or the part's
+    (matched counts, failures, malformed count, non-blank count, line count).
+    Then comes one pickle per term and interaction, in `_TermEdges.kinds`
+    order: the flat list [author1, target1, author2, target2, ...] of its
+    pairs, so that the reader loads one of them at a time.
+    """
+    import pickle  # here, not at the top: only a read in parts loads it, and every stage imports this module
+
+    try:
+        edges, records = _read_part(fd, start, end, match, window_from, window_to)
+    except BaseException as exc:  # raised again by the parent
+        pickle.dump(exc, out, pickle.HIGHEST_PROTOCOL)
+        return
+    counts = (edges.matched, records.failures, records.malformed, records.nonblank, records.line_count)
+    pickle.dump(counts, out, pickle.HIGHEST_PROTOCOL)
+    for pairs in chain.from_iterable(edges.kinds):
+        pickle.dump(list(chain.from_iterable(pairs)), out, pickle.HIGHEST_PROTOCOL)
+
+
+class _PartReader:
+    """A forked child that reads bytes [start, end) of a records file and pickles its result to a pipe."""
+
+    def __init__(self, fd, start, end, match, window_from, window_to):
+        self.start, self.end, self.code = start, end, None
+        read_end, write_end = os.pipe()
+        self.pipe = open(read_end, "rb")
+        with open(write_end, "wb") as out:
+            self.pid = os.fork()
+            if self.pid == 0:  # the child ends here, without running any cleanup of the parent's
+                code = 1
+                try:
+                    _send_part(out, fd, start, end, match, window_from, window_to)
+                    out.close()
+                    code = 0
+                finally:
+                    os._exit(code)
+
+    def receive(self):
+        """The next object the child sent; RuntimeError when it exited before sending it."""
+        import pickle
+
+        try:
+            return pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):
+            code = self.wait(kill=True)
+        raise RuntimeError(f"the reader of bytes {self.start}-{self.end} exited with code {code} before its result")
+
+    def wait(self, kill: bool) -> int:
+        """Reap the child once, after killing it if `kill`; its exit code (negative: the signal that ended it)."""
+        if self.code is None:
+            self.pipe.close()
+            if kill:
+                import signal
+
+                os.kill(self.pid, signal.SIGKILL)  # a child that has exited stays until it is reaped
+            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.code
+
+
+def _extend(pairs: dict[tuple[str, str], None], flat: list[str], share) -> None:
+    """Add the pairs of `flat` ([author1, target1, ...]) after those of `pairs`, each handle as `share` gives it.
+
+    A pair `pairs` holds keeps its place, so the keys stay in order of first appearance.
+    """
+    handles = map(share, flat, flat)
+    pairs.update(zip(zip(handles, handles), repeat(None)))
+
+
+def _read_parts(fh, match, window_from, window_to) -> tuple[_TermEdges, list[tuple[int, str]], int, int]:
+    """Read the open binary records file `fh` in parts (`_part_bounds`), merged in file order.
+
+    The first part is read in this process, each other one in its own
+    forked child.  Returns the merged edges, the failures with their line
+    numbers in the file (the first `_REPORTED_FAILURES` of each part), and
+    the malformed and non-blank line counts of the file.  The first part
+    that raises, in file order, decides what this raises.  Every child is
+    reaped before this returns or raises: on an error, after it is killed.
+    """
+    bounds = _part_bounds(fh)
+    fd = fh.fileno()
+    children: list[_PartReader] = []
+    try:
+        for start, end in zip(bounds[1:-1], bounds[2:]):
+            children.append(_PartReader(fd, start, end, match, window_from, window_to))
+        edges, records = _read_part(fd, 0, bounds[1], match, window_from, window_to)
+        failures, malformed = records.failures, records.malformed
+        nonblank, line_count = records.nonblank, records.line_count
+        share = edges.handles.setdefault
+        for child in children:
+            counts = child.receive()
+            if isinstance(counts, BaseException):
+                raise counts
+            matched, part_failures, part_malformed, part_nonblank, part_lines = counts
+            edges.matched[:] = map(operator.add, edges.matched, matched)
+            failures += [(lineno + line_count, reason) for lineno, reason in part_failures]
+            malformed += part_malformed
+            nonblank += part_nonblank
+            line_count += part_lines
+            for pairs in chain.from_iterable(edges.kinds):
+                _extend(pairs, child.receive(), share)
+            child.wait(kill=False)
+    finally:
+        for child in children:
+            child.wait(kill=True)
+    return edges, failures, malformed, nonblank
+
+
+def _decode_error(path, exc: UnicodeDecodeError) -> InputError:
+    """The error open_text gives for the first non-UTF-8 byte of `path`, which `exc` found in one of its parts.
+
+    A part's decoder counts positions from where it started, so the error is
+    taken from a read of the whole file, line by line as `_RecordStream` reads.
+    """
+    try:
+        with open_text(path) as fh:
+            for _ in fh:
+                pass
+    except InputError as whole:
+        return whole
+    return InputError(f"{path}: not UTF-8 text: {exc}")  # the file has changed since the part was read
 
 
 def read_corpus(
@@ -438,12 +655,31 @@ def read_corpus(
     JSON scanner, checked, windowed and matched as it is read, so peak
     memory grows with the distinct edges and the distinct handles of the
     matching records, not with the records.  The terms are checked before
-    the file is read, and the 10 % rule is applied when it ends.
+    the file is read.
+
+    A plain file is split into byte ranges of whole lines, one per usable
+    core and at least `_PART_BYTES` each (`_part_bounds`).  This process
+    reads the first and a forked child each other one, so call this from a
+    single-threaded process.  The parts are merged in file order, so the
+    result, line numbers included, is the same at any part count; the 10 %
+    rule is applied once, to the whole file's counts.  A .gz file, and a
+    path that is not a regular file (a pipe), is read in one part.
     """
     # _matcher, not build_corpus: perfbench/spans.py wraps build_corpus and takes len() of its records
     match = _matcher(terms)
-    with _records_file(path) as fh:
-        return _stream_corpus(fh, match, window_from, window_to)
+    if str(path).endswith(".gz") or not os.path.isfile(path):  # a gzip stream or a pipe cannot be split
+        with _records_file(path) as fh:
+            return _stream_corpus(fh, match, window_from, window_to)
+    with open(path, "rb") as fh:
+        try:
+            edges, failures, malformed, nonblank = _read_parts(fh, match, window_from, window_to)
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc) from exc
+    try:
+        _check_malformed(malformed, nonblank, failures)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    return edges.networks(), failures[:_REPORTED_FAILURES], malformed
 
 
 def read_terms_file(path) -> list[str]:

@@ -3,8 +3,9 @@
 Only `classify` and `synth` compute with numpy.  Every other command, and the
 `--manifest` run of every command but `synth`, starts without numpy and
 without the process pool's modules, `features` also on a network of 900
-nodes at `--workers 2`.  Each command runs in a fresh interpreter, because
-this one has loaded numpy already.
+nodes at `--workers 2`, and `networks` also on a records file it reads in
+parts, each in a forked process.  Each command runs in a fresh interpreter,
+because this one has loaded numpy already.
 """
 
 import contextlib
@@ -19,13 +20,13 @@ import pytest
 import termnet
 from termnet.cli import main
 from termnet.graphs import build_graph
-from termnet.ingest import InteractionKind, TermNetworkSet
+from termnet.ingest import _PART_BYTES, InteractionKind, TermNetworkSet
 from termnet.pipeline import write_networks
 
 from oracles import gen_random_digraph_m
 
 SRC = os.path.dirname(os.path.dirname(termnet.__file__))
-UNWANTED = ("numpy", "concurrent.futures.process")
+UNWANTED = ("numpy", "concurrent.futures.process", "multiprocessing")
 BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # one CLI run, then its exit code and the unwanted modules it loaded, as the last stdout line
@@ -58,8 +59,9 @@ print(json.dumps([code, NumpySpy.seen]))
 
 @pytest.fixture(scope="module")
 def stage_inputs(tmp_path_factory):
-    """synth --terms 6 --records 20, its networks, features and labels, and a networks
-    directory whose mention network has 900 nodes."""
+    """synth --terms 6 --records 20, its networks, features and labels, a networks
+    directory whose mention network has 900 nodes, and a copy of the records
+    file repeated past two parts' worth of bytes."""
     root = tmp_path_factory.mktemp("stages")
     corpus = root / "corpus"
     with contextlib.redirect_stdout(io.StringIO()):
@@ -74,6 +76,8 @@ def stage_inputs(tmp_path_factory):
     graphs = {kind: build_graph([]) for kind in InteractionKind}
     graphs[InteractionKind.MENTION] = build_graph((f"u{u}", f"u{v}") for u, v in big.sorted_edges())
     write_networks([TermNetworkSet(term="#big", graphs=graphs, matched_records=3000)], root / "big-nets", "c" * 64)
+    records = (corpus / "records.jsonl").read_bytes()
+    (corpus / "big-records.jsonl").write_bytes(records * (2 * _PART_BYTES // len(records) + 1))
     return root
 
 
@@ -98,6 +102,7 @@ NUMPY_FREE = {
     "features": FEATURES,
     "features --workers 2": FEATURES + ["--workers", "2"],
     "features --workers 2 on 900 nodes": ["features", "{}/big-nets", "-o", "{}/out-big-features.csv", "--workers", "2"],
+    "networks in parts": ["networks", "{}/corpus/big-records.jsonl", "{}/corpus/terms.txt", "-o", "{}/out-big-nets"],
     "rank": RANK,
     "class-table": CLASS_TABLE,
     **{f"{argv[0]} --manifest": argv + ["--manifest"] for argv in (NETWORKS, FEATURES, RANK, CLASSIFY, CLASS_TABLE)},

@@ -1,10 +1,13 @@
+import contextlib
 import dataclasses
 import functools
 import gzip
 import json
+import os
 import re
 import string
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from termnet import ingest
 from termnet.manifest import InputError
 from termnet.ingest import (
     _KEYS,
@@ -20,6 +24,7 @@ from termnet.ingest import (
     _KeyTable,
     _loads,
     _matcher,
+    _part_bounds,
     _stream_corpus,
     _token_keys,
     InteractionKind,
@@ -328,10 +333,13 @@ def test_read_records_gzip(tmp_path):
     assert read_records_file(path, None, parse_timestamp("2020-11-08T23:59:59Z")).records == []
 
 
-@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
-def test_a_str_and_a_file_split_lines_alike(end, tmp_path):
+@pytest.mark.parametrize(
+    "start, end", [("", "\n"), ("", "\r\n"), ("", "\r"), ("\ufeff", "\n")], ids=["LF", "CRLF", "CR", "BOM"]
+)
+def test_a_str_and_a_file_split_lines_alike(start, end, tmp_path):
+    # a file is read without its leading BOM, and so is a str
     good = [make_record(text=str(i)) for i in range(9)]
-    text = end.join(good[:3] + ["", " \t", "not json"] + good[3:]) + end
+    text = start + end.join(good[:3] + ["", " \t", "not json"] + good[3:]) + end
     path = tmp_path / "records.jsonl"
     path.write_bytes(text.encode())
     result = parse_records(text)
@@ -654,23 +662,149 @@ def records_file_lines(draw):
     return lines
 
 
+@contextlib.contextmanager
+def cut_into(parts: int, size: int):
+    """Let `read_corpus` cut a plain file of `size` bytes into up to `parts` parts, as on a host of that many cores."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_PART_BYTES", max(1, size // parts))
+        patch.setattr(os, "sched_getaffinity", lambda pid: range(parts))
+        yield
+
+
+def part_bounds(path) -> list[int]:
+    with open(path, "rb") as fh:
+        return _part_bounds(fh)
+
+
 @settings(max_examples=60, deadline=None)
-@given(records_file_lines(), BOUNDS, BOUNDS, st.booleans())
-@example([make_record(text="vax pass", mentioned=["b"])] * 230 + ["junk"] * 23, None, None, False)  # 23 of 253
-@example([make_record(text="vax", mentioned=["b"])] * 9 + ["junk"] * 2, None, None, True)  # 2 of 11: over the limit
-def test_read_corpus_equals_build_corpus_over_read_records_file(lines, window_from, window_to, gz):
+@given(
+    records_file_lines(), BOUNDS, BOUNDS, st.booleans(), st.integers(1, 4), st.sampled_from(["\n", "\r\n", "\r"])
+)
+@example([make_record(text="vax pass", mentioned=["b"])] * 230 + ["junk"] * 23, None, None, False, 1, "\n")  # 23 of 253
+@example([make_record(text="vax", mentioned=["b"])] * 9 + ["junk"] * 2, None, None, True, 1, "\n")  # 2 of 11: over the limit
+@example([make_record(text="vax", mentioned=["b"])] * 9 + ["junk"] * 2, None, None, False, 3, "\n")  # over, in parts
+def test_read_corpus_equals_build_corpus_over_read_records_file(lines, window_from, window_to, gz, parts, end):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / ("records.jsonl.gz" if gz else "records.jsonl")
-        data = "".join(line + "\n" for line in lines).encode()
+        data = "".join(line + end for line in lines).encode()
         path.write_bytes(gzip.compress(data) if gz else data)
         try:
             parsed = read_records_file(path, window_from, window_to)
         except InputError as exc:  # the 10 % rule
-            with pytest.raises(InputError) as info:
+            with cut_into(parts, len(data)), pytest.raises(InputError) as info:
                 read_corpus(path, CORPUS_TERMS, window_from, window_to)
             assert str(info.value) == str(exc)
             return
-        corpus, failures, malformed = read_corpus(path, CORPUS_TERMS, window_from, window_to)
+        with cut_into(parts, len(data)):
+            corpus, failures, malformed = read_corpus(path, CORPUS_TERMS, window_from, window_to)
     assert_same_corpus(corpus, build_corpus(parsed.records, CORPUS_TERMS))
     assert failures == parsed.failures[:20]
     assert malformed == len(parsed.failures)
+
+
+def assert_read_in_parts_as_whole(path, parts: int) -> list[int]:
+    """read_corpus of `path` in `parts` parts returns what build_corpus over read_records_file does; the bounds."""
+    parsed = read_records_file(path)
+    with cut_into(parts, path.stat().st_size):
+        bounds = part_bounds(path)
+        corpus, failures, malformed = read_corpus(path, CORPUS_TERMS)
+    assert_same_corpus(corpus, build_corpus(parsed.records, CORPUS_TERMS))
+    assert (failures, malformed) == (parsed.failures[:20], len(parsed.failures))
+    return bounds
+
+
+def test_a_part_over_the_limit_in_a_file_under_it_is_no_error(tmp_path):
+    good = make_record(text="vax", mentioned=["b"])
+    lines = [good] * 80 + ["junk", good, good] * 8  # 8 of 104 lines: the last part alone is over 10 %
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    bounds = assert_read_in_parts_as_whole(path, 2)
+    assert len(bounds) == 3 and path.read_bytes()[bounds[1]:].count(b"junk") == 8
+
+
+def test_a_failure_in_a_later_part_has_its_line_number_in_the_file(tmp_path):
+    lines = [make_record(text="vax", mentioned=[f"u{i}"]) for i in range(60)]
+    lines[50] = "junk"
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(line + "\r\n" for line in lines))
+    bounds = assert_read_in_parts_as_whole(path, 3)
+    assert len(bounds) == 4 and b"junk" in path.read_bytes()[bounds[2]:]
+    with cut_into(3, path.stat().st_size):
+        assert read_corpus(path, CORPUS_TERMS)[1] == [(51, "invalid JSON: Expecting value")]
+
+
+def test_a_non_utf8_byte_in_the_last_part_is_the_error_of_a_whole_read(tmp_path):
+    data = "".join(make_record(text=f"vax {i}") + "\n" for i in range(40)).encode()
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(data[:-30] + b"\xff" + data[-29:])
+    with pytest.raises(InputError, match="not UTF-8 text:") as whole:
+        read_records_file(path)
+    with cut_into(3, len(data)):
+        assert len(part_bounds(path)) == 4
+        with pytest.raises(InputError) as parts:
+            read_corpus(path, CORPUS_TERMS)
+    assert str(parts.value) == str(whole.value)
+
+
+def test_a_bom_that_starts_a_later_part_is_a_malformed_line(tmp_path):
+    lines = [make_record(text=f"vax {i:03d}") for i in range(40)]  # all of one length
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    with cut_into(2, path.stat().st_size):
+        bounds = part_bounds(path)
+        at = len(lines) * bounds[1] // bounds[2]
+        lines[at] = "\ufeff" + make_record(text=f"{at:04d}")  # as many bytes: the U+FEFF takes 3
+        path.write_text("".join(line + "\n" for line in lines))
+        assert part_bounds(path) == bounds
+    assert_read_in_parts_as_whole(path, 2)
+    assert read_records_file(path).failures == [(at + 1, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)")]
+
+
+def test_a_cr_only_file_is_one_part(tmp_path):
+    lines = [make_record(text="vax", mentioned=[f"u{i}"]) for i in range(40)]
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(line + "\r" for line in lines), newline="")
+    assert assert_read_in_parts_as_whole(path, 4) == [0, path.stat().st_size]
+
+
+def test_a_pipe_is_read_whole(tmp_path):
+    data = "".join(make_record(text="vax", mentioned=[f"u{i}"]) + "\n" for i in range(40))
+    (tmp_path / "records.jsonl").write_text(data)
+    fifo = tmp_path / "fifo.jsonl"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(data,))
+    writer.start()
+    with cut_into(4, len(data)):
+        corpus, failures, malformed = read_corpus(fifo, CORPUS_TERMS)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert_same_corpus(corpus, build_corpus(read_records_file(tmp_path / "records.jsonl").records, CORPUS_TERMS))
+
+
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_read_corpus_leaves_no_child_process(tmp_path):
+    path = tmp_path / "records.jsonl"
+    data = "".join(make_record(text="vax") + "\n" for i in range(40)).encode()
+    path.write_bytes(data)
+    with cut_into(4, len(data)):
+        assert len(part_bounds(path)) == 5
+        read_corpus(path, CORPUS_TERMS)
+        assert_no_child_is_left()
+        path.write_bytes(b"\xff" + data[1:])  # this process's own part fails, while the others are read
+        with pytest.raises(InputError, match="not UTF-8 text:"):
+            read_corpus(path, CORPUS_TERMS)
+        assert_no_child_is_left()
+
+
+def test_a_child_that_exits_without_its_result_fails_the_read(tmp_path, monkeypatch):
+    path = tmp_path / "records.jsonl"
+    data = "".join(make_record(text="vax") + "\n" for i in range(40)).encode()
+    path.write_bytes(data)
+    monkeypatch.setattr(ingest, "_send_part", lambda *args: os._exit(3))
+    with cut_into(2, len(data)), pytest.raises(RuntimeError, match="exited with code 3"):
+        read_corpus(path, CORPUS_TERMS)
+    assert_no_child_is_left()

@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_feat = sub.add_parser("features", help="global metrics and subgraph census per network")
     p_feat.add_argument("networks_dir")
     p_feat.add_argument("-o", "--out", required=True)
-    p_feat.add_argument("--workers", type=int, default=1, help="ignored: every census is counted in this process (must be >= 1)")
+    p_feat.add_argument("--workers", type=int, default=1, help="ignored: the process count is the number of usable cores (must be >= 1)")
     p_feat.add_argument("--manifest", action="store_true", help="print the run manifest and exit")
 
     p_rank = sub.add_parser("rank", help="aggregate ratings and label terms")

@@ -6,8 +6,8 @@ term contributes edges to that term's three directed graphs: author ->
 mentioned user (mention), author -> replied-to author (reply), author ->
 quoted author (quote retweet).
 
-`read_corpus` reads a plain records file in byte-range parts, one forked
-process each, so call it from a single-threaded process.
+`read_corpus` reads a plain records file in byte-range parts through
+`forked.fork_map`, so call it from a single-threaded process.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from json.decoder import WHITESPACE
 from json.scanner import make_scanner
 from typing import Callable, Iterable, Iterator
 
+from .forked import fork_map, usable_cores
 from .graphs import DirectedGraph, build_graph
 from .manifest import FIELD_LIMIT, InputError, open_text
 
@@ -472,7 +473,7 @@ def _part_bounds(fh) -> list[int]:
     line and no CRLF pair is split; a file with no LF to cut at is one part.
     """
     size = os.fstat(fh.fileno()).st_size
-    parts = min(len(os.sched_getaffinity(0)), size // _PART_BYTES)
+    parts = min(usable_cores(), size // _PART_BYTES)
     bounds = [0]
     for k in range(1, parts):
         at = max(size * k // parts - 1, bounds[-1])
@@ -507,79 +508,32 @@ class _ByteRange(io.RawIOBase):
         return len(data)
 
 
-def _read_part(fd, start, end, match, window_from, window_to) -> tuple[_TermEdges, _RecordStream]:
-    """`match` over the records of bytes [start, end) of a records file, and the stream that parsed them.
+def _read_part(fd, span, match, window_from, window_to) -> tuple[_TermEdges, _RecordStream]:
+    """`match` over the records of the bytes `span` = [start, end) of a records file, and the stream that read them.
 
     The part at offset 0 is decoded as `utf-8-sig`, which drops a leading
     BOM as open_text does; a later part as plain `utf-8`, so a U+FEFF that
     starts one of its lines makes that line malformed, as in a whole read.
     A non-UTF-8 byte raises UnicodeDecodeError.
     """
+    start, end = span
     with io.TextIOWrapper(_ByteRange(fd, start, end), "utf-8" if start else "utf-8-sig", newline="") as lines:
         records = _RecordStream(lines, window_from, window_to, keep_failures=_REPORTED_FAILURES)
         return match(records), records
 
 
-def _send_part(out, fd, start, end, match, window_from, window_to) -> None:
-    """Read one part (`_read_part`) and pickle its result to the binary file `out`.
+def _part_pieces(part: tuple[_TermEdges, _RecordStream]) -> Iterator:
+    """The pieces in which a forked reader sends the result of `_read_part`.
 
-    The first pickle is the exception the read raised, or the part's
-    (matched counts, failures, malformed count, non-blank count, line count).
-    Then comes one pickle per term and interaction, in `_TermEdges.kinds`
-    order: the flat list [author1, target1, author2, target2, ...] of its
-    pairs, so that the reader loads one of them at a time.
+    First the part's (matched counts, failures, malformed count, non-blank
+    count, line count), then, per term and interaction in `_TermEdges.kinds`
+    order, the flat list [author1, target1, author2, target2, ...] of its
+    pairs, so that the parent holds one of them at a time.
     """
-    import pickle  # here, not at the top: only a read in parts loads it, and every stage imports this module
-
-    try:
-        edges, records = _read_part(fd, start, end, match, window_from, window_to)
-    except BaseException as exc:  # raised again by the parent
-        pickle.dump(exc, out, pickle.HIGHEST_PROTOCOL)
-        return
-    counts = (edges.matched, records.failures, records.malformed, records.nonblank, records.line_count)
-    pickle.dump(counts, out, pickle.HIGHEST_PROTOCOL)
+    edges, records = part
+    yield edges.matched, records.failures, records.malformed, records.nonblank, records.line_count
     for pairs in chain.from_iterable(edges.kinds):
-        pickle.dump(list(chain.from_iterable(pairs)), out, pickle.HIGHEST_PROTOCOL)
-
-
-class _PartReader:
-    """A forked child that reads bytes [start, end) of a records file and pickles its result to a pipe."""
-
-    def __init__(self, fd, start, end, match, window_from, window_to):
-        self.start, self.end, self.code = start, end, None
-        read_end, write_end = os.pipe()
-        self.pipe = open(read_end, "rb")
-        with open(write_end, "wb") as out:
-            self.pid = os.fork()
-            if self.pid == 0:  # the child ends here, without running any cleanup of the parent's
-                code = 1
-                try:
-                    _send_part(out, fd, start, end, match, window_from, window_to)
-                    out.close()
-                    code = 0
-                finally:
-                    os._exit(code)
-
-    def receive(self):
-        """The next object the child sent; RuntimeError when it exited before sending it."""
-        import pickle
-
-        try:
-            return pickle.load(self.pipe)
-        except (EOFError, pickle.UnpicklingError):
-            code = self.wait(kill=True)
-        raise RuntimeError(f"the reader of bytes {self.start}-{self.end} exited with code {code} before its result")
-
-    def wait(self, kill: bool) -> int:
-        """Reap the child once, after killing it if `kill`; its exit code (negative: the signal that ended it)."""
-        if self.code is None:
-            self.pipe.close()
-            if kill:
-                import signal
-
-                os.kill(self.pid, signal.SIGKILL)  # a child that has exited stays until it is reaped
-            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        return self.code
+        yield list(chain.from_iterable(pairs))
 
 
 def _extend(pairs: dict[tuple[str, str], None], flat: list[str], share) -> None:
@@ -594,39 +548,30 @@ def _extend(pairs: dict[tuple[str, str], None], flat: list[str], share) -> None:
 def _read_parts(fh, match, window_from, window_to) -> tuple[_TermEdges, list[tuple[int, str]], int, int]:
     """Read the open binary records file `fh` in parts (`_part_bounds`), merged in file order.
 
-    The first part is read in this process, each other one in its own
-    forked child.  Returns the merged edges, the failures with their line
-    numbers in the file (the first `_REPORTED_FAILURES` of each part), and
-    the malformed and non-blank line counts of the file.  The first part
-    that raises, in file order, decides what this raises.  Every child is
-    reaped before this returns or raises: on an error, after it is killed.
+    The parts are read through `fork_map`, so this process reads the first
+    and forked children most others.  Returns the merged edges, the failures
+    with their line numbers in the file (the first `_REPORTED_FAILURES` of
+    each part), and the malformed and non-blank line counts of the file.
+    The first part that raises, in file order, decides what this raises.
     """
     bounds = _part_bounds(fh)
-    fd = fh.fileno()
-    children: list[_PartReader] = []
-    try:
-        for start, end in zip(bounds[1:-1], bounds[2:]):
-            children.append(_PartReader(fd, start, end, match, window_from, window_to))
-        edges, records = _read_part(fd, 0, bounds[1], match, window_from, window_to)
+    read = functools.partial(_read_part, fh.fileno(), match=match, window_from=window_from, window_to=window_to)
+    with fork_map(read, list(zip(bounds, bounds[1:])), _part_pieces) as parts:
+        edges, records = next(parts)  # the first part, read in this process
         failures, malformed = records.failures, records.malformed
         nonblank, line_count = records.nonblank, records.line_count
         share = edges.handles.setdefault
-        for child in children:
-            counts = child.receive()
-            if isinstance(counts, BaseException):
-                raise counts
-            matched, part_failures, part_malformed, part_nonblank, part_lines = counts
+        for part in parts:
+            if isinstance(part, tuple):  # a later part this process read
+                part = _part_pieces(part)
+            matched, part_failures, part_malformed, part_nonblank, part_lines = next(part)
             edges.matched[:] = map(operator.add, edges.matched, matched)
             failures += [(lineno + line_count, reason) for lineno, reason in part_failures]
             malformed += part_malformed
             nonblank += part_nonblank
             line_count += part_lines
-            for pairs in chain.from_iterable(edges.kinds):
-                _extend(pairs, child.receive(), share)
-            child.wait(kill=False)
-    finally:
-        for child in children:
-            child.wait(kill=True)
+            for pairs, flat in zip(chain.from_iterable(edges.kinds), part):
+                _extend(pairs, flat, share)
     return edges, failures, malformed, nonblank
 
 
@@ -658,16 +603,17 @@ def read_corpus(
     the file is read.
 
     A plain file is split into byte ranges of whole lines, one per usable
-    core and at least `_PART_BYTES` each (`_part_bounds`).  This process
-    reads the first and a forked child each other one, so call this from a
-    single-threaded process.  The parts are merged in file order, so the
-    result, line numbers included, is the same at any part count; the 10 %
-    rule is applied once, to the whole file's counts.  A .gz file, and a
-    path that is not a regular file (a pipe), is read in one part.
+    core and at least `_PART_BYTES` each (`_part_bounds`), read through
+    `fork_map`, so call this from a single-threaded process.  The parts are
+    merged in file order, so the result, line numbers included, is the same
+    at any part count; the 10 % rule is applied once, to the whole file's
+    counts.  A .gz file, a path that is not a regular file (a pipe), and any
+    file where the platform has no os.pread, is read in one part.
     """
     # _matcher, not build_corpus: perfbench/spans.py wraps build_corpus and takes len() of its records
     match = _matcher(terms)
-    if str(path).endswith(".gz") or not os.path.isfile(path):  # a gzip stream or a pipe cannot be split
+    # a gzip stream or a pipe cannot be split, and a byte range is read with os.pread
+    if str(path).endswith(".gz") or not os.path.isfile(path) or not hasattr(os, "pread"):
         with _records_file(path) as fh:
             return _stream_corpus(fh, match, window_from, window_to)
     with open(path, "rb") as fh:

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .census import TOTAL_CLASSES, CensusVector, census
+from .forked import fork_map
 from .graphs import DirectedGraph, read_edge_csv, write_edge_csv
 from .ingest import InteractionKind, TermNetworkSet
 from .manifest import InputError, count, finite, one_of, read_table, write_csv, write_json
@@ -161,12 +162,17 @@ class FeatureRow:
     census: CensusVector
 
 
+def _feature_row(ref: NetworkRef) -> FeatureRow:
+    return FeatureRow(ref.term, ref.kind, global_feature_vector(ref.graph), census(ref.graph))
+
+
 def compute_features(refs: list[NetworkRef]) -> list[FeatureRow]:
-    """Feature rows ordered term-ascending, interaction in fixed kind order."""
-    return [
-        FeatureRow(ref.term, ref.kind, global_feature_vector(ref.graph), census(ref.graph))
-        for ref in sorted(refs, key=lambda r: (r.term, KINDS.index(r.kind)))
-    ]
+    """Feature rows ordered term-ascending, interaction in fixed kind order.
+
+    The networks are the items of `fork_map`: call this from a single-threaded process.
+    """
+    with fork_map(_feature_row, sorted(refs, key=lambda r: (r.term, KINDS.index(r.kind)))) as rows:
+        return list(rows)
 
 
 def write_features_csv(rows: list[FeatureRow], path, manifest_hash: str) -> None:
@@ -206,18 +212,21 @@ def classify_datasets(
 
     The controversial class is always positive; the report states it once as
     `positive_class`.  Outputs depend only on the inputs and manifest
-    parameters.
+    parameters.  The grid entries are the items of `fork_map`: call this
+    from a single-threaded process.
     """
     from . import ml  # here, not at the top: only classify and synth load numpy
 
     datasets = ml.assemble_feature_sets(global_vecs, local_vecs, labels)
     os.makedirs(outdir, exist_ok=True)
 
-    entries = [
-        ml.cross_validate(datasets[set_name], clf, folds=folds, seed=seed).to_json_obj()
-        for set_name in FEATURE_SET_ORDER
-        for clf in CLASSIFIER_ORDER
-    ]
+    def entry(key):
+        set_name, clf = key
+        return ml.cross_validate(datasets[set_name], clf, folds=folds, seed=seed).to_json_obj()
+
+    grid = [(set_name, clf) for set_name in FEATURE_SET_ORDER for clf in CLASSIFIER_ORDER]
+    with fork_map(entry, grid) as entries:
+        entries = list(entries)
 
     pca_info: dict[str, dict] = {}
     label_of = {lab.term: lab.label for lab in labels}

@@ -1,11 +1,14 @@
 """Each stage loads only what it computes with.
 
 Only `classify` and `synth` compute with numpy.  Every other command, and the
-`--manifest` run of every command but `synth`, starts without numpy and
-without the process pool's modules, `features` also on a network of 900
-nodes at `--workers 2`, and `networks` also on a records file it reads in
-parts, each in a forked process.  Each command runs in a fresh interpreter,
-because this one has loaded numpy already.
+`--manifest` run of every command but `synth`, starts without numpy, and no
+command loads a process pool's modules (`multiprocessing`,
+`concurrent.futures`): `networks`, `features` and `classify` fork through
+`termnet.forked` alone.  `features` is also run on a network of 900 nodes at
+`--workers 2`, `networks` on a records file it reads in parts, and
+`features` and `classify` on four usable cores, so that they fork.  Each
+command runs in a fresh interpreter, because this one has loaded numpy
+already.
 """
 
 import contextlib
@@ -26,7 +29,7 @@ from termnet.pipeline import write_networks
 from oracles import gen_random_digraph_m
 
 SRC = os.path.dirname(os.path.dirname(termnet.__file__))
-UNWANTED = ("numpy", "concurrent.futures.process", "multiprocessing")
+UNWANTED = ("numpy", "concurrent.futures", "multiprocessing")
 BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # one CLI run, then its exit code and the unwanted modules it loaded, as the last stdout line
@@ -36,6 +39,8 @@ from termnet.cli import main
 code = main(sys.argv[1:])
 print(json.dumps([code, [m for m in {UNWANTED!r} if m in sys.modules]]))
 """
+# PROBE as on a host of four usable cores, so that features and classify fork
+FOUR_CORES_PROBE = "import os\nos.sched_getaffinity = lambda pid: range(4)\n" + PROBE
 
 # one CLI run, then its exit code and the BLAS settings numpy's first import saw
 BLAS_SPY = f"""
@@ -112,6 +117,15 @@ NUMPY_FREE = {
 @pytest.mark.parametrize("argv", NUMPY_FREE.values(), ids=NUMPY_FREE.keys())
 def test_command_loads_neither_numpy_nor_the_process_pool(stage_inputs, argv):
     assert run_probe(PROBE, argv, stage_inputs) == [0, []]
+
+
+FORKING = {"features": FEATURES, "classify": CLASSIFY}
+
+
+@pytest.mark.parametrize("argv", FORKING.values(), ids=FORKING.keys())
+def test_a_stage_that_forks_loads_no_process_pool(stage_inputs, argv):
+    loaded = ["numpy"] if argv[0] == "classify" else []
+    assert run_probe(FOUR_CORES_PROBE, argv, stage_inputs) == [0, loaded]
 
 
 def test_classify_loads_numpy_after_setting_one_blas_thread(stage_inputs):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from termnet import ingest
+from termnet import forked, ingest
 from termnet.manifest import InputError
 from termnet.ingest import (
     _KEYS,
@@ -804,7 +804,7 @@ def test_a_child_that_exits_without_its_result_fails_the_read(tmp_path, monkeypa
     path = tmp_path / "records.jsonl"
     data = "".join(make_record(text="vax") + "\n" for i in range(40)).encode()
     path.write_bytes(data)
-    monkeypatch.setattr(ingest, "_send_part", lambda *args: os._exit(3))
+    monkeypatch.setattr(forked, "_send", lambda *args: os._exit(3))
     with cut_into(2, len(data)), pytest.raises(RuntimeError, match="exited with code 3"):
         read_corpus(path, CORPUS_TERMS)
     assert_no_child_is_left()

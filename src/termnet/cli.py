@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_net = sub.add_parser("networks", parents=[], help="build per-term interaction networks from records")
-    p_net.add_argument("records", help="interaction records, JSONL (.gz accepted)")
+    p_net.add_argument("records", help="interaction records file, JSONL (.gz accepted; not a pipe)")
     p_net.add_argument("terms", help="terms file, one per line ('#' = hashtag, '//' = comment)")
     p_net.add_argument("--from", dest="window_from", default=None, metavar="ISO", help="keep records at/after this UTC instant (bare date = start of day)")
     p_net.add_argument("--to", dest="window_to", default=None, metavar="ISO", help="keep records at/before this UTC instant (bare date = end of day)")

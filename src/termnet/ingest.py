@@ -6,13 +6,12 @@ term contributes edges to that term's three directed graphs: author ->
 mentioned user (mention), author -> replied-to author (reply), author ->
 quoted author (quote retweet).
 
-`read_corpus` reads a plain records file in byte-range parts through
+`read_corpus` reads every records file as a list of parts through
 `forked.fork_map`, so call it from a single-threaded process.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import gzip
 import io
@@ -257,20 +256,18 @@ def parse_records(lines, window_from: datetime | None = None, window_to: datetim
     return ParseResult(records=records, failures=stream.failures)
 
 
-@contextlib.contextmanager
-def _records_file(path):
-    """A records file's text lines, gzip-decompressed when the name ends .gz; the 10 % error names the file."""
-    with open_text(path, gzip.open if str(path).endswith(".gz") else open) as fh:
-        try:
-            yield fh
-        except InputError as exc:  # the 10 % rule
-            raise InputError(f"{path}: {exc}") from None
+def _whole_file(path) -> Callable:
+    """The opener of a records file's text lines as one part, gzip-decompressed when the name ends .gz."""
+    return functools.partial(open_text, path, gzip.open if str(path).endswith(".gz") else open)
 
 
 def read_records_file(path, window_from: datetime | None = None, window_to: datetime | None = None) -> ParseResult:
-    """parse_records over a file; names ending .gz are gzip-decompressed."""
-    with _records_file(path) as fh:
-        return parse_records(fh, window_from, window_to)
+    """parse_records over a file; names ending .gz are gzip-decompressed, and the 10 % error names the file."""
+    with _whole_file(path)() as fh:
+        try:
+            return parse_records(fh, window_from, window_to)
+        except InputError as exc:  # the 10 % rule
+            raise InputError(f"{path}: {exc}") from None
 
 
 @functools.lru_cache(maxsize=4096)
@@ -454,14 +451,6 @@ def build_corpus(records: list[InteractionRecord], terms: list[str]) -> list[Ter
 _REPORTED_FAILURES = 20  # the malformed lines `read_corpus` lists; the rest are only counted
 
 
-def _stream_corpus(lines, match, window_from=None, window_to=None):
-    """`match` over the records of `lines` as they are parsed: (networks, first failures, malformed count)."""
-    records = _RecordStream(lines, window_from, window_to, keep_failures=_REPORTED_FAILURES)
-    edges = match(records)
-    _check_malformed(records.malformed, records.nonblank, records.failures)
-    return edges.networks(), records.failures, records.malformed
-
-
 _PART_BYTES = 1 << 20  # the least bytes of a part: a plain records file is read in size // _PART_BYTES parts or fewer
 
 
@@ -508,16 +497,20 @@ class _ByteRange(io.RawIOBase):
         return len(data)
 
 
-def _read_part(fd, span, match, window_from, window_to) -> tuple[_TermEdges, _RecordStream]:
-    """`match` over the records of the bytes `span` = [start, end) of a records file, and the stream that read them.
+def _part_lines(fd: int, start: int, end: int) -> io.TextIOWrapper:
+    """The text lines of bytes [start, end) of the records file open at descriptor `fd`.
 
     The part at offset 0 is decoded as `utf-8-sig`, which drops a leading
     BOM as open_text does; a later part as plain `utf-8`, so a U+FEFF that
     starts one of its lines makes that line malformed, as in a whole read.
     A non-UTF-8 byte raises UnicodeDecodeError.
     """
-    start, end = span
-    with io.TextIOWrapper(_ByteRange(fd, start, end), "utf-8" if start else "utf-8-sig", newline="") as lines:
+    return io.TextIOWrapper(_ByteRange(fd, start, end), "utf-8" if start else "utf-8-sig", newline="")
+
+
+def _read_part(open_lines, match, window_from, window_to) -> tuple[_TermEdges, _RecordStream]:
+    """`match` over the records of the text lines `open_lines()` opens, and the stream that read them."""
+    with open_lines() as lines:
         records = _RecordStream(lines, window_from, window_to, keep_failures=_REPORTED_FAILURES)
         return match(records), records
 
@@ -536,27 +529,18 @@ def _part_pieces(part: tuple[_TermEdges, _RecordStream]) -> Iterator:
         yield list(chain.from_iterable(pairs))
 
 
-def _extend(pairs: dict[tuple[str, str], None], flat: list[str], share) -> None:
-    """Add the pairs of `flat` ([author1, target1, ...]) after those of `pairs`, each handle as `share` gives it.
+def _read_parts(openers, match, window_from, window_to) -> tuple[_TermEdges, list[tuple[int, str]], int, int]:
+    """`_read_part` of each opener of `openers`, the consecutive parts of one records file, merged in file order.
 
-    A pair `pairs` holds keeps its place, so the keys stay in order of first appearance.
+    The parts are read through `fork_map`: this process reads the first,
+    and forked children most others; a single part is read here, with no
+    child.  Returns the merged edges, the failures with their line numbers
+    in the file (the first `_REPORTED_FAILURES` of each part), and the
+    malformed and non-blank line counts of the file.  The first part that
+    raises, in file order, decides what this raises.
     """
-    handles = map(share, flat, flat)
-    pairs.update(zip(zip(handles, handles), repeat(None)))
-
-
-def _read_parts(fh, match, window_from, window_to) -> tuple[_TermEdges, list[tuple[int, str]], int, int]:
-    """Read the open binary records file `fh` in parts (`_part_bounds`), merged in file order.
-
-    The parts are read through `fork_map`, so this process reads the first
-    and forked children most others.  Returns the merged edges, the failures
-    with their line numbers in the file (the first `_REPORTED_FAILURES` of
-    each part), and the malformed and non-blank line counts of the file.
-    The first part that raises, in file order, decides what this raises.
-    """
-    bounds = _part_bounds(fh)
-    read = functools.partial(_read_part, fh.fileno(), match=match, window_from=window_from, window_to=window_to)
-    with fork_map(read, list(zip(bounds, bounds[1:])), _part_pieces) as parts:
+    read = functools.partial(_read_part, match=match, window_from=window_from, window_to=window_to)
+    with fork_map(read, openers, _part_pieces) as parts:
         edges, records = next(parts)  # the first part, read in this process
         failures, malformed = records.failures, records.malformed
         nonblank, line_count = records.nonblank, records.line_count
@@ -571,23 +555,9 @@ def _read_parts(fh, match, window_from, window_to) -> tuple[_TermEdges, list[tup
             nonblank += part_nonblank
             line_count += part_lines
             for pairs, flat in zip(chain.from_iterable(edges.kinds), part):
-                _extend(pairs, flat, share)
+                handles = map(share, flat, flat)  # a pair `pairs` holds keeps its place: keys stay in first order
+                pairs.update(zip(zip(handles, handles), repeat(None)))
     return edges, failures, malformed, nonblank
-
-
-def _decode_error(path, exc: UnicodeDecodeError) -> InputError:
-    """The error open_text gives for the first non-UTF-8 byte of `path`, which `exc` found in one of its parts.
-
-    A part's decoder counts positions from where it started, so the error is
-    taken from a read of the whole file, line by line as `_RecordStream` reads.
-    """
-    try:
-        with open_text(path) as fh:
-            for _ in fh:
-                pass
-    except InputError as whole:
-        return whole
-    return InputError(f"{path}: not UTF-8 text: {exc}")  # the file has changed since the part was read
 
 
 def read_corpus(
@@ -602,25 +572,30 @@ def read_corpus(
     matching records, not with the records.  The terms are checked before
     the file is read.
 
-    A plain file is split into byte ranges of whole lines, one per usable
-    core and at least `_PART_BYTES` each (`_part_bounds`), read through
-    `fork_map`, so call this from a single-threaded process.  The parts are
-    merged in file order, so the result, line numbers included, is the same
-    at any part count; the 10 % rule is applied once, to the whole file's
-    counts.  A .gz file, a path that is not a regular file (a pipe), and any
-    file where the platform has no os.pread, is read in one part.
+    Every input is a list of parts read by `_read_parts` through `fork_map`,
+    so call this from a single-threaded process: a plain file is one byte
+    range of whole lines per usable core, each at least `_PART_BYTES`
+    (`_part_bounds`); a .gz file, a path that is not a regular file (a pipe)
+    and any file where the platform has no os.pread are one part, read here
+    by open_text.  The result, line numbers included, is the same at any
+    part count, and the 10 % rule is applied once, to the whole file's
+    counts.  A non-UTF-8 byte is reported as a one-part read reports it.
     """
     # _matcher, not build_corpus: perfbench/spans.py wraps build_corpus and takes len() of its records
     match = _matcher(terms)
+    whole = [_whole_file(path)]
     # a gzip stream or a pipe cannot be split, and a byte range is read with os.pread
     if str(path).endswith(".gz") or not os.path.isfile(path) or not hasattr(os, "pread"):
-        with _records_file(path) as fh:
-            return _stream_corpus(fh, match, window_from, window_to)
-    with open(path, "rb") as fh:
-        try:
-            edges, failures, malformed, nonblank = _read_parts(fh, match, window_from, window_to)
-        except UnicodeDecodeError as exc:
-            raise _decode_error(path, exc) from exc
+        edges, failures, malformed, nonblank = _read_parts(whole, match, window_from, window_to)
+    else:
+        with open(path, "rb") as fh:
+            bounds = _part_bounds(fh)
+            parts = [functools.partial(_part_lines, fh.fileno(), *span) for span in zip(bounds, bounds[1:])]
+            try:
+                edges, failures, malformed, nonblank = _read_parts(parts, match, window_from, window_to)
+            except UnicodeDecodeError as exc:
+                _read_parts(whole, match, window_from, window_to)  # raises open_text's error for the byte
+                raise InputError(f"{path}: not UTF-8 text: {exc}") from exc  # the file changed since the part was read
     try:
         _check_malformed(malformed, nonblank, failures)
     except InputError as exc:

@@ -17,7 +17,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import re
+import stat
 import zlib
 from dataclasses import dataclass, field
 
@@ -47,6 +49,10 @@ def open_text(path, opener=open):
 
 
 def file_sha256(path) -> str:
+    """The sha256 of the regular file `path`; any other path is an InputError, before it is opened (a FIFO
+    blocks the open, and its bytes, once hashed, are gone for the stage that reads them)."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise InputError(f"{path}: not a regular file")
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

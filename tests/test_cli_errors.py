@@ -9,14 +9,19 @@ import contextlib
 import gzip
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import termnet
 from termnet.cli import main
 from termnet.ingest import parse_records, read_corpus, read_records_file, read_terms_file
 from termnet.manifest import FIELD_LIMIT, InputError, read_csv
@@ -452,17 +457,59 @@ def test_labels_and_ratings_readers_reject_a_repeated_key(valid, tmp_path):
         assert str(info.value).startswith(f"{target}: ")
 
 
-@pytest.mark.parametrize("name", ["records.jsonl", "records.jsonl.gz"])
+@pytest.mark.parametrize("name", ["records.jsonl", "records.jsonl.gz", "fifo"])
 @pytest.mark.parametrize(
     "read", [read_records_file, lambda path: read_corpus(path, ["x"])], ids=["read_records_file", "read_corpus"]
 )
 def test_too_many_malformed_lines_names_the_records_file(read, name, tmp_path):
     records = tmp_path / name
     data = b"not json\n"
-    records.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+    if name == "fifo":  # a pipe, read in one part as a .gz file is
+        os.mkfifo(records)
+        writer = threading.Thread(target=records.write_bytes, args=(data,), daemon=True)
+        writer.start()
+    else:
+        records.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
     with pytest.raises(InputError) as info:
         read(records)
     assert str(info.value).startswith(f"{records}: 1 of 1 lines malformed (limit 10%); first: line 1: ")
+    if name == "fifo":
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+# a FIFO in place of one input of a stage; `{fifo}`, `{valid}` and `{tmp}` are filled in
+FIFO_ARGV = {
+    "networks records": ["networks", "{fifo}", "{valid}/corpus/terms.txt", "-o", "{tmp}/out"],
+    "networks terms": ["networks", "{valid}/corpus/records.jsonl", "{fifo}", "-o", "{tmp}/out"],
+    "rank ratings": ["rank", "{fifo}", "-o", "{tmp}/out"],
+}
+
+
+@pytest.mark.parametrize("manifest", [False, True])
+@pytest.mark.parametrize("argv", FIFO_ARGV.values(), ids=FIFO_ARGV.keys())
+def test_an_input_that_is_not_a_regular_file_is_an_input_error(valid, tmp_path, argv, manifest):
+    # a stage hashes its inputs, then reads them: a pipe's hash uses up the bytes the stage would read, and
+    # opening a FIFO with no writer blocks.  A fresh process with a timeout, so a stage that opens it fails here.
+    fifo, out = tmp_path / "fifo", tmp_path / "out"
+    os.mkfifo(fifo)
+    if argv[0] == "networks":
+        shutil.copytree(valid / "nets", out)
+    else:
+        shutil.copy(valid / "labels.csv", out)
+
+    def files():
+        return {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
+
+    before = files()
+    argv = [arg.format(fifo=fifo, valid=valid, tmp=tmp_path) for arg in argv] + ["--manifest"] * manifest
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(termnet.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "termnet.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert_input_error(proc.returncode, proc.stderr)
+    assert (proc.stdout, proc.stderr) == ("", f"error: {fifo}: not a regular file\n")
+    assert files() == before
 
 
 def test_malformed_lines_at_the_end_leave_the_previous_networks(valid, tmp_path):

@@ -6,12 +6,14 @@ command loads a process pool's modules (`multiprocessing`,
 `concurrent.futures`): `networks`, `features` and `classify` fork through
 `termnet.forked` alone.  `features` is also run on a network of 900 nodes at
 `--workers 2`, `networks` on a records file it reads in parts, and
-`features` and `classify` on four usable cores, so that they fork.  Each
-command runs in a fresh interpreter, because this one has loaded numpy
-already.
+`features` and `classify` on four usable cores, so that they fork.
+`networks` on a `.gz` file, which it reads in one part without forking,
+loads neither `pickle` nor `signal` either.  Each command runs in a fresh
+interpreter, because this one has loaded numpy already.
 """
 
 import contextlib
+import gzip
 import io
 import json
 import os
@@ -32,13 +34,18 @@ SRC = os.path.dirname(os.path.dirname(termnet.__file__))
 UNWANTED = ("numpy", "concurrent.futures", "multiprocessing")
 BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# one CLI run, then its exit code and the unwanted modules it loaded, as the last stdout line
-PROBE = f"""
+
+def probe(unwanted=UNWANTED) -> str:
+    """One CLI run, then its exit code and the `unwanted` modules it loaded, as the last stdout line."""
+    return f"""
 import json, sys
 from termnet.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([code, [m for m in {UNWANTED!r} if m in sys.modules]]))
+print(json.dumps([code, [m for m in {unwanted!r} if m in sys.modules]]))
 """
+
+
+PROBE = probe()
 # PROBE as on a host of four usable cores, so that features and classify fork
 FOUR_CORES_PROBE = "import os\nos.sched_getaffinity = lambda pid: range(4)\n" + PROBE
 
@@ -65,8 +72,8 @@ print(json.dumps([code, NumpySpy.seen]))
 @pytest.fixture(scope="module")
 def stage_inputs(tmp_path_factory):
     """synth --terms 6 --records 20, its networks, features and labels, a networks
-    directory whose mention network has 900 nodes, and a copy of the records
-    file repeated past two parts' worth of bytes."""
+    directory whose mention network has 900 nodes, a copy of the records file
+    repeated past two parts' worth of bytes, and the records file gzipped."""
     root = tmp_path_factory.mktemp("stages")
     corpus = root / "corpus"
     with contextlib.redirect_stdout(io.StringIO()):
@@ -83,6 +90,7 @@ def stage_inputs(tmp_path_factory):
     write_networks([TermNetworkSet(term="#big", graphs=graphs, matched_records=3000)], root / "big-nets", "c" * 64)
     records = (corpus / "records.jsonl").read_bytes()
     (corpus / "big-records.jsonl").write_bytes(records * (2 * _PART_BYTES // len(records) + 1))
+    (corpus / "records.jsonl.gz").write_bytes(gzip.compress(records))
     return root
 
 
@@ -126,6 +134,12 @@ FORKING = {"features": FEATURES, "classify": CLASSIFY}
 def test_a_stage_that_forks_loads_no_process_pool(stage_inputs, argv):
     loaded = ["numpy"] if argv[0] == "classify" else []
     assert run_probe(FOUR_CORES_PROBE, argv, stage_inputs) == [0, loaded]
+
+
+def test_networks_on_a_gz_file_loads_nothing_a_fork_needs(stage_inputs):
+    # a .gz file is one part, read in this process: pickle and signal load only where fork_map forks
+    argv = ["networks", "{}/corpus/records.jsonl.gz", "{}/corpus/terms.txt", "-o", "{}/out-gz-nets"]
+    assert run_probe(probe(UNWANTED + ("pickle", "signal")), argv, stage_inputs) == [0, []]
 
 
 def test_classify_loads_numpy_after_setting_one_blas_thread(stage_inputs):

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import functools
 import gzip
+import io
 import json
 import os
 import re
@@ -22,10 +23,10 @@ from termnet.ingest import (
     _SPLIT_KEYS,
     _TOKEN,
     _KeyTable,
+    _RecordStream,
     _loads,
     _matcher,
     _part_bounds,
-    _stream_corpus,
     _token_keys,
     InteractionKind,
     InteractionRecord,
@@ -271,7 +272,9 @@ def _networks_core_peak_bytes(n):
     match = _matcher(["topic", "#other"])
     tracemalloc.start()
     try:
-        corpus, failures, malformed = _stream_corpus(lines(), match)
+        records = _RecordStream(lines(), keep_failures=20)
+        corpus = match(records).networks()
+        failures, malformed = records.failures, records.malformed
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -299,7 +302,9 @@ def _unmatched_stream_peak_bytes(n):
     match = _matcher(["topic", "#other"])
     tracemalloc.start()
     try:
-        corpus, failures, malformed = _stream_corpus(lines(), match)
+        records = _RecordStream(lines(), keep_failures=20)
+        corpus = match(records).networks()
+        failures, malformed = records.failures, records.malformed
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -744,6 +749,34 @@ def test_a_non_utf8_byte_in_the_last_part_is_the_error_of_a_whole_read(tmp_path)
         with pytest.raises(InputError) as parts:
             read_corpus(path, CORPUS_TERMS)
     assert str(parts.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+def test_a_non_utf8_byte_is_reported_before_the_10_percent_rule(parts, tmp_path):
+    # the first part alone, and the file, are over the limit; the last part holds a byte that is not UTF-8
+    lines = ["junk"] * 20 + [make_record(text=f"vax {i}") for i in range(40)]
+    data = "".join(line + "\n" for line in lines).encode()
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(data[:-30] + b"\xff" + data[-29:])
+    with pytest.raises(InputError, match="not UTF-8 text:") as whole:
+        read_records_file(path)
+    with cut_into(parts, len(data)):
+        bounds = part_bounds(path)
+        assert len(bounds) == parts + 1 and data[: bounds[1]].count(b"junk") == 20
+        with pytest.raises(InputError) as read:
+            read_corpus(path, CORPUS_TERMS)
+    assert str(read.value) == str(whole.value)
+
+
+def test_a_file_that_is_valid_utf8_when_read_again_keeps_the_error_of_its_part(tmp_path, monkeypatch):
+    # the whole read that reports a part's bad byte finds none when the file changed in between
+    data = "".join(make_record(text=f"vax {i}") + "\n" for i in range(40))
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(data[:-30].encode() + b"\xff" + data[-29:].encode())
+    monkeypatch.setattr(ingest, "_whole_file", lambda path: functools.partial(io.StringIO, data))
+    with cut_into(3, len(data)), pytest.raises(InputError) as info:
+        read_corpus(path, CORPUS_TERMS)
+    assert str(info.value).startswith(f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position ")
 
 
 def test_a_bom_that_starts_a_later_part_is_a_malformed_line(tmp_path):

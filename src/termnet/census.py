@@ -269,7 +269,7 @@ _TALLY_SIZE = _C4 + 81
 
 
 @functools.cache
-def _term_deltas() -> list[array]:
+def term_deltas() -> list[array]:
     """Per tally slot, the flat (class, coefficient, ...) change one unit makes.
 
     Every counted shape carries the corrections its count implies: each induced
@@ -277,7 +277,7 @@ def _term_deltas() -> list[array]:
     each listed triangle, C4 and K4 removes what the products over-counted.
     Shapes are built as labeled codes (see `graphs`), so dropping an edge or
     keeping only the edges at one node is a bit mask.  Built once per process
-    from `get_class_table()`.
+    from `get_class_table()`; `compute_features` builds it before it forks.
     """
     table = get_class_table()
     shift = {k: {pair: k * (k - 1) - 1 - p for p, pair in enumerate(pair_order(k))} for k in (3, 4)}
@@ -492,7 +492,7 @@ def _count_from_roots(g: DirectedGraph) -> list[int]:
                     tally[k + 3 * ((d in oc) + 2 * (c in od)) + (d in ox) + 2 * (x in od)] += 1
 
     counts = [0] * TOTAL_CLASSES
-    deltas = _term_deltas()
+    deltas = term_deltas()
     for key, units in enumerate(tally):
         if units:
             delta = deltas[key]

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timezone
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, pairwise, repeat
 from json.decoder import WHITESPACE
 from json.scanner import make_scanner
 from typing import Callable, Iterable, Iterator
@@ -217,7 +217,8 @@ class _RecordStream:
             try:
                 obj = _loads(line)
             except json.JSONDecodeError as exc:
-                self._fail(lineno, f"invalid JSON: {exc.msg}")
+                at = f" column {exc.colno}" if exc.msg.endswith(" at") else ""  # "Unterminated string starting at"
+                self._fail(lineno, f"invalid JSON: {exc.msg}{at}")
                 continue
             except (RecursionError, ValueError) as exc:  # nesting too deep; an int past Python's digit limit
                 self._fail(lineno, f"invalid JSON: {exc}")
@@ -258,7 +259,7 @@ def parse_records(lines, window_from: datetime | None = None, window_to: datetim
 
 def _whole_file(path) -> Callable:
     """The opener of a records file's text lines as one part, gzip-decompressed when the name ends .gz."""
-    return functools.partial(open_text, path, gzip.open if str(path).endswith(".gz") else open)
+    return lambda: open_text(path, gzip.open(path) if str(path).endswith(".gz") else None)
 
 
 def read_records_file(path, window_from: datetime | None = None, window_to: datetime | None = None) -> ParseResult:
@@ -496,16 +497,8 @@ class _ByteRange(io.RawIOBase):
         self.pos += len(data)
         return len(data)
 
-
-def _part_lines(fd: int, start: int, end: int) -> io.TextIOWrapper:
-    """The text lines of bytes [start, end) of the records file open at descriptor `fd`.
-
-    The part at offset 0 is decoded as `utf-8-sig`, which drops a leading
-    BOM as open_text does; a later part as plain `utf-8`, so a U+FEFF that
-    starts one of its lines makes that line malformed, as in a whole read.
-    A non-UTF-8 byte raises UnicodeDecodeError.
-    """
-    return io.TextIOWrapper(_ByteRange(fd, start, end), "utf-8" if start else "utf-8-sig", newline="")
+    def tell(self) -> int:
+        return self.pos  # in the file, so open_text keeps a BOM past offset 0 and names a bad byte's file offset
 
 
 def _read_part(open_lines, match, window_from, window_to) -> tuple[_TermEdges, _RecordStream]:
@@ -537,7 +530,7 @@ def _read_parts(openers, match, window_from, window_to) -> tuple[_TermEdges, lis
     child.  Returns the merged edges, the failures with their line numbers
     in the file (the first `_REPORTED_FAILURES` of each part), and the
     malformed and non-blank line counts of the file.  The first part that
-    raises, in file order, decides what this raises.
+    raises, in file order, decides what this raises (a bad byte: open_text's).
     """
     read = functools.partial(_read_part, match=match, window_from=window_from, window_to=window_to)
     with fork_map(read, openers, _part_pieces) as parts:
@@ -579,23 +572,18 @@ def read_corpus(
     and any file where the platform has no os.pread are one part, read here
     by open_text.  The result, line numbers included, is the same at any
     part count, and the 10 % rule is applied once, to the whole file's
-    counts.  A non-UTF-8 byte is reported as a one-part read reports it.
+    counts.  A non-UTF-8 byte is open_text's error, also the same at any part count.
     """
     # _matcher, not build_corpus: perfbench/spans.py wraps build_corpus and takes len() of its records
     match = _matcher(terms)
-    whole = [_whole_file(path)]
     # a gzip stream or a pipe cannot be split, and a byte range is read with os.pread
     if str(path).endswith(".gz") or not os.path.isfile(path) or not hasattr(os, "pread"):
-        edges, failures, malformed, nonblank = _read_parts(whole, match, window_from, window_to)
+        edges, failures, malformed, nonblank = _read_parts([_whole_file(path)], match, window_from, window_to)
     else:
         with open(path, "rb") as fh:
             bounds = _part_bounds(fh)
-            parts = [functools.partial(_part_lines, fh.fileno(), *span) for span in zip(bounds, bounds[1:])]
-            try:
-                edges, failures, malformed, nonblank = _read_parts(parts, match, window_from, window_to)
-            except UnicodeDecodeError as exc:
-                _read_parts(whole, match, window_from, window_to)  # raises open_text's error for the byte
-                raise InputError(f"{path}: not UTF-8 text: {exc}") from exc  # the file changed since the part was read
+            parts = [functools.partial(open_text, path, _ByteRange(fh.fileno(), *span)) for span in pairwise(bounds)]
+            edges, failures, malformed, nonblank = _read_parts(parts, match, window_from, window_to)
     try:
         _check_malformed(malformed, nonblank, failures)
     except InputError as exc:

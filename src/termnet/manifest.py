@@ -14,6 +14,7 @@ import contextlib
 import csv
 import gzip
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -35,17 +36,27 @@ class InputError(ValueError):
     """A malformed input file or parameter; the message names the file (and row) where it can."""
 
 
-@contextlib.contextmanager
-def open_text(path, opener=open):
-    """`opener(path)` as UTF-8 text without its leading BOM.  A non-UTF-8 byte, a broken gzip
-    stream or a CSV field over csv's size limit fails the whole file: an InputError naming it."""
+def _tell(stream) -> int | None:
     try:
-        with opener(path, "rt", encoding="utf-8-sig", newline="") as fh:
+        return stream.tell()
+    except OSError:  # a pipe
+        return None
+
+
+@contextlib.contextmanager
+def open_text(path, raw=None):
+    """The binary stream `raw`, else the file `path`, as UTF-8 text; a BOM is dropped where it starts at offset 0.
+    A non-UTF-8 byte, a broken gzip stream or a CSV field over csv's size limit fails the whole file: an
+    InputError naming it, and a bad byte's offset in the (decompressed) file, which a pipe cannot tell."""
+    raw = io.FileIO(path) if raw is None else raw
+    with raw, io.TextIOWrapper(raw, "utf-8" if _tell(raw) else "utf-8-sig", newline="") as fh:
+        try:
             yield fh
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
-    except (EOFError, zlib.error, gzip.BadGzipFile, csv.Error) as exc:
-        raise InputError(f"{path}: cannot be read: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            at = "" if (end := _tell(raw)) is None else f" at offset {end - len(exc.object) + exc.start}"
+            raise InputError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x}{at}: {exc.reason}") from exc
+        except (EOFError, zlib.error, gzip.BadGzipFile, csv.Error) as exc:
+            raise InputError(f"{path}: cannot be read: {exc}") from exc
 
 
 def file_sha256(path) -> str:

@@ -13,7 +13,7 @@ import os
 import re
 from dataclasses import dataclass
 
-from .census import TOTAL_CLASSES, CensusVector, census
+from .census import TOTAL_CLASSES, CensusVector, census, term_deltas
 from .forked import fork_map
 from .graphs import DirectedGraph, read_edge_csv, write_edge_csv
 from .ingest import InteractionKind, TermNetworkSet
@@ -171,6 +171,7 @@ def compute_features(refs: list[NetworkRef]) -> list[FeatureRow]:
 
     The networks are the items of `fork_map`: call this from a single-threaded process.
     """
+    term_deltas()  # the census's table, built here once, not again in each forked process
     with fork_map(_feature_row, sorted(refs, key=lambda r: (r.term, KINDS.index(r.kind)))) as rows:
         return list(rows)
 

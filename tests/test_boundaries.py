@@ -37,3 +37,14 @@ def test_only_forked_starts_and_ends_processes():
             if isinstance(node, ast.Attribute) and ast.unparse(node) in calls:
                 users.setdefault(ast.unparse(node), set()).add(path.name)
     assert users == dict.fromkeys(calls, {"forked.py"})
+
+
+def test_only_manifest_catches_a_decode_error():
+    # one place turns a byte that is not UTF-8 into an InputError: `manifest.open_text`
+    catchers = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ExceptHandler) and node.type and "UnicodeDecodeError" in ast.unparse(node.type)
+    }
+    assert catchers == {"manifest.py"}

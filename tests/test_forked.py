@@ -1,6 +1,8 @@
 """`forked.fork_map` and the stages that run through it: `networks`, `features` and `classify`."""
 
 import contextlib
+import functools
+import importlib
 import io
 import os
 import time
@@ -12,6 +14,7 @@ from termnet.cli import main
 from termnet.forked import fork_map, usable_cores
 from termnet.manifest import InputError
 
+census = importlib.import_module("termnet.census")  # `termnet.census` is also the package's census function
 SLOW_S = 0.5  # how long item 0 takes where the other processes must take the later items meanwhile
 
 
@@ -173,6 +176,27 @@ def test_a_platform_without_os_name_gives_the_same_outputs(corpus, serial, tmp_p
     monkeypatch.setattr(ingest, "_PART_BYTES", 1 << 12)
     monkeypatch.delattr(os, name)
     assert run_pipeline(corpus, tmp_path) == serial[0]
+
+
+def test_features_builds_the_census_table_once_before_it_forks(serial, tmp_path, monkeypatch):
+    # the forked processes inherit the table; the class-table command never builds it
+    build, builds = census.term_deltas.__wrapped__, tmp_path / "builds"
+
+    @functools.cache
+    def counted():
+        with open(builds, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return build()
+
+    monkeypatch.setattr(census, "term_deltas", counted)
+    monkeypatch.setattr(pipeline, "term_deltas", counted)
+    assert run("class-table", "-o", tmp_path / "classes.csv") == (0, "")
+    assert not builds.exists()
+    with cores(4):
+        assert run("features", serial[1] / "nets", "-o", tmp_path / "features.csv") == (0, "")
+    assert builds.read_text() == f"{os.getpid()}\n"
+    assert (tmp_path / "features.csv").read_bytes() == serial[0]["features.csv"]
+    assert_no_child_is_left()
 
 
 @pytest.fixture()

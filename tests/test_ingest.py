@@ -2,7 +2,6 @@ import contextlib
 import dataclasses
 import functools
 import gzip
-import io
 import json
 import os
 import re
@@ -158,6 +157,19 @@ JSON_LINES = st.one_of(
 @example(" \t")
 def test_loads_equals_json_loads(line):
     assert _decoded(_loads, line) == _decoded(json.loads, line)
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ('{"post_id": "1", "author": "a', "invalid JSON: Unterminated string starting at column 28"),
+        ('{"post_id": "1\t"}', "invalid JSON: Invalid control character at column 15"),
+    ],
+)
+def test_a_json_message_that_ends_in_at_gets_its_column(line, reason):
+    stream = _RecordStream(line)
+    assert list(stream) == []
+    assert stream.failures == [(1, reason)]
 
 
 def test_records_outside_window_count_as_good_lines():
@@ -768,15 +780,84 @@ def test_a_non_utf8_byte_is_reported_before_the_10_percent_rule(parts, tmp_path)
     assert str(read.value) == str(whole.value)
 
 
-def test_a_file_that_is_valid_utf8_when_read_again_keeps_the_error_of_its_part(tmp_path, monkeypatch):
-    # the whole read that reports a part's bad byte finds none when the file changed in between
-    data = "".join(make_record(text=f"vax {i}") + "\n" for i in range(40))
-    path = tmp_path / "records.jsonl"
-    path.write_bytes(data[:-30].encode() + b"\xff" + data[-29:].encode())
-    monkeypatch.setattr(ingest, "_whole_file", lambda path: functools.partial(io.StringIO, data))
-    with cut_into(3, len(data)), pytest.raises(InputError) as info:
-        read_corpus(path, CORPUS_TERMS)
-    assert str(info.value).startswith(f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position ")
+# a bad start byte, a lone continuation byte, a sequence cut short, an encoded surrogate
+NON_UTF8 = [b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]
+
+
+def assert_bad_byte_named(tmp: Path, raw: bytes) -> str:
+    """read_corpus of `raw` fails alike at 1, 2 and 4 parts and gzipped: the first byte that is not UTF-8,
+    its offset in `raw` and the decoder's reason for it.  The error without its path."""
+    try:
+        raw.decode("utf-8")  # a BOM is UTF-8 too: the first bad byte of a whole decode
+    except UnicodeDecodeError as exc:
+        error = f"not UTF-8 text: byte 0x{raw[exc.start]:02x} at offset {exc.start}: {exc.reason}"
+    plain, gz = tmp / "records.jsonl", tmp / "records.jsonl.gz"
+    plain.write_bytes(raw)
+    gz.write_bytes(gzip.compress(raw))
+    for parts in (1, 2, 4):
+        with cut_into(parts, len(raw)), pytest.raises(InputError) as info:
+            read_corpus(plain, CORPUS_TERMS)
+        assert str(info.value) == f"{plain}: {error}"
+    with pytest.raises(InputError) as info:
+        read_corpus(gz, CORPUS_TERMS)
+    assert str(info.value) == f"{gz}: {error}"
+    return error
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.text(max_size=40), max_size=30), st.integers(1, 40), st.sampled_from(["\n", "\r\n", "\r"]),
+    st.booleans(), st.sampled_from(NON_UTF8), st.data(),
+)
+def test_a_non_utf8_byte_is_named_with_its_file_offset_at_any_part_count(lines, repeat, end, bom, bad, data):
+    good = (("\ufeff" if bom else "") + "".join(line + end for line in lines * repeat)).encode()
+    at = data.draw(st.integers(0, len(good)))
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_bad_byte_named(Path(tmp), good[:at] + bad + good[at:])
+
+
+def test_a_bad_byte_after_a_bom_is_named_with_its_file_offset(tmp_path):
+    data = "\ufeff" + "".join(make_record(text=f"vax {i}") + "\n" for i in range(60))
+    at = len(data.encode()) - 40
+    error = assert_bad_byte_named(tmp_path, data.encode()[:at] + b"\xfe" + data.encode()[at:])
+    assert error == f"not UTF-8 text: byte 0xfe at offset {at}: invalid start byte"
+
+
+@pytest.mark.parametrize("bad", [b"", b"\xe2\x82"])
+def test_a_bad_byte_past_a_character_across_a_chunk_edge_is_named_with_its_file_offset(tmp_path, bad):
+    # the decoder reads 8 KiB chunks: a 3-byte character, or a sequence cut short, starts at 8191
+    head = make_record(text="vax " + "x" * 8000)
+    head += " " * (8190 - len(head)) + "\n"
+    raw = head.encode() + (bad or "\u20ac".encode()) + b"\n" + make_record(text="vax").encode() + b"\n\xff\n"
+    expected = 8191 if bad else len(raw) - 2
+    error = assert_bad_byte_named(tmp_path, raw)
+    assert error.startswith(f"not UTF-8 text: byte 0x{raw[expected]:02x} at offset {expected}: ")
+
+
+def test_a_sequence_cut_short_at_the_end_of_the_file_is_named_with_its_offset(tmp_path):
+    data = "".join(make_record(text=f"vax {i}") + "\n" for i in range(60)).encode()
+    error = assert_bad_byte_named(tmp_path, data + b"\xe2\x82")
+    assert error == f"not UTF-8 text: byte 0xe2 at offset {len(data)}: unexpected end of data"
+
+
+def test_a_bad_byte_in_the_terms_file_is_named_with_its_offset(tmp_path):
+    path = tmp_path / "terms.txt"
+    path.write_bytes(b"\xef\xbb\xbfvax\r\n#tag\r\nvax pass\xc3\r\n")
+    with pytest.raises(InputError) as info:
+        read_terms_file(path)
+    assert str(info.value) == f"{path}: not UTF-8 text: byte 0xc3 at offset 22: invalid continuation byte"
+
+
+def test_a_pipe_with_a_bad_byte_is_an_input_error_without_an_offset(tmp_path):
+    fifo = tmp_path / "fifo.jsonl"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(make_record(text="vax").encode() + b"\n\xff\n",))
+    writer.start()
+    with pytest.raises(InputError) as info:
+        read_corpus(fifo, CORPUS_TERMS)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert str(info.value) == f"{fifo}: not UTF-8 text: byte 0xff: invalid start byte"
 
 
 def test_a_bom_that_starts_a_later_part_is_a_malformed_line(tmp_path):

@@ -35,6 +35,17 @@ def test_read_csv_skips_only_the_leading_comment_block(tmp_path):
     assert list(read_csv(path)) == []
 
 
+@pytest.mark.parametrize("rows", [1, 2000])
+def test_read_csv_names_a_bad_byte_with_its_offset_in_the_file(tmp_path, rows):
+    # past the decoder's first 8 KiB chunk too, and after a BOM, which counts
+    path = tmp_path / "t.csv"
+    head = b"\xef\xbb\xbf# manifest_sha256=ab12\nname,n\n" + b"caf\xc3\xa9,1\n" * rows
+    path.write_bytes(head + b"x\xff,2\n")
+    with pytest.raises(InputError) as info:
+        list(read_csv(path))
+    assert str(info.value) == f"{path}: not UTF-8 text: byte 0xff at offset {len(head) + 1}: invalid start byte"
+
+
 def test_write_csv_quotes_only_rows_holding_a_carriage_return(tmp_path):
     path = tmp_path / "t.csv"
     rows = [["a\r", 1], ["b", 2], ["c\r\nd", 3]]

@@ -1,7 +1,7 @@
 """Independent work items computed by forked processes, one per usable core, and merged in item order.
 
 termnet's one parallel mechanism: `read_corpus` runs the parts of a records file, `compute_features` its
-networks and `classify_datasets` its grid entries through `fork_map`.  It uses os.fork, pipes and
+networks and `classify_datasets` its training problems through `fork_map`.  It uses os.fork, pipes and
 pickle only, so call it from a single-threaded process.
 """
 

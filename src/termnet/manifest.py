@@ -45,13 +45,17 @@ def _tell(stream) -> int | None:
 
 @contextlib.contextmanager
 def open_text(path, raw=None):
-    """The binary stream `raw`, else the file `path`, as UTF-8 text; a BOM is dropped where it starts at offset 0.
-    A non-UTF-8 byte, a broken gzip stream or a CSV field over csv's size limit fails the whole file: an
-    InputError naming it, and a bad byte's offset in the (decompressed) file, which a pipe cannot tell."""
+    """The lines of the binary stream `raw`, else of the file `path`, as UTF-8 text; a BOM is dropped where it
+    starts at offset 0.  A non-UTF-8 byte (a BOM cut short too), a broken gzip stream or a CSV field over csv's
+    size limit fails the whole file: an InputError naming it, and a bad byte's offset in the (decompressed)
+    file, which a pipe cannot tell."""
     raw = io.FileIO(path) if raw is None else raw
-    with raw, io.TextIOWrapper(raw, "utf-8" if _tell(raw) else "utf-8-sig", newline="") as fh:
+    bom = "" if _tell(raw) else "\ufeff"  # at offset 0, or in a pipe
+    # strict "utf-8", not "utf-8-sig": at the end of the text, that one drops one or two bytes of a BOM unread
+    with raw, io.TextIOWrapper(raw, "utf-8", newline="") as fh:
         try:
-            yield fh
+            first = next(fh, "").removeprefix(bom)
+            yield itertools.chain([first] if first else [], fh)
         except UnicodeDecodeError as exc:
             at = "" if (end := _tell(raw)) is None else f" at offset {end - len(exc.object) + exc.start}"
             raise InputError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x}{at}: {exc.reason}") from exc

@@ -24,6 +24,7 @@ from .ranking import CONTROVERSIAL
 __all__ = [
     "ClassifierReport",
     "Dataset",
+    "FoldPlan",
     "LogisticModel",
     "PcaResult",
     "RandomForestModel",
@@ -31,9 +32,12 @@ __all__ = [
     "confusion_metrics",
     "cross_validate",
     "pca2",
+    "plan_folds",
+    "pool_folds",
     "standardize",
     "stratified_folds",
     "train_blr",
+    "train_problem",
     "train_rfc",
 ]
 
@@ -573,62 +577,75 @@ _HYPERPARAMS = {
 }
 
 
-def cross_validate(
-    dataset: Dataset,
-    classifier: str,
-    folds: int = 10,
-    seed: int = 0,
-) -> ClassifierReport:
-    """Stratified k-fold evaluation with one pooled confusion matrix, with the
-    controversial class (y == 1) as positive.
+@dataclass(frozen=True)
+class FoldPlan:
+    """A stratified k-fold evaluation laid out before any training: `plan_folds` builds it."""
 
-    Standardization is fit on the training folds only (the forest sees raw
-    features; trees are scale-invariant).  Folds whose training split is
-    single-class are skipped and listed in the report.  BLR and the forest
-    train fold by fold; the SVM trains every scored fold at once, in the Gram
-    form, keeping O(folds n^2) floats (see _svm_fold_predictions).  With the
-    seed fixed the whole report is reproducible bit for bit.
-    """
+    dataset: Dataset
+    classifier: str
+    folds: int
+    seed: int
+    assign: np.ndarray  # the fold of each row
+    scored: tuple[int, ...]  # folds with a test row and a two-class training split
+    skipped: tuple[int, ...]
+    fold_seeds: tuple  # the SeedSequence of each fold's forest
+
+    @property
+    def problems(self) -> tuple[tuple[int, ...], ...]:
+        """The training problems, each the scored folds it trains: every fold alone, or all together for the
+        SVM (_svm_fold_predictions)."""
+        return (self.scored,) if self.classifier == "svm" else tuple((f,) for f in self.scored)
+
+
+def plan_folds(dataset: Dataset, classifier: str, folds: int = 10, seed: int = 0) -> FoldPlan:
+    """The fold assignment of `cross_validate(dataset, classifier, folds, seed)`, its scored and skipped
+    folds and each fold's seed; a bad argument is an InputError."""
     if classifier not in _HYPERPARAMS:
         raise InputError(f"unknown classifier {classifier!r}")
     if folds < 2:
         raise InputError(f"folds must be >= 2, got {folds}")
-    X, y = dataset.X, dataset.y
-    if X.shape[0] < folds:
-        raise InputError(f"dataset {dataset.name}: {X.shape[0]} rows < {folds} folds")
+    y = dataset.y
+    if y.shape[0] < folds:
+        raise InputError(f"dataset {dataset.name}: {y.shape[0]} rows < {folds} folds")
 
-    master = np.random.SeedSequence(seed)
-    children = master.spawn(folds + 1)
+    children = np.random.SeedSequence(seed).spawn(folds + 1)
     assign = stratified_folds(y, folds, np.random.default_rng(children[0]))
-
     scored: list[int] = []
     skipped: list[int] = []
     for f in range(folds):
         test_mask = assign == f
         usable = test_mask.any() and len(set(y[~test_mask].tolist())) >= 2
         (scored if usable else skipped).append(f)
+    return FoldPlan(dataset, classifier, folds, seed, assign, tuple(scored), tuple(skipped), tuple(children[1:]))
 
-    warnings = 0
-    if classifier == "svm":
-        preds = _svm_fold_predictions(X, y, [assign == f for f in scored])
-    else:
-        preds = []
-        for f in scored:
-            test_mask = assign == f
-            X_train, y_train, X_test = X[~test_mask], y[~test_mask], X[test_mask]
-            if classifier == "rfc":
-                preds.append(train_rfc(X_train, y_train, children[1 + f]).predict(X_test))
-                continue
-            X_std, means, stds = standardize(X_train)
-            model = train_blr(X_std, y_train)
-            if not model.converged:
-                warnings += 1
-            preds.append(model.predict(_rescale(X_test, means, stds)))
 
-    tp = fp = tn = fn = 0
+def train_problem(plan: FoldPlan, problem: tuple[int, ...]) -> list[tuple[np.ndarray, bool]]:
+    """(test predictions, converged) for each fold of one of `plan.problems`; only BLR can fail to converge.
+
+    Standardization is fit on the training folds only (the forest sees raw
+    features; trees are scale-invariant).
+    """
+    X, y = plan.dataset.X, plan.dataset.y
+    if plan.classifier == "svm":
+        return [(pred, True) for pred in _svm_fold_predictions(X, y, [plan.assign == f for f in problem])]
+    (f,) = problem
+    test_mask = plan.assign == f
+    X_train, y_train, X_test = X[~test_mask], y[~test_mask], X[test_mask]
+    if plan.classifier == "rfc":
+        return [(train_rfc(X_train, y_train, plan.fold_seeds[f]).predict(X_test), True)]
+    X_std, means, stds = standardize(X_train)
+    model = train_blr(X_std, y_train)
+    return [(model.predict(_rescale(X_test, means, stds)), model.converged)]
+
+
+def pool_folds(plan: FoldPlan, solved) -> ClassifierReport:
+    """The report of `plan` from `train_problem`'s result for each of `plan.problems`, in that order: one
+    confusion matrix over the scored folds, with the controversial class (y == 1) as positive."""
+    y = plan.dataset.y
+    tp = fp = tn = fn = warnings = 0
     fold_acc: list[float] = []
-    for f, pred in zip(scored, preds):
-        y_test = y[assign == f]
+    for f, (pred, converged) in zip(plan.scored, [fold for result in solved for fold in result], strict=True):
+        y_test = y[plan.assign == f]
         pos_pred = pred == 1
         pos_true = y_test == 1
         tp += int(np.sum(pos_pred & pos_true))
@@ -636,18 +653,36 @@ def cross_validate(
         tn += int(np.sum(~pos_pred & ~pos_true))
         fn += int(np.sum(~pos_pred & pos_true))
         fold_acc.append(float(np.mean(pred == y_test)))
+        warnings += not converged
 
     values, defined = confusion_metrics(tp, fp, tn, fn)
     return ClassifierReport(
-        classifier_name=classifier,
-        feature_set_name=dataset.name,
+        classifier_name=plan.classifier,
+        feature_set_name=plan.dataset.name,
         confusion=(tp, fp, tn, fn),
         metrics=values,
         defined=defined,
         fold_accuracies=tuple(fold_acc),
-        skipped_folds=tuple(skipped),
+        skipped_folds=plan.skipped,
         convergence_warnings=warnings,
-        seed=seed,
-        folds=folds,
-        hyperparameters=dict(_HYPERPARAMS[classifier]),
+        seed=plan.seed,
+        folds=plan.folds,
+        hyperparameters=dict(_HYPERPARAMS[plan.classifier]),
     )
+
+
+def cross_validate(dataset: Dataset, classifier: str, folds: int = 10, seed: int = 0) -> ClassifierReport:
+    """Stratified k-fold evaluation with one pooled confusion matrix, with the
+    controversial class (y == 1) as positive.
+
+    The serial composition of `plan_folds`, `train_problem` for each of the
+    plan's problems and `pool_folds`; the problems are independent, so a
+    caller may train them in any order or process and pool the results.
+    Folds whose training split is single-class are skipped and listed in the
+    report.  BLR and the forest train fold by fold; the SVM trains every
+    scored fold at once, in the Gram form, keeping O(folds n^2) floats (see
+    _svm_fold_predictions).  With the seed fixed the whole report is
+    reproducible bit for bit.
+    """
+    plan = plan_folds(dataset, classifier, folds, seed)
+    return pool_folds(plan, [train_problem(plan, problem) for problem in plan.problems])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .census import TOTAL_CLASSES, CensusVector, census, term_deltas
 from .forked import fork_map
@@ -213,21 +214,20 @@ def classify_datasets(
 
     The controversial class is always positive; the report states it once as
     `positive_class`.  Outputs depend only on the inputs and manifest
-    parameters.  The grid entries are the items of `fork_map`: call this
-    from a single-threaded process.
+    parameters.  Each grid entry is `ml.cross_validate`, laid out as a fold
+    plan first (a bad argument fails here, before any fork); the training
+    problems of all 24 plans, a BLR or forest fold or one entry's SVM, are
+    the items of `fork_map`, and each entry pools its own.  Call this from a
+    single-threaded process.
     """
     from . import ml  # here, not at the top: only classify and synth load numpy
 
     datasets = ml.assemble_feature_sets(global_vecs, local_vecs, labels)
     os.makedirs(outdir, exist_ok=True)
-
-    def entry(key):
-        set_name, clf = key
-        return ml.cross_validate(datasets[set_name], clf, folds=folds, seed=seed).to_json_obj()
-
-    grid = [(set_name, clf) for set_name in FEATURE_SET_ORDER for clf in CLASSIFIER_ORDER]
-    with fork_map(entry, grid) as entries:
-        entries = list(entries)
+    plans = [ml.plan_folds(datasets[s], clf, folds, seed) for s in FEATURE_SET_ORDER for clf in CLASSIFIER_ORDER]
+    problems = [(plan, problem) for plan in plans for problem in plan.problems]
+    with fork_map(lambda item: ml.train_problem(*item), problems) as solved:
+        entries = [ml.pool_folds(plan, islice(solved, len(plan.problems))).to_json_obj() for plan in plans]
 
     pca_info: dict[str, dict] = {}
     label_of = {lab.term: lab.label for lab in labels}

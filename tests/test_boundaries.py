@@ -39,6 +39,25 @@ def test_only_forked_starts_and_ends_processes():
     assert users == dict.fromkeys(calls, {"forked.py"})
 
 
+def test_only_the_stages_call_fork_map_and_ml_manages_no_process():
+    # `ingest` and `pipeline` choose the work items; `ml` stays plain functions that one item's work calls
+    callers = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "fork_map"
+    }
+    assert callers == {"ingest.py", "pipeline.py"}
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "ml.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[0] if node.level == 0 else f".{node.module}")
+    process_modules = {"os", "multiprocessing", "concurrent", "subprocess", "threading", "signal", ".forked"}
+    assert imported and not imported & process_modules
+
+
 def test_only_manifest_catches_a_decode_error():
     # one place turns a byte that is not UTF-8 into an InputError: `manifest.open_text`
     catchers = {

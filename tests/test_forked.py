@@ -7,12 +7,14 @@ import io
 import os
 import time
 
+import numpy as np
 import pytest
 
 from termnet import forked, ingest, ml, pipeline
 from termnet.cli import main
 from termnet.forked import fork_map, usable_cores
 from termnet.manifest import InputError
+from termnet.ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
 
 census = importlib.import_module("termnet.census")  # `termnet.census` is also the package's census function
 SLOW_S = 0.5  # how long item 0 takes where the other processes must take the later items meanwhile
@@ -201,20 +203,22 @@ def test_features_builds_the_census_table_once_before_it_forks(serial, tmp_path,
 
 @pytest.fixture()
 def failing_entries(monkeypatch, tmp_path):
-    """cross_validate with entry 0 slow, and the later entries 4 and 10 failing; each failure notes its pid."""
-    cross_validate, noted = ml.cross_validate, tmp_path / "pids"
+    """train_problem with the first problem slow, and the problems of the later entries 4 and 10 failing; each
+    failure notes its pid."""
+    train_problem, noted = ml.train_problem, tmp_path / "pids"
 
-    def failing(dataset, clf, **kwargs):
-        entry = pipeline.FEATURE_SET_ORDER.index(dataset.name) * 3 + pipeline.CLASSIFIER_ORDER.index(clf)
-        if entry == 0:
+    def failing(plan, problem):
+        entry = pipeline.FEATURE_SET_ORDER.index(plan.dataset.name) * 3
+        entry += pipeline.CLASSIFIER_ORDER.index(plan.classifier)
+        if entry == 0 and problem == plan.problems[0]:
             time.sleep(SLOW_S)
         if entry in (4, 10):
             with open(noted, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
             raise (InputError if entry == 4 else ValueError)(f"entry {entry} fails")
-        return cross_validate(dataset, clf, **kwargs)
+        return train_problem(plan, problem)
 
-    monkeypatch.setattr(ml, "cross_validate", failing)
+    monkeypatch.setattr(ml, "train_problem", failing)
     return noted
 
 
@@ -228,6 +232,34 @@ def test_a_later_entry_that_fails_in_a_child_fails_classify_as_in_one_process(se
     assert str(os.getpid()) not in failing_entries.read_text().split()  # the children computed them
     assert not (tmp_path / "out" / "report.json").exists()
     assert_no_child_is_left()
+
+
+def test_classify_of_unconverged_and_skipped_folds_is_byte_identical_at_any_core_count(tmp_path):
+    # shaped like the `hubs` benchmark: 8 terms and 4 folds; one positive term, so the fold that holds it
+    # trains on one class, and that term a near copy of a negative one, so the BLR folds that train on
+    # both (6 rows, separable by a thin margin) run out of iterations
+    rng = np.random.default_rng(1)
+    terms = [f"t{i}" for i in range(8)]
+    labels = [TermLabel(t, CONTROVERSIAL if t == "t3" else NON_CONTROVERSIAL, 0.0) for t in terms]
+    global_vecs, local_vecs = {}, {}
+    for kind in pipeline.KINDS:
+        for t in terms:
+            global_vecs[t, kind] = rng.normal(size=9)
+            local_vecs[t, kind] = rng.dirichlet(np.ones(census.TOTAL_CLASSES))
+        global_vecs["t3", kind] = global_vecs["t2", kind] + 0.01 * rng.normal(size=9)
+        local_vecs["t3", kind] = local_vecs["t2", kind] + 1e-4 * rng.normal(size=census.TOTAL_CLASSES)
+    outputs = []
+    for n in (1, 2, 4):
+        out = tmp_path / str(n)
+        with cores(n):
+            report = pipeline.classify_datasets(global_vecs, local_vecs, labels, out, "ab12", seed=0, folds=4)
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert_no_child_is_left()
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert len(outputs[0]) == 1 + 2 * len(pipeline.FEATURE_SET_ORDER)
+    blr = [entry for entry in report["entries"] if entry["classifier"] == "blr"]
+    assert all(len(entry["skipped_folds"]) == 1 for entry in blr)
+    assert sum(entry["convergence_warnings"] for entry in blr) >= len(blr)
 
 
 def test_a_network_that_fails_in_a_child_fails_features_as_in_one_process(serial, tmp_path, monkeypatch):

@@ -860,6 +860,40 @@ def test_a_pipe_with_a_bad_byte_is_an_input_error_without_an_offset(tmp_path):
     assert str(info.value) == f"{fifo}: not UTF-8 text: byte 0xff: invalid start byte"
 
 
+@pytest.mark.parametrize("cut", [b"\xef", b"\xef\xbb"])
+def test_a_bom_cut_short_is_a_bad_byte_at_offset_0(tmp_path, cut):
+    # one or two bytes of a BOM and nothing after: a UTF-8 sequence cut short, not an empty file
+    error = assert_bad_byte_named(tmp_path, cut)
+    assert error == "not UTF-8 text: byte 0xef at offset 0: unexpected end of data"
+    terms = tmp_path / "terms.txt"
+    terms.write_bytes(cut)
+    with pytest.raises(InputError) as info:
+        read_terms_file(terms)
+    assert str(info.value) == f"{terms}: {error}"
+    fifo = tmp_path / "fifo.jsonl"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(cut,))
+    writer.start()
+    with pytest.raises(InputError) as info:
+        read_corpus(fifo, CORPUS_TERMS)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert str(info.value) == f"{fifo}: not UTF-8 text: byte 0xef: unexpected end of data"
+
+
+def test_a_whole_bom_alone_is_empty_text(tmp_path):
+    plain, gz, terms = tmp_path / "records.jsonl", tmp_path / "records.jsonl.gz", tmp_path / "terms.txt"
+    plain.write_bytes(b"\xef\xbb\xbf")
+    gz.write_bytes(gzip.compress(b"\xef\xbb\xbf"))
+    for path in (plain, gz):
+        result = read_records_file(path)
+        assert (result.records, result.failures) == ([], [])
+        assert read_corpus(path, CORPUS_TERMS)[1:] == ([], 0)
+    terms.write_bytes(b"\xef\xbb\xbf")
+    with pytest.raises(InputError, match="contains no terms"):
+        read_terms_file(terms)
+
+
 def test_a_bom_that_starts_a_later_part_is_a_malformed_line(tmp_path):
     lines = [make_record(text=f"vax {i:03d}") for i in range(40)]  # all of one length
     path = tmp_path / "records.jsonl"

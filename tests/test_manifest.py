@@ -46,6 +46,17 @@ def test_read_csv_names_a_bad_byte_with_its_offset_in_the_file(tmp_path, rows):
     assert str(info.value) == f"{path}: not UTF-8 text: byte 0xff at offset {len(head) + 1}: invalid start byte"
 
 
+@pytest.mark.parametrize("cut", [b"\xef", b"\xef\xbb"])
+def test_read_csv_names_a_bom_cut_short_at_offset_0(tmp_path, cut):
+    path = tmp_path / "t.csv"
+    path.write_bytes(cut)
+    with pytest.raises(InputError) as info:
+        list(read_csv(path))
+    assert str(info.value) == f"{path}: not UTF-8 text: byte 0xef at offset 0: unexpected end of data"
+    path.write_bytes(b"\xef\xbb\xbf")  # a whole BOM alone is empty text
+    assert list(read_csv(path)) == []
+
+
 def test_write_csv_quotes_only_rows_holding_a_carriage_return(tmp_path):
     path = tmp_path / "t.csv"
     rows = [["a\r", 1], ["b", 2], ["c\r\nd", 3]]

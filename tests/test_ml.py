@@ -1,5 +1,7 @@
 import math
 import os
+import pickle
+import re
 import subprocess
 import sys
 
@@ -19,9 +21,12 @@ from termnet.ml import (
     confusion_metrics,
     cross_validate,
     pca2,
+    plan_folds,
+    pool_folds,
     standardize,
     stratified_folds,
     train_blr,
+    train_problem,
     train_rfc,
 )
 from termnet.ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
@@ -661,6 +666,53 @@ def test_report_json_shape(rng):
     assert "positive_label" not in obj
     assert obj["folds"] == 4 and obj["seed"] == 9
     assert obj["accuracy_fold_mean"] == pytest.approx(sum(obj["fold_accuracies"]) / len(obj["fold_accuracies"]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["blr", "svm", "rfc"]),
+    st.integers(4, 16),
+    st.integers(1, 4),
+    st.integers(2, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["separable", "noise", "one positive", "one class"]),
+    st.data(),
+)
+def test_problems_solved_apart_in_any_order_pool_to_cross_validate(clf, n, d, folds, seed, kind, data):
+    # as in `classify`: each problem trained on its own copy of the plan, results pooled in plan order
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = {
+        "separable": (np.arange(n) % 2),
+        "noise": rng.integers(0, 2, size=n),
+        "one positive": (np.arange(n) == n // 2),  # its fold trains on one class: skipped
+        "one class": np.zeros(n),
+    }[kind].astype(np.int64)
+    if kind == "separable":
+        X[:, 0] += 8.0 * y
+    ds = Dataset(name="toy", X=X, y=y, row_terms=tuple(map(str, range(n))), col_names=tuple(f"c{j}" for j in range(d)))
+    plan = plan_folds(ds, clf, folds, seed)
+    assert plan.problems == ((plan.scored,) if clf == "svm" else tuple((f,) for f in plan.scored))
+    solved = [None] * len(plan.problems)
+    for i in data.draw(st.permutations(range(len(plan.problems)))):
+        result = train_problem(pickle.loads(pickle.dumps(plan)), plan.problems[i])
+        solved[i] = pickle.loads(pickle.dumps(result))
+    assert pool_folds(plan, solved).to_json_obj() == cross_validate(ds, clf, folds, seed).to_json_obj()
+    if kind == "one positive":
+        assert len(plan.skipped) == 1
+
+
+def test_plan_folds_checks_the_arguments_of_cross_validate(rng):
+    ds = make_dataset(rng, n=6)
+    for args, message in [
+        (("knn", 10), "unknown classifier 'knn'"),
+        (("svm", 1), "folds must be >= 2, got 1"),
+        (("blr", 10), "dataset toy: 6 rows < 10 folds"),
+    ]:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            plan_folds(ds, *args)
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            cross_validate(ds, *args)
 
 
 # ---------------------------------------------------------------- feature sets

@@ -137,28 +137,6 @@ class CanonicalClassTable:
         manifest.write_csv(path, manifest_hash, ["class_id", "k", "canonical_code_hex", "edge_list"], rows)
 
 
-def _skeleton_connected_masks(k: int) -> list[bool]:
-    """Connectivity of every undirected edge mask over k nodes (BFS per mask)."""
-    und_pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    out = []
-    for mask in range(1 << len(und_pairs)):
-        nbrs = [[] for _ in range(k)]
-        for p, (i, j) in enumerate(und_pairs):
-            if (mask >> p) & 1:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in nbrs[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        out.append(len(seen) == k)
-    return out
-
-
 def _bit_image(m: int, image: list[int]):
     """code -> the OR of image[s] over the set bits s (shifts) of an m-bit code, m even.
 
@@ -196,11 +174,12 @@ def _canonicalize_all(k: int) -> tuple[list[int], list[bool]]:
             for relabel in relabelings:
                 canon[relabel(code)] = code
 
-    # skeleton mask: undirected pair (i,j), i<j, present iff either direction is
+    # on k <= 4 nodes a skeleton is connected iff it touches every node and has k - 1
+    # edges or more: that rules out two disjoint edges and a triangle beside a lone node
     und = {(i, j): p for p, (i, j) in enumerate(itertools.combinations(range(k), 2))}
     skeleton = _bit_image(m, [1 << und[(min(i, j), max(i, j))] for i, j in at])
-    conn_by_mask = _skeleton_connected_masks(k)
-    return canon, [conn_by_mask[skeleton(code)] for code in range(1 << m)]
+    touched = _bit_image(m, [(1 << i) | (1 << j) for i, j in at])
+    return canon, [touched(c) == (1 << k) - 1 and skeleton(c).bit_count() >= k - 1 for c in range(1 << m)]
 
 
 def build_class_table(unused=None, /) -> CanonicalClassTable:

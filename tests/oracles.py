@@ -11,11 +11,13 @@ scan checks is the package's single-pass candidate index, not the pattern.
 `reference_class_table` builds the class table array-wise with numpy, a
 second route beside the package's orbit enumeration.  `label_distribution`
 tabulates ratings as the paper does; no stage writes that table.  The
-random digraph generators at the end make inputs, not answers.
+random digraph generators at the end make inputs, not answers, and
+`assert_no_child_is_left` checks a process, not an answer.
 """
 
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -619,3 +621,12 @@ def gen_random_digraph_m(n: int, m: int, seed: int) -> DirectedGraph:
     r = idx % (n - 1)
     v = np.where(r >= u, r + 1, r)
     return DirectedGraph(n, list(zip(u.tolist(), v.tolist())))
+
+
+def assert_no_child_is_left():
+    """This process has no child left, not even one `os.fork` started and nothing waited for."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process is left")

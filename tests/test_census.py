@@ -1,8 +1,6 @@
 import hashlib
 import importlib
 import itertools
-import multiprocessing
-import os
 import time
 from math import comb, prod
 
@@ -187,20 +185,6 @@ def test_census_parallel_matches_serial():
     assert census_parallel(build_graph([]), 4).total == 0
     with pytest.raises(ValueError):
         census_parallel(g, 0)
-
-
-@pytest.mark.parametrize("cores, workers", [(3, 3), (8, 8), (1, None), (None, None)])
-def test_census_parallel_starts_no_more_processes_than_cores(monkeypatch, cores, workers):
-    # it starts none at all: whatever the core count and the worker count (None: far above
-    # the cores), the census is counted in this process
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)  # a pool would be imported on use
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    g = gen_random_digraph(40, 0.1, seed=4)
-    assert census_parallel(g, workers or 5000).counts == census(g).counts
-    assert multiprocessing.active_children() == []
 
 
 # dyad types as drawn below: 1 = out (u -> v), 2 = in (v -> u), 3 = mutual

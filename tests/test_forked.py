@@ -16,6 +16,8 @@ from termnet.forked import fork_map, usable_cores
 from termnet.manifest import InputError
 from termnet.ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
 
+from oracles import assert_no_child_is_left
+
 census = importlib.import_module("termnet.census")  # `termnet.census` is also the package's census function
 SLOW_S = 0.5  # how long item 0 takes where the other processes must take the later items meanwhile
 
@@ -27,11 +29,6 @@ def cores(n: int):
         patch.setattr(os, "sched_getaffinity", lambda pid: range(n))
         patch.setattr(ingest, "_PART_BYTES", 1 << 12)
         yield
-
-
-def assert_no_child_is_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def square(x):

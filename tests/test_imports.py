@@ -4,9 +4,8 @@ Only `classify` and `synth` compute with numpy.  Every other command, and the
 `--manifest` run of every command but `synth`, starts without numpy, and no
 command loads a process pool's modules (`multiprocessing`,
 `concurrent.futures`): `networks`, `features` and `classify` fork through
-`termnet.forked` alone.  `features` is also run on a network of 900 nodes at
-`--workers 2`, `networks` on a records file it reads in parts, and
-`features` and `classify` on four usable cores, so that they fork.
+`termnet.forked` alone.  `networks` is also run on a records file it reads in
+parts, and `features` and `classify` on four usable cores, so that they fork.
 `networks` on a `.gz` file, which it reads in one part without forking,
 loads neither `pickle` nor `signal` either.  Each command runs in a fresh
 interpreter, because this one has loaded numpy already.
@@ -24,11 +23,7 @@ import pytest
 
 import termnet
 from termnet.cli import main
-from termnet.graphs import build_graph
-from termnet.ingest import _PART_BYTES, InteractionKind, TermNetworkSet
-from termnet.pipeline import write_networks
-
-from oracles import gen_random_digraph_m
+from termnet.ingest import _PART_BYTES
 
 SRC = os.path.dirname(os.path.dirname(termnet.__file__))
 UNWANTED = ("numpy", "concurrent.futures", "multiprocessing")
@@ -71,9 +66,8 @@ print(json.dumps([code, NumpySpy.seen]))
 
 @pytest.fixture(scope="module")
 def stage_inputs(tmp_path_factory):
-    """synth --terms 6 --records 20, its networks, features and labels, a networks
-    directory whose mention network has 900 nodes, a copy of the records file
-    repeated past two parts' worth of bytes, and the records file gzipped."""
+    """synth --terms 6 --records 20, its networks, features and labels, a copy of
+    the records file repeated past two parts' worth of bytes, and the records file gzipped."""
     root = tmp_path_factory.mktemp("stages")
     corpus = root / "corpus"
     with contextlib.redirect_stdout(io.StringIO()):
@@ -84,10 +78,6 @@ def stage_inputs(tmp_path_factory):
             ["rank", corpus / "ratings.csv", "-o", root / "labels.csv"],
         ):
             assert main([str(a) for a in argv]) == 0
-    big = gen_random_digraph_m(900, 3000, seed=4)
-    graphs = {kind: build_graph([]) for kind in InteractionKind}
-    graphs[InteractionKind.MENTION] = build_graph((f"u{u}", f"u{v}") for u, v in big.sorted_edges())
-    write_networks([TermNetworkSet(term="#big", graphs=graphs, matched_records=3000)], root / "big-nets", "c" * 64)
     records = (corpus / "records.jsonl").read_bytes()
     (corpus / "big-records.jsonl").write_bytes(records * (2 * _PART_BYTES // len(records) + 1))
     (corpus / "records.jsonl.gz").write_bytes(gzip.compress(records))
@@ -113,8 +103,6 @@ NUMPY_FREE = {
     "--version": ["--version"],
     "networks": NETWORKS,
     "features": FEATURES,
-    "features --workers 2": FEATURES + ["--workers", "2"],
-    "features --workers 2 on 900 nodes": ["features", "{}/big-nets", "-o", "{}/out-big-features.csv", "--workers", "2"],
     "networks in parts": ["networks", "{}/corpus/big-records.jsonl", "{}/corpus/terms.txt", "-o", "{}/out-big-nets"],
     "rank": RANK,
     "class-table": CLASS_TABLE,

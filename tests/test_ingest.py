@@ -38,7 +38,7 @@ from termnet.ingest import (
 )
 
 import oracles
-from oracles import term_matches
+from oracles import assert_no_child_is_left, term_matches
 
 
 GOOD_LINE = '{"post_id":"1","author":"a","text":"hi @b","mentioned":["b"],"timestamp":"2020-11-09T00:00:00Z"}'
@@ -927,11 +927,6 @@ def test_a_pipe_is_read_whole(tmp_path):
     writer.join(timeout=10)
     assert not writer.is_alive()
     assert_same_corpus(corpus, build_corpus(read_records_file(tmp_path / "records.jsonl").records, CORPUS_TERMS))
-
-
-def assert_no_child_is_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_read_corpus_leaves_no_child_process(tmp_path):

@@ -1,6 +1,5 @@
 import csv
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -38,7 +37,7 @@ from termnet.ranking import read_labels_csv, write_labels_csv
 from termnet.synth import SynthSpec, generate_corpus, write_corpus
 
 import oracles
-from oracles import gen_random_digraph_m
+from oracles import assert_no_child_is_left, gen_random_digraph_m
 
 
 # ---------------------------------------------------------------- helpers
@@ -65,6 +64,24 @@ def test_parse_window_bound():
         assert parse_window_bound(day, end_of_day=False).isoformat() == "2020-11-09T00:00:00+00:00", day
         assert parse_window_bound(day, end_of_day=True).isoformat() == "2020-11-09T23:59:59.999999+00:00", day
     assert parse_window_bound("2020-11-09T05:06:07Z", end_of_day=True).isoformat() == "2020-11-09T05:06:07+00:00"
+
+
+def test_timestamp_forms_python_3_10_rejects(tmp_path, capsys):
+    # a fractional second of one digit and the basic format parse only from Python 3.11 on,
+    # which is why the package requires it: otherwise equal manifests could give other edges
+    assert parse_timestamp("2021-01-01T00:00:00.5Z").isoformat() == "2021-01-01T00:00:00.500000+00:00"
+    assert parse_timestamp("20210101T000000Z").isoformat() == "2021-01-01T00:00:00+00:00"
+    records, terms, nets = tmp_path / "records.jsonl", tmp_path / "terms.txt", tmp_path / "nets"
+    lines = [
+        {"post_id": "1", "author": "a", "text": "#vax", "timestamp": "2021-01-01T00:00:00.5Z", "mentioned": ["b"]},
+        {"post_id": "2", "author": "c", "text": "#vax", "timestamp": "20210101T000000Z", "mentioned": ["d"]},
+    ]
+    records.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    terms.write_text("#vax\n")
+    assert run_cli("networks", records, terms, "-o", nets, "--from", "20210101") == 0
+    capsys.readouterr()
+    edges = (nets / "tag-vax.mention.edges.csv").read_text().splitlines()[2:]
+    assert edges == ["a,b", "c,d"]
 
 
 def test_filter_records_window_inclusive():
@@ -313,8 +330,8 @@ def test_cli_classify_matches_library(tmp_path, capsys):
 
 @pytest.fixture()
 def big_nets(tmp_path, capsys):
-    """Small synthetic networks plus one mention network of 900 nodes, a size at which
-    `features` once sharded the census over a process pool."""
+    """Small synthetic networks plus one mention network of 900 nodes, so that one
+    network's census outweighs all the others'."""
     corpus = tmp_path / "corpus"
     nets = tmp_path / "nets"
     run_cli("synth", "-o", corpus, "--terms", 3, "--records", 25, "--seed", 2)
@@ -330,37 +347,20 @@ def big_nets(tmp_path, capsys):
     return nets
 
 
-@pytest.fixture()
-def no_pool(monkeypatch):
-    """Makes any process pool fail to start, and checks that the test leaves no process or thread behind."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)  # a pool would be imported on use
-    threads = threading.active_count()
-    assert multiprocessing.active_children() == []
-    yield
-    assert multiprocessing.active_children() == []
-    assert threading.active_count() == threads
-
-
-def test_cli_features_byte_identical_across_workers(tmp_path, capsys, big_nets, no_pool):
-    # --workers is still parsed but ignored: every census runs in this process
+def test_cli_features_byte_identical_across_workers(tmp_path, capsys, big_nets):
+    # --workers is still parsed but ignored: features forks per network on the usable cores
     f1, f3 = tmp_path / "f1.csv", tmp_path / "f3.csv"
+    threads = threading.active_count()
     assert run_cli("features", big_nets, "-o", f1, "--workers", 1) == 0
     assert run_cli("features", big_nets, "-o", f3, "--workers", 3) == 0
     capsys.readouterr()
+    assert_no_child_is_left()
+    assert threading.active_count() == threads
     assert f1.read_bytes() == f3.read_bytes()
     m1 = json.loads((tmp_path / "f1.csv.manifest.json").read_text())
     m3 = json.loads((tmp_path / "f3.csv.manifest.json").read_text())
     assert m1 == m3  # worker count must not enter the manifest
     assert m1["parameters"] == {} and len(m1["class_table_hash"]) == 64
-
-
-def test_cli_features_census_serial_by_default(tmp_path, capsys, big_nets, no_pool):
-    assert run_cli("features", big_nets, "-o", tmp_path / "features.csv") == 0
-    capsys.readouterr()
 
 
 def test_cli_features_has_no_block_options(tmp_path, capsys, corpus_dir):
@@ -479,17 +479,22 @@ def test_cli_classify_deterministic_bytes(tmp_path, capsys):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
-def test_cli_classify_leaves_no_thread_or_process(tmp_path, capsys, corpus_dir):
-    # classify runs in this process alone: no pool, no thread left behind
+def test_cli_classify_leaves_no_thread_or_process(tmp_path, capsys, monkeypatch, corpus_dir):
+    # at 2 usable cores classify forks a child for its training problems; it must
+    # wait for that child and leave no thread behind
     nets, features, labels = tmp_path / "nets", tmp_path / "features.csv", tmp_path / "labels.csv"
     assert run_cli("networks", corpus_dir / "records.jsonl", corpus_dir / "terms.txt", "-o", nets) == 0
     assert run_cli("features", nets, "-o", features) == 0
     assert run_cli("rank", corpus_dir / "ratings.csv", "-o", labels) == 0
-    threads, children = threading.active_count(), multiprocessing.active_children()
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(2))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    threads = threading.active_count()
     assert run_cli("classify", features, labels, "-o", tmp_path / "out", "--folds", 2) == 0
     capsys.readouterr()
+    assert forks
+    assert_no_child_is_left()
     assert threading.active_count() == threads
-    assert multiprocessing.active_children() == children
 
 
 def test_cli_classify_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):

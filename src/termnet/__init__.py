@@ -17,7 +17,7 @@ os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 
 __version__ = "0.1.0"
 
-from .graphs import DirectedGraph, build_graph, degree_sequence
+from .graphs import DirectedGraph, build_graph
 from .ingest import (
     InteractionKind,
     InteractionRecord,
@@ -27,7 +27,7 @@ from .ingest import (
     read_corpus,
 )
 from .ranking import aggregate_ratings, partition_terms
-from .metrics import GlobalFeatures, global_feature_vector
+from .metrics import global_feature_vector
 from .census import CensusVector, build_class_table, census
 
 # The names that compute with numpy, by module: each loads numpy on first use,
@@ -51,7 +51,6 @@ def __getattr__(name):
 __all__ = [
     "DirectedGraph",
     "build_graph",
-    "degree_sequence",
     "InteractionKind",
     "InteractionRecord",
     "TermNetworkSet",
@@ -60,7 +59,6 @@ __all__ = [
     "read_corpus",
     "aggregate_ratings",
     "partition_terms",
-    "GlobalFeatures",
     "global_feature_vector",
     "CensusVector",
     "build_class_table",

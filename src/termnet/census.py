@@ -482,8 +482,6 @@ def _count_from_roots(g: DirectedGraph) -> list[int]:
 
 def census(g: DirectedGraph) -> CensusVector:
     """Exact 212-class census of g; graphs with under 3 nodes yield zeros."""
-    if g.node_count < 3:
-        return CensusVector.from_counts([0] * TOTAL_CLASSES)
     return CensusVector.from_counts(_count_from_roots(g))
 
 

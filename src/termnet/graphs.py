@@ -25,7 +25,6 @@ __all__ = [
     "DirectedGraph",
     "EDGE_COLUMNS",
     "build_graph",
-    "degree_sequence",
     "pair_order",
     "write_edge_csv",
 ]
@@ -121,15 +120,6 @@ def build_graph(pairs: Iterable[tuple[str, str]]) -> DirectedGraph:
         edges.append((u, v))
     handles = list(index)
     return DirectedGraph(len(handles), edges, handles)
-
-
-def degree_sequence(g: DirectedGraph, direction: str) -> list[int]:
-    """Per-node degree list; `direction` is "in" or "out"."""
-    if direction == "in":
-        return [len(ns) for ns in g.in_adjacency]
-    if direction == "out":
-        return [len(ns) for ns in g.out_adjacency]
-    raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
 
 
 def write_edge_csv(g: DirectedGraph, path, manifest_hash: str) -> None:

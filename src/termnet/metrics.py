@@ -8,13 +8,10 @@ degenerate networks remain auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import DirectedGraph, degree_sequence
+from .graphs import DirectedGraph
 
 __all__ = [
     "METRIC_NAMES",
-    "GlobalFeatures",
     "degree_stats",
     "density",
     "global_feature_vector",
@@ -33,24 +30,6 @@ METRIC_NAMES = (
     "out_max",
     "out_min",
 )
-
-
-@dataclass(frozen=True)
-class GlobalFeatures:
-    density: float
-    reciprocity: float
-    transitivity: float
-    in_mean: float
-    in_max: float
-    in_min: float
-    out_mean: float
-    out_max: float
-    out_min: float
-    defined: tuple[bool, bool, bool, bool, bool, bool, bool, bool, bool]
-
-    def as_vector(self) -> list[float]:
-        """Metric values in METRIC_NAMES order."""
-        return [getattr(self, name) for name in METRIC_NAMES]
 
 
 def density(g: DirectedGraph) -> tuple[float, bool]:
@@ -92,29 +71,19 @@ def transitivity(g: DirectedGraph) -> tuple[float, bool]:
     return closed / total, True
 
 
-def degree_stats(g: DirectedGraph, direction: str) -> tuple[tuple[float, float, float], bool]:
-    """(mean, max, min) of the degree sequence; undefined on the empty graph."""
-    seq = degree_sequence(g, direction)
-    if not seq:
+def degree_stats(adjacency: tuple[tuple[int, ...], ...]) -> tuple[tuple[float, float, float], bool]:
+    """(mean, max, min) of the degrees in `g.in_adjacency` or `g.out_adjacency`; undefined if empty."""
+    if not adjacency:
         return (0.0, 0.0, 0.0), False
+    seq = list(map(len, adjacency))
     return (sum(seq) / len(seq), float(max(seq)), float(min(seq))), True
 
 
-def global_feature_vector(g: DirectedGraph) -> GlobalFeatures:
+def global_feature_vector(g: DirectedGraph) -> tuple[list[float], list[bool]]:
+    """(values, defined), each in METRIC_NAMES order."""
     d, d_ok = density(g)
     r, r_ok = reciprocity(g)
     t, t_ok = transitivity(g)
-    (in_mean, in_max, in_min), in_ok = degree_stats(g, "in")
-    (out_mean, out_max, out_min), out_ok = degree_stats(g, "out")
-    return GlobalFeatures(
-        density=d,
-        reciprocity=r,
-        transitivity=t,
-        in_mean=in_mean,
-        in_max=in_max,
-        in_min=in_min,
-        out_mean=out_mean,
-        out_max=out_max,
-        out_min=out_min,
-        defined=(d_ok, r_ok, t_ok, in_ok, in_ok, in_ok, out_ok, out_ok, out_ok),
-    )
+    in_stats, in_ok = degree_stats(g.in_adjacency)
+    out_stats, out_ok = degree_stats(g.out_adjacency)
+    return [d, r, t, *in_stats, *out_stats], [d_ok, r_ok, t_ok, *[in_ok] * 3, *[out_ok] * 3]

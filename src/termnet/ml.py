@@ -516,6 +516,9 @@ class ClassifierReport:
 
     def to_json_obj(self) -> dict:
         tp, fp, tn, fn = self.confusion
+        accuracy_sum = 0.0  # a left fold: from 3.12 on, the builtin sum of floats rounds differently
+        for accuracy in self.fold_accuracies:
+            accuracy_sum += accuracy
         return {
             "classifier": self.classifier_name,
             "feature_set": self.feature_set_name,
@@ -523,9 +526,7 @@ class ClassifierReport:
             "metrics": dict(self.metrics),
             "metric_defined": dict(self.defined),
             "fold_accuracies": list(self.fold_accuracies),
-            "accuracy_fold_mean": (
-                sum(self.fold_accuracies) / len(self.fold_accuracies) if self.fold_accuracies else 0.0
-            ),
+            "accuracy_fold_mean": accuracy_sum / max(len(self.fold_accuracies), 1),  # 0.0 with no fold
             "skipped_folds": list(self.skipped_folds),
             "convergence_warnings": self.convergence_warnings,
             "seed": self.seed,

@@ -14,12 +14,12 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 
-from .census import TOTAL_CLASSES, CensusVector, census, term_deltas
+from .census import TOTAL_CLASSES, census, term_deltas
 from .forked import fork_map
 from .graphs import DirectedGraph, read_edge_csv, write_edge_csv
 from .ingest import InteractionKind, TermNetworkSet
 from .manifest import InputError, count, finite, one_of, read_table, write_csv, write_json
-from .metrics import METRIC_NAMES, GlobalFeatures, global_feature_vector
+from .metrics import METRIC_NAMES, global_feature_vector
 from .ranking import CONTROVERSIAL, TermLabel
 
 __all__ = [
@@ -155,20 +155,15 @@ FEATURES_COLUMNS = {
 }
 
 
-@dataclass(frozen=True)
-class FeatureRow:
-    term: str
-    kind: str
-    global_features: GlobalFeatures
-    census: CensusVector
+def _feature_row(ref: NetworkRef) -> list:
+    """The network's FEATURES_COLUMNS row."""
+    values, defined = global_feature_vector(ref.graph)
+    c = census(ref.graph)
+    return [ref.term, ref.kind, *values, *map(int, defined), c.total, *c.counts, *c.normalized]
 
 
-def _feature_row(ref: NetworkRef) -> FeatureRow:
-    return FeatureRow(ref.term, ref.kind, global_feature_vector(ref.graph), census(ref.graph))
-
-
-def compute_features(refs: list[NetworkRef]) -> list[FeatureRow]:
-    """Feature rows ordered term-ascending, interaction in fixed kind order.
+def compute_features(refs: list[NetworkRef]) -> list[list]:
+    """FEATURES_COLUMNS rows ordered term-ascending, interaction in fixed kind order.
 
     The networks are the items of `fork_map`: call this from a single-threaded process.
     """
@@ -177,16 +172,10 @@ def compute_features(refs: list[NetworkRef]) -> list[FeatureRow]:
         return list(rows)
 
 
-def write_features_csv(rows: list[FeatureRow], path, manifest_hash: str) -> None:
+def write_features_csv(rows: list[list], path, manifest_hash: str) -> None:
     if not rows:
         raise InputError("no feature rows to write")
-    cells = (
-        [row.term, row.kind, *row.global_features.as_vector()]
-        + [int(flag) for flag in row.global_features.defined]
-        + [row.census.total, *row.census.counts, *row.census.normalized]
-        for row in rows
-    )
-    write_csv(path, manifest_hash, FEATURES_COLUMNS, cells)
+    write_csv(path, manifest_hash, FEATURES_COLUMNS, rows)
 
 
 def read_features_csv(path):

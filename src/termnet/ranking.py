@@ -83,7 +83,10 @@ def aggregate_ratings(rows: list[RatingRow]) -> list[RatingAggregate]:
         n = len(vals)
         total = sum(vals)
         mean = total / n
-        var = sum((v - mean) ** 2 for v in vals) / n
+        squares = 0.0  # a left fold: from 3.12 on, the builtin sum of floats rounds differently
+        for v in vals:
+            squares += (v - mean) ** 2
+        var = squares / n
         aggs.append(RatingAggregate(term=term, total=total, mean=mean, std=math.sqrt(var), n_raters=n))
     aggs.sort(key=lambda a: (-a.mean, a.term))
     return aggs

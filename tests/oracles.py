@@ -306,6 +306,18 @@ def brute_global_metrics(g):
     return values, defined
 
 
+def compensated_sum(values, start=0):
+    """`math.fsum` on floats, and the exact int on ints.
+
+    Patched over a module's builtin `sum`, it stands in for a `sum` that rounds floats
+    otherwise than a left fold, as the builtin does from Python 3.12 on.
+    """
+    values = [start, *values]
+    if all(isinstance(v, int) for v in values):
+        return sum(values)
+    return math.fsum(values)
+
+
 def svd_pca2(X):
     """Top-2 PCA via numpy's dense SVD of the centered matrix.
 

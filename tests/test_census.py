@@ -147,6 +147,10 @@ def test_census_small_graphs_zero():
     assert census(build_graph([])).total == 0
     assert census(build_graph([("a", "b")])).total == 0
     assert census(build_graph([("a", "b")])).counts == (0,) * TOTAL_CLASSES
+    # every graph under 3 nodes goes through the root pass, which finds no subset
+    for g in (DirectedGraph(0, []), DirectedGraph(1, []), DirectedGraph(2, []), build_graph([("a", "b"), ("b", "a")])):
+        c = census(g)
+        assert (c.total, c.counts, c.normalized) == (0, (0,) * TOTAL_CLASSES, (0.0,) * TOTAL_CLASSES)
 
 
 def test_census_isomorphism_invariance(rng):

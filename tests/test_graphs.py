@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from termnet.graphs import (
     DirectedGraph,
     build_graph,
-    degree_sequence,
     pair_order,
     read_edge_csv,
     write_edge_csv,
@@ -68,16 +67,16 @@ def test_build_graph_idempotent_on_own_edge_list():
 def test_degree_sequence_star():
     g = build_graph([("b", "a"), ("c", "a"), ("d", "a")])
     # nodes intern as b,a,c,d
-    by_handle_in = {g.handle(i): d for i, d in enumerate(degree_sequence(g, "in"))}
-    by_handle_out = {g.handle(i): d for i, d in enumerate(degree_sequence(g, "out"))}
+    by_handle_in = {g.handle(i): len(ns) for i, ns in enumerate(g.in_adjacency)}
+    by_handle_out = {g.handle(i): len(ns) for i, ns in enumerate(g.out_adjacency)}
     assert by_handle_in == {"a": 3, "b": 0, "c": 0, "d": 0}
     assert by_handle_out == {"a": 0, "b": 1, "c": 1, "d": 1}
 
 
 def test_degree_sequence_empty():
     g = build_graph([])
-    assert degree_sequence(g, "in") == []
-    assert degree_sequence(g, "out") == []
+    assert g.in_adjacency == ()
+    assert g.out_adjacency == ()
 
 
 def test_degree_sums_equal_edge_count(rng):
@@ -85,8 +84,8 @@ def test_degree_sums_equal_edge_count(rng):
         n = int(rng.integers(2, 15))
         edges = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.3]
         g = DirectedGraph(n, edges)
-        assert sum(degree_sequence(g, "in")) == g.edge_count
-        assert sum(degree_sequence(g, "out")) == g.edge_count
+        assert sum(map(len, g.in_adjacency)) == g.edge_count
+        assert sum(map(len, g.out_adjacency)) == g.edge_count
 
 
 def test_adjacency_consistent_with_edges(rng):

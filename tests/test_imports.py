@@ -13,9 +13,11 @@ interpreter, because this one has loaded numpy already.
 
 import contextlib
 import gzip
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -134,3 +136,11 @@ def test_classify_loads_numpy_after_setting_one_blas_thread(stage_inputs):
     code, seen = run_probe(BLAS_SPY, CLASSIFY, stage_inputs)
     assert code == 0
     assert seen == [dict.fromkeys(BLAS, "1")]
+
+
+@pytest.mark.parametrize("name", ["termnet"] + [f"termnet.{m.name}" for m in pkgutil.iter_modules(termnet.__path__)])
+def test_every_exported_name_resolves(name):
+    # a name left in __all__ after its definition is deleted fails here, the lazy numpy names too
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", ())
+    assert [n for n in exported if not hasattr(module, n)] == []

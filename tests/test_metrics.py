@@ -47,31 +47,31 @@ def test_transitivity_examples():
 
 def test_degree_stats_examples():
     star = build_graph([(f"s{i}", "hub") for i in range(5)])
-    (mean_in, max_in, min_in), ok = degree_stats(star, "in")
+    (mean_in, max_in, min_in), ok = degree_stats(star.in_adjacency)
     assert ok and (mean_in, max_in, min_in) == (5 / 6, 5.0, 0.0)
     cycle = build_graph([("a", "b"), ("b", "c"), ("c", "a")])
-    assert degree_stats(cycle, "in") == ((1.0, 1.0, 1.0), True)
-    assert degree_stats(cycle, "out") == ((1.0, 1.0, 1.0), True)
-    assert degree_stats(build_graph([]), "in") == ((0.0, 0.0, 0.0), False)
+    assert degree_stats(cycle.in_adjacency) == ((1.0, 1.0, 1.0), True)
+    assert degree_stats(cycle.out_adjacency) == ((1.0, 1.0, 1.0), True)
+    assert degree_stats(build_graph([]).in_adjacency) == ((0.0, 0.0, 0.0), False)
 
 
 def test_global_vector_directed_cycle():
     cycle = build_graph([("a", "b"), ("b", "c"), ("c", "a")])
-    gf = global_feature_vector(cycle)
-    assert gf.as_vector() == [0.5, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-    assert gf.defined == (True,) * 9
+    values, defined = global_feature_vector(cycle)
+    assert values == [0.5, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    assert defined == [True] * 9
 
 
 def test_global_vector_empty_graph():
-    gf = global_feature_vector(build_graph([]))
-    assert gf.as_vector() == [0.0] * 9
-    assert gf.defined == (False,) * 9
+    values, defined = global_feature_vector(build_graph([]))
+    assert values == [0.0] * 9
+    assert defined == [False] * 9
 
 
 def test_global_vector_complete_bidirectional_k3():
     k3 = DirectedGraph(3, [(i, j) for i in range(3) for j in range(3) if i != j])
-    gf = global_feature_vector(k3)
-    assert gf.as_vector() == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0]
+    values, _ = global_feature_vector(k3)
+    assert values == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0]
 
 
 def test_metric_names_order():
@@ -86,26 +86,26 @@ def test_matches_brute_force(rng):
         n = int(rng.integers(2, 26))
         p = float(rng.uniform(0.02, 0.5))
         g = gen_random_digraph(n, p, seed=500 + trial)
-        gf = global_feature_vector(g)
+        values, defined = global_feature_vector(g)
         want_vals, want_defined = oracles.brute_global_metrics(g)
-        assert list(gf.defined) == want_defined
-        for got, want in zip(gf.as_vector(), want_vals):
+        assert defined == want_defined
+        for got, want in zip(values, want_vals):
             assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_in_out_mean_equal(rng):
     g = gen_random_digraph(20, 0.2, seed=3)
-    gf = global_feature_vector(g)
-    assert gf.in_mean == gf.out_mean == g.edge_count / g.node_count
-    assert gf.in_min <= gf.in_mean <= gf.in_max
-    assert gf.out_min <= gf.out_mean <= gf.out_max
+    gf = dict(zip(METRIC_NAMES, global_feature_vector(g)[0]))
+    assert gf["in_mean"] == gf["out_mean"] == g.edge_count / g.node_count
+    assert gf["in_min"] <= gf["in_mean"] <= gf["in_max"]
+    assert gf["out_min"] <= gf["out_mean"] <= gf["out_max"]
 
 
 def test_ratio_metrics_within_unit_interval(rng):
     for trial in range(15):
         g = gen_random_digraph(int(rng.integers(2, 30)), float(rng.uniform(0, 0.6)), seed=trial)
-        gf = global_feature_vector(g)
-        for value, ok in zip(gf.as_vector()[:3], gf.defined[:3]):
+        values, defined = global_feature_vector(g)
+        for value, ok in zip(values[:3], defined[:3]):
             if ok:
                 assert 0.0 <= value <= 1.0
             else:
@@ -114,17 +114,17 @@ def test_ratio_metrics_within_unit_interval(rng):
 
 def test_isomorphism_invariance(rng):
     g = gen_random_digraph(15, 0.25, seed=8)
-    base = global_feature_vector(g).as_vector()
+    base = global_feature_vector(g)[0]
     perm = list(rng.permutation(g.node_count))
     relabeled = DirectedGraph(g.node_count, [(perm[u], perm[v]) for u, v in g.edges])
-    assert global_feature_vector(relabeled).as_vector() == base
+    assert global_feature_vector(relabeled)[0] == base
 
 
 def test_reverse_graph_swaps_degree_stats(rng):
     g = gen_random_digraph(18, 0.2, seed=21)
     rev = DirectedGraph(g.node_count, [(v, u) for u, v in g.edges])
-    gf, gr = global_feature_vector(g), global_feature_vector(rev)
-    assert gr.density == gf.density
-    assert gr.reciprocity == gf.reciprocity
-    assert (gr.in_mean, gr.in_max, gr.in_min) == (gf.out_mean, gf.out_max, gf.out_min)
-    assert (gr.out_mean, gr.out_max, gr.out_min) == (gf.in_mean, gf.in_max, gf.in_min)
+    gf, gr = (dict(zip(METRIC_NAMES, global_feature_vector(h)[0])) for h in (g, rev))
+    assert gr["density"] == gf["density"]
+    assert gr["reciprocity"] == gf["reciprocity"]
+    assert (gr["in_mean"], gr["in_max"], gr["in_min"]) == (gf["out_mean"], gf["out_max"], gf["out_min"])
+    assert (gr["out_mean"], gr["out_max"], gr["out_min"]) == (gf["in_mean"], gf["in_max"], gf["in_min"])

@@ -16,6 +16,7 @@ from termnet.census import TOTAL_CLASSES
 from termnet.manifest import InputError
 from termnet.metrics import METRIC_NAMES
 from termnet.ml import (
+    ClassifierReport,
     Dataset,
     assemble_feature_sets,
     confusion_metrics,
@@ -32,6 +33,7 @@ from termnet.ml import (
 from termnet.ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
 
 from oracles import (
+    compensated_sum,
     loglik_and_grad,
     reference_blr,
     reference_confusion_metrics,
@@ -381,6 +383,19 @@ def test_svm_single_class_skips_every_fold(rng):
     assert report.confusion == (0, 0, 0, 0)
     assert report.fold_accuracies == ()
     assert report.to_json_obj()["accuracy_fold_mean"] == 0.0
+
+
+def test_accuracy_fold_mean_does_not_depend_on_how_sum_rounds(monkeypatch):
+    # ten folds at 0.1: a left fold sums to 0.9999999999999999, an exact sum to 1.0
+    report = ClassifierReport(
+        classifier_name="blr", feature_set_name="global-mention", confusion=(1, 0, 9, 0),
+        metrics={}, defined={}, fold_accuracies=(0.1,) * 10, skipped_folds=(), convergence_warnings=0,
+        seed=0, folds=10,
+    )
+    want = report.to_json_obj()
+    assert want["accuracy_fold_mean"] == 0.09999999999999999
+    monkeypatch.setattr(ml, "sum", compensated_sum, raising=False)
+    assert report.to_json_obj() == want
 
 
 # ---------------------------------------------------------------- RFC

@@ -172,12 +172,12 @@ def test_features_csv_round_trip(tmp_path, corpus_dir):
     write_features_csv(rows, path, manifest_hash="e" * 64)
 
     global_vecs, local_vecs = read_features_csv(path)
-    assert set(global_vecs) == set(local_vecs) == {(r.term, r.kind) for r in rows}
+    assert set(global_vecs) == set(local_vecs) == {(row[0], row[1]) for row in rows}
     for row in rows:
-        key = (row.term, row.kind)
+        key = (row[0], row[1])
         # repr round trip is exact, not approximate
-        assert global_vecs[key] == list(row.global_features.as_vector())
-        assert local_vecs[key] == list(row.census.normalized)
+        assert global_vecs[key] == row[2:11]
+        assert local_vecs[key] == row[-212:]
         assert len(local_vecs[key]) == 212
 
 
@@ -698,6 +698,6 @@ def test_compute_features_order(tmp_path, corpus_dir):
     outdir = tmp_path / "nets"
     write_networks(corpus, outdir, manifest_hash="b" * 64)
     rows = compute_features(read_networks(outdir))
-    keys = [(r.term, r.kind) for r in rows]
-    terms = sorted({r.term for r in rows})
+    keys = [(row[0], row[1]) for row in rows]
+    terms = sorted({row[0] for row in rows})
     assert keys == [(t, k) for t in terms for k in ("mention", "reply", "quote")]

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from termnet import ranking
 from termnet.manifest import InputError
 from termnet.ranking import (
     CONTROVERSIAL,
@@ -15,11 +16,21 @@ from termnet.ranking import (
     write_labels_csv,
 )
 
-from oracles import LIKERT_NAMES, label_distribution
+from oracles import LIKERT_NAMES, compensated_sum, label_distribution
 
 
 def rows_for(term, scores):
     return [RatingRow(term=term, participant=f"p{i}", score=s) for i, s in enumerate(scores)]
+
+
+def test_std_does_not_depend_on_how_sum_rounds(monkeypatch):
+    # squared deviations 2.5600000000000005 and 4 x 0.15999999999999992: a left fold and an exact
+    # sum round them to different variances, so std must not come from the version's builtin sum
+    rows = rows_for("x", [0, 2, 2, 2, 2])
+    (want,) = aggregate_ratings(rows)
+    assert (want.total, want.mean, want.std) == (8, 1.6, 0.8000000000000002)
+    monkeypatch.setattr(ranking, "sum", compensated_sum, raising=False)
+    assert aggregate_ratings(rows) == [want]
 
 
 def test_aggregate_example():

@@ -104,14 +104,6 @@ class CanonicalClassTable:
     def class_count_4(self) -> int:
         return len(self.canonical_codes4)
 
-    def class_id(self, k: int, code: int) -> int:
-        """Class id for a labeled code, or -1 if its skeleton is disconnected."""
-        if k == 3:
-            return self.class_of_code3[code]
-        if k == 4:
-            return self.class_of_code4[code]
-        raise ValueError(f"subgraph size must be 3 or 4, got {k}")
-
     def class_size(self, class_id: int) -> int:
         return 3 if class_id < CLASS_COUNT_3 else 4
 

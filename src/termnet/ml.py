@@ -10,7 +10,7 @@ centered matrix, which shares no code path with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ from .metrics import METRIC_NAMES
 from .ranking import CONTROVERSIAL
 
 __all__ = [
-    "ClassifierReport",
     "Dataset",
     "FoldPlan",
     "LogisticModel",
@@ -496,45 +495,6 @@ def confusion_metrics(tp: int, fp: int, tn: int, fn: int) -> tuple[dict[str, flo
     return {k: v for k, (v, _) in scored.items()}, {k: ok for k, (_, ok) in scored.items()}
 
 
-@dataclass(frozen=True)
-class ClassifierReport:
-    classifier_name: str
-    feature_set_name: str
-    confusion: tuple[int, int, int, int]  # tp, fp, tn, fn over all scored folds
-    metrics: dict[str, float]
-    defined: dict[str, bool]
-    fold_accuracies: tuple[float, ...]
-    skipped_folds: tuple[int, ...]
-    convergence_warnings: int
-    seed: int
-    folds: int
-    hyperparameters: dict = field(default_factory=dict)
-
-    @property
-    def accuracy(self) -> float:
-        return self.metrics["accuracy"]
-
-    def to_json_obj(self) -> dict:
-        tp, fp, tn, fn = self.confusion
-        accuracy_sum = 0.0  # a left fold: from 3.12 on, the builtin sum of floats rounds differently
-        for accuracy in self.fold_accuracies:
-            accuracy_sum += accuracy
-        return {
-            "classifier": self.classifier_name,
-            "feature_set": self.feature_set_name,
-            "confusion": {"tp": tp, "fp": fp, "tn": tn, "fn": fn},
-            "metrics": dict(self.metrics),
-            "metric_defined": dict(self.defined),
-            "fold_accuracies": list(self.fold_accuracies),
-            "accuracy_fold_mean": accuracy_sum / max(len(self.fold_accuracies), 1),  # 0.0 with no fold
-            "skipped_folds": list(self.skipped_folds),
-            "convergence_warnings": self.convergence_warnings,
-            "seed": self.seed,
-            "folds": self.folds,
-            "hyperparameters": self.hyperparameters,
-        }
-
-
 def stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:
     """Fold index per row; each class is shuffled and dealt round-robin.
 
@@ -639,12 +599,13 @@ def train_problem(plan: FoldPlan, problem: tuple[int, ...]) -> list[tuple[np.nda
     return [(model.predict(_rescale(X_test, means, stds)), model.converged)]
 
 
-def pool_folds(plan: FoldPlan, solved) -> ClassifierReport:
-    """The report of `plan` from `train_problem`'s result for each of `plan.problems`, in that order: one
-    confusion matrix over the scored folds, with the controversial class (y == 1) as positive."""
+def pool_folds(plan: FoldPlan, solved) -> dict:
+    """The `report.json` entry of `plan` from `train_problem`'s result for each of `plan.problems`, in that
+    order: one confusion matrix over the scored folds, with the controversial class (y == 1) as positive."""
     y = plan.dataset.y
     tp = fp = tn = fn = warnings = 0
     fold_acc: list[float] = []
+    accuracy_sum = 0.0  # a left fold: from 3.12 on, the builtin sum of floats rounds differently
     for f, (pred, converged) in zip(plan.scored, [fold for result in solved for fold in result], strict=True):
         y_test = y[plan.assign == f]
         pos_pred = pred == 1
@@ -654,35 +615,38 @@ def pool_folds(plan: FoldPlan, solved) -> ClassifierReport:
         tn += int(np.sum(~pos_pred & ~pos_true))
         fn += int(np.sum(~pos_pred & pos_true))
         fold_acc.append(float(np.mean(pred == y_test)))
+        accuracy_sum += fold_acc[-1]
         warnings += not converged
 
     values, defined = confusion_metrics(tp, fp, tn, fn)
-    return ClassifierReport(
-        classifier_name=plan.classifier,
-        feature_set_name=plan.dataset.name,
-        confusion=(tp, fp, tn, fn),
-        metrics=values,
-        defined=defined,
-        fold_accuracies=tuple(fold_acc),
-        skipped_folds=plan.skipped,
-        convergence_warnings=warnings,
-        seed=plan.seed,
-        folds=plan.folds,
-        hyperparameters=dict(_HYPERPARAMS[plan.classifier]),
-    )
+    return {
+        "classifier": plan.classifier,
+        "feature_set": plan.dataset.name,
+        "confusion": {"tp": tp, "fp": fp, "tn": tn, "fn": fn},
+        "metrics": values,
+        "metric_defined": defined,
+        "fold_accuracies": fold_acc,
+        "accuracy_fold_mean": accuracy_sum / max(len(fold_acc), 1),  # 0.0 with no fold
+        "skipped_folds": list(plan.skipped),
+        "convergence_warnings": warnings,
+        "seed": plan.seed,
+        "folds": plan.folds,
+        "hyperparameters": dict(_HYPERPARAMS[plan.classifier]),
+    }
 
 
-def cross_validate(dataset: Dataset, classifier: str, folds: int = 10, seed: int = 0) -> ClassifierReport:
+def cross_validate(dataset: Dataset, classifier: str, folds: int = 10, seed: int = 0) -> dict:
     """Stratified k-fold evaluation with one pooled confusion matrix, with the
-    controversial class (y == 1) as positive.
+    controversial class (y == 1) as positive; returns the `report.json`
+    entry (see `pool_folds`).
 
     The serial composition of `plan_folds`, `train_problem` for each of the
     plan's problems and `pool_folds`; the problems are independent, so a
     caller may train them in any order or process and pool the results.
     Folds whose training split is single-class are skipped and listed in the
-    report.  BLR and the forest train fold by fold; the SVM trains every
+    entry.  BLR and the forest train fold by fold; the SVM trains every
     scored fold at once, in the Gram form, keeping O(folds n^2) floats (see
-    _svm_fold_predictions).  With the seed fixed the whole report is
+    _svm_fold_predictions).  With the seed fixed the whole entry is
     reproducible bit for bit.
     """
     plan = plan_folds(dataset, classifier, folds, seed)

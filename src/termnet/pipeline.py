@@ -203,11 +203,11 @@ def classify_datasets(
 
     The controversial class is always positive; the report states it once as
     `positive_class`.  Outputs depend only on the inputs and manifest
-    parameters.  Each grid entry is `ml.cross_validate`, laid out as a fold
-    plan first (a bad argument fails here, before any fork); the training
-    problems of all 24 plans, a BLR or forest fold or one entry's SVM, are
-    the items of `fork_map`, and each entry pools its own.  Call this from a
-    single-threaded process.
+    parameters.  Each grid entry is the dict `ml.cross_validate` returns,
+    laid out as a fold plan first (a bad argument fails here, before any
+    fork); the training problems of all 24 plans, a BLR or forest fold or one
+    entry's SVM, are the items of `fork_map`, and `ml.pool_folds` builds each
+    entry from its own.  Call this from a single-threaded process.
     """
     from . import ml  # here, not at the top: only classify and synth load numpy
 
@@ -216,7 +216,7 @@ def classify_datasets(
     plans = [ml.plan_folds(datasets[s], clf, folds, seed) for s in FEATURE_SET_ORDER for clf in CLASSIFIER_ORDER]
     problems = [(plan, problem) for plan in plans for problem in plan.problems]
     with fork_map(lambda item: ml.train_problem(*item), problems) as solved:
-        entries = [ml.pool_folds(plan, islice(solved, len(plan.problems))).to_json_obj() for plan in plans]
+        entries = [ml.pool_folds(plan, islice(solved, len(plan.problems))) for plan in plans]
 
     pca_info: dict[str, dict] = {}
     label_of = {lab.term: lab.label for lab in labels}

@@ -136,7 +136,7 @@ def test_acceptance_5_planted_signal_classification(capsys):
     # strong signal: hub-routed vs community-clustered regimes, corpus seed 0
     ds1 = _corpus_datasets(seed=0, signal=1.0)
     rfc_acc = {
-        kind: ml.cross_validate(ds1[f"global-{kind}"], "rfc", folds=10, seed=0).accuracy
+        kind: ml.cross_validate(ds1[f"global-{kind}"], "rfc", folds=10, seed=0)["metrics"]["accuracy"]
         for kind in ("mention", "reply", "quote", "combined")
     }
     combined_ok = rfc_acc["combined"] >= 0.85 and all(
@@ -149,7 +149,7 @@ def test_acceptance_5_planted_signal_classification(capsys):
     for fam in ("global", "local"):
         for kind in ("mention", "reply", "quote", "combined"):
             for clf in ("blr", "svm", "rfc"):
-                acc = ml.cross_validate(ds0[f"{fam}-{kind}"], clf, folds=10, seed=0).accuracy
+                acc = ml.cross_validate(ds0[f"{fam}-{kind}"], clf, folds=10, seed=0)["metrics"]["accuracy"]
                 if not 0.35 <= acc <= 0.65:
                     out_of_band.append((f"{fam}-{kind}", clf, round(acc, 3)))
     elapsed = time.perf_counter() - t0
@@ -249,7 +249,7 @@ def test_acceptance_8_classifier_sanity(capsys):
     ds = ml.Dataset(
         name="slabs", X=X, y=y, row_terms=tuple(map(str, range(n))), col_names=("x1", "x2")
     )
-    accs = {clf: ml.cross_validate(ds, clf, folds=10, seed=0).accuracy for clf in ("blr", "svm", "rfc")}
+    accs = {clf: ml.cross_validate(ds, clf, folds=10, seed=0)["metrics"]["accuracy"] for clf in ("blr", "svm", "rfc")}
     sep_ok = all(a >= 0.98 for a in accs.values())
 
     identity_failures = 0

@@ -57,7 +57,7 @@ def test_table_sound_under_canonicalization(class_table):
 def test_directed_path_class_has_six_labeled_codes(class_table):
     # a -> b -> c has a trivial automorphism group, so all 6 relabelings differ
     path_code = oracles.subgraph_code({(0, 1), (1, 2)}, [0, 1, 2])
-    cid = class_table.class_id(3, path_code)
+    cid = class_table.class_of_code3[path_code]
     preimage = [c for c in range(64) if class_table.class_of_code3[c] == cid]
     assert len(preimage) == 6
 
@@ -114,14 +114,14 @@ def test_census_directed_cycle(class_table):
     assert count == 1
     assert vec.normalized[cid] == 1.0
     cycle_code = oracles.subgraph_code({(0, 1), (1, 2), (2, 0)}, [0, 1, 2])
-    assert cid == class_table.class_id(3, cycle_code)
+    assert cid == class_table.class_of_code3[cycle_code]
 
 
 def test_census_out_star(class_table):
     g = build_graph([("c", "x"), ("c", "y"), ("c", "z")])
     vec = census(g)
-    star3 = class_table.class_id(3, oracles.subgraph_code({(0, 1), (0, 2)}, [0, 1, 2]))
-    star4 = class_table.class_id(4, oracles.subgraph_code({(0, 1), (0, 2), (0, 3)}, [0, 1, 2, 3]))
+    star3 = class_table.class_of_code3[oracles.subgraph_code({(0, 1), (0, 2)}, [0, 1, 2])]
+    star4 = class_table.class_of_code4[oracles.subgraph_code({(0, 1), (0, 2), (0, 3)}, [0, 1, 2, 3])]
     assert vec.counts[star3] == 3
     assert vec.counts[star4] == 1
     assert vec.total == 4
@@ -265,11 +265,11 @@ def test_census_hub_star_closed_form(class_table):
     expected = [0] * TOTAL_CLASSES
     for types in itertools.combinations_with_replacement((1, 2, 3), 2):
         code = oracles.subgraph_code(set(_dyad_edges(0, 1, types[0]) + _dyad_edges(0, 2, types[1])), [0, 1, 2])
-        expected[class_table.class_id(3, code)] += prod([comb(n_type[t], types.count(t)) for t in set(types)])
+        expected[class_table.class_of_code3[code]] += prod([comb(n_type[t], types.count(t)) for t in set(types)])
     for types in itertools.combinations_with_replacement((1, 2, 3), 3):
         star = set(_dyad_edges(0, 1, types[0]) + _dyad_edges(0, 2, types[1]) + _dyad_edges(0, 3, types[2]))
         code = oracles.subgraph_code(star, [0, 1, 2, 3])
-        expected[class_table.class_id(4, code)] += prod([comb(n_type[t], types.count(t)) for t in set(types)])
+        expected[class_table.class_of_code4[code]] += prod([comb(n_type[t], types.count(t)) for t in set(types)])
 
     start = time.perf_counter()
     vec = census(g)

@@ -321,11 +321,39 @@ def test_cli_classify_matches_library(tmp_path, capsys):
 
     global_vecs, local_vecs = read_features_csv(features)
     datasets = ml.assemble_feature_sets(global_vecs, local_vecs, read_labels_csv(labels))
+    assert len(report["entries"]) == 24
     for entry in report["entries"]:
-        ref = ml.cross_validate(datasets[entry["feature_set"]], entry["classifier"], folds=4, seed=3)
-        tp, fp, tn, fn = ref.confusion
-        assert entry["confusion"] == {"tp": tp, "fp": fp, "tn": tn, "fn": fn}
-        assert entry["metrics"] == ref.metrics
+        # the whole entry: confusion, metrics, fold accuracies and mean, skipped folds, warnings, hyperparameters
+        assert entry == ml.cross_validate(datasets[entry["feature_set"]], entry["classifier"], folds=4, seed=3)
+
+
+def test_stages_do_not_depend_on_how_sum_rounds(tmp_path, monkeypatch, capsys):
+    # the same four stages run twice, the second time with every termnet module's `sum` rounding floats
+    # exactly, as the builtin does from Python 3.12 on; on this corpus, a builtin float sum in
+    # `aggregate_ratings` (2 terms' std) or in `pool_folds` (3 entries' accuracy_fold_mean) changes a byte
+    corpus = tmp_path / "corpus"
+    assert run_cli("synth", "-o", corpus, "--terms", 20, "--records", 30, "--seed", 0) == 0
+    stages = (
+        ("networks", corpus / "records.jsonl", corpus / "terms.txt", "-o", "nets"),
+        ("features", "nets", "-o", "features.csv"),
+        ("rank", corpus / "ratings.csv", "-o", "labels.csv"),
+        ("classify", "features.csv", "labels.csv", "-o", "cls", "--folds", 6),
+    )
+
+    def run(name):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        capsys.readouterr()
+        for argv in stages:
+            assert run_cli(*argv) == 0
+        files = {p.relative_to(tmp_path / name): p.read_bytes() for p in (tmp_path / name).rglob("*") if p.is_file()}
+        return capsys.readouterr(), files
+
+    want = run("builtin")
+    assert len(want[1]) > 50
+    for module in [m for name, m in sys.modules.items() if name == "termnet" or name.startswith("termnet.")]:
+        monkeypatch.setattr(module, "sum", oracles.compensated_sum, raising=False)
+    assert run("compensated") == want
 
 
 @pytest.fixture()

@@ -248,7 +248,8 @@ def term_deltas() -> list[array]:
     each listed triangle, C4 and K4 removes what the products over-counted.
     Shapes are built as labeled codes (see `graphs`), so dropping an edge or
     keeping only the edges at one node is a bit mask.  Built once per process
-    from `get_class_table()`; `compute_features` builds it before it forks.
+    from `get_class_table()`; `compute_features` builds it before it forks, so
+    the items that read and count each network inherit it.
     """
     table = get_class_table()
     shift = {k: {pair: k * (k - 1) - 1 - p for p, pair in enumerate(pair_order(k))} for k in (3, 4)}

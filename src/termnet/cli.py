@@ -21,7 +21,6 @@ from .pipeline import (
     classify_datasets,
     compute_features,
     read_features_csv,
-    read_networks,
     read_summary,
     write_features_csv,
     write_networks,
@@ -125,28 +124,28 @@ def _cmd_networks(args) -> int:
     return 0
 
 
-def _networks_input_hashes(networks_dir: str) -> dict[str, str]:
-    """Hashes of summary.csv and of the network files it lists."""
-    names = sorted([SUMMARY_NAME] + [row[-1] for row in read_summary(networks_dir)])
+def _networks_input_hashes(networks_dir: str, summary: list[list]) -> dict[str, str]:
+    """Hashes of summary.csv and of the network files its rows `summary` list."""
+    names = sorted([SUMMARY_NAME] + [row[-1] for row in summary])
     return {name: file_sha256(os.path.join(networks_dir, name)) for name in names}
 
 
 def _cmd_features(args) -> int:
     if args.workers < 1:
         raise InputError("--workers must be >= 1")
+    summary = read_summary(args.networks_dir)
     manifest = RunManifest(
         command="features",
         tool_version=__version__,
-        input_hashes=_networks_input_hashes(args.networks_dir),
+        input_hashes=_networks_input_hashes(args.networks_dir, summary),
         class_table_hash=get_class_table().content_hash,
     )
     if args.manifest:
         return _emit_manifest(manifest)
-    refs = read_networks(args.networks_dir)
-    rows = compute_features(refs)
-    write_features_csv(rows, args.out, manifest.sha256)
+    lines = compute_features(args.networks_dir, summary)
+    write_features_csv(lines, args.out, manifest.sha256)
     manifest.write(args.out + ".manifest.json")
-    print(f"wrote {len(rows)} feature rows to {args.out}")
+    print(f"wrote {len(lines)} feature rows to {args.out}")
     return 0
 
 

@@ -4,8 +4,9 @@ A manifest captures everything that determines a command's outputs: the
 subcommand, tool version, semantic parameters, content hashes of the inputs
 and (when the census is involved) the class-table hash.  Worker counts and
 file locations are deliberately excluded; equal manifests must mean
-byte-identical outputs.  This module also owns the stamped file formats (`write_csv`, `read_csv`,
-`read_table`, `json_text`) and `InputError`, the one error for a malformed input (exit 1).
+byte-identical outputs.  This module also owns the stamped file formats (`csv_line`, `write_lines`,
+`write_csv`, `read_csv`, `read_table`, `json_text`) and `InputError`, the one error for a malformed input
+(exit 1).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import zlib
 from dataclasses import dataclass, field
 
 __all__ = [
-    "FIELD_LIMIT", "InputError", "RunManifest", "count", "file_sha256", "finite", "json_text",
-    "one_of", "open_text", "read_csv", "read_table", "write_csv", "write_json",
+    "FIELD_LIMIT", "InputError", "RunManifest", "count", "csv_line", "file_sha256", "finite", "json_text",
+    "one_of", "open_text", "read_csv", "read_table", "write_csv", "write_json", "write_lines",
 ]
 
 FIELD_LIMIT = csv.field_size_limit()  # the longest CSV field a reader accepts, in characters
@@ -75,22 +76,41 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_csv(path, manifest_hash: str, header, rows, notes=()) -> None:
-    """`# manifest_sha256=<hex>`, a `# <note>` line per note, the header and rows; UTF-8, LF.
+class _Echo:
+    """A file whose write returns the text: a csv writer's writerow then returns its line."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+_PLAIN = csv.writer(_Echo(), lineterminator="\n")
+_QUOTED = csv.writer(_Echo(), lineterminator="\n", quoting=csv.QUOTE_ALL)
+
+
+def csv_line(row) -> str:
+    """The one CSV text line, LF included, of every row a stage writes.
 
     csv quotes only the line terminator's characters, and an unquoted CR would
-    end its row when read back: a row holding a CR is written fully quoted.
+    end its row when read back: a row holding a CR is quoted in full.
     """
+    has_cr = any("\r" in cell for cell in row if isinstance(cell, str))
+    return (_QUOTED if has_cr else _PLAIN).writerow(row)
+
+
+def write_lines(path, manifest_hash: str, header, lines, notes=()) -> None:
+    """`# manifest_sha256=<hex>`, a `# <note>` line per note, the header and the `csv_line` lines; UTF-8."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# manifest_sha256={manifest_hash}\n")
         for note in notes:
             fh.write(f"# {note}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        writer.writerow(header)
-        for row in rows:
-            has_cr = any("\r" in cell for cell in row if isinstance(cell, str))
-            (quoted if has_cr else writer).writerow(row)
+        fh.write(csv_line(header))
+        fh.writelines(lines)
+
+
+def write_csv(path, manifest_hash: str, header, rows, notes=()) -> None:
+    """`write_lines` of the rows, each through `csv_line`."""
+    write_lines(path, manifest_hash, header, map(csv_line, rows), notes)
 
 
 def read_csv(path):

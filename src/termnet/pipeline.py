@@ -4,7 +4,9 @@ classification report.
 Stages communicate through documented CSV/JSON formats so each one is
 independently runnable and resumable.  Every file starts with (or contains) the
 sha256 of the run manifest that produced it.  csv writes a float as its repr(),
-the shortest round-trip form, so equal runs are byte-identical.
+the shortest round-trip form, so equal runs are byte-identical.  `features`
+reads each network in the forked item that computes its line, so no process
+holds every graph, and it writes features.csv only once every line is done.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .census import TOTAL_CLASSES, census, term_deltas
 from .forked import fork_map
 from .graphs import DirectedGraph, read_edge_csv, write_edge_csv
 from .ingest import InteractionKind, TermNetworkSet
-from .manifest import InputError, count, finite, one_of, read_table, write_csv, write_json
+from .manifest import InputError, count, csv_line, finite, one_of, read_table, write_csv, write_json, write_lines
 from .metrics import METRIC_NAMES, global_feature_vector
 from .ranking import CONTROVERSIAL, TermLabel
 
@@ -33,6 +35,7 @@ __all__ = [
     "classify_datasets",
     "compute_features",
     "read_features_csv",
+    "read_network",
     "read_networks",
     "read_summary",
     "slugify_terms",
@@ -128,18 +131,21 @@ def read_summary(networks_dir) -> list[list]:
     return rows
 
 
+def read_network(networks_dir, row: list) -> NetworkRef:
+    """The network of one `read_summary` row: its edge file, checked against the row's counts."""
+    term, kind, nodes, edges, matched, fname = row
+    g = read_edge_csv(os.path.join(str(networks_dir), fname))
+    if g.node_count != nodes or g.edge_count != edges:
+        raise InputError(
+            f"network file {fname}: has {g.node_count} nodes / {g.edge_count} edges, "
+            f"summary says {nodes}/{edges}"
+        )
+    return NetworkRef(term=term, kind=kind, graph=g, matched_records=matched)
+
+
 def read_networks(networks_dir) -> list[NetworkRef]:
-    """The networks summary.csv lists, each checked against its counts."""
-    refs = []
-    for term, kind, nodes, edges, matched, fname in read_summary(networks_dir):
-        g = read_edge_csv(os.path.join(str(networks_dir), fname))
-        if g.node_count != nodes or g.edge_count != edges:
-            raise InputError(
-                f"network file {fname}: has {g.node_count} nodes / {g.edge_count} edges, "
-                f"summary says {nodes}/{edges}"
-            )
-        refs.append(NetworkRef(term=term, kind=kind, graph=g, matched_records=matched))
-    return refs
+    """Every network summary.csv lists, in file order, each read by `read_network`."""
+    return [read_network(networks_dir, row) for row in read_summary(networks_dir)]
 
 
 # ---------------------------------------------------------------- features
@@ -155,27 +161,35 @@ FEATURES_COLUMNS = {
 }
 
 
-def _feature_row(ref: NetworkRef) -> list:
-    """The network's FEATURES_COLUMNS row."""
+def _feature_line(networks_dir, row: list) -> str:
+    """The `csv_line` of the FEATURES_COLUMNS row of the network a summary row lists."""
+    ref = read_network(networks_dir, row)
     values, defined = global_feature_vector(ref.graph)
     c = census(ref.graph)
-    return [ref.term, ref.kind, *values, *map(int, defined), c.total, *c.counts, *c.normalized]
+    return csv_line([ref.term, ref.kind, *values, *map(int, defined), c.total, *c.counts, *c.normalized])
 
 
-def compute_features(refs: list[NetworkRef]) -> list[list]:
-    """FEATURES_COLUMNS rows ordered term-ascending, interaction in fixed kind order.
+def compute_features(networks_dir, summary: list[list]) -> list[str]:
+    """The features.csv data lines of the networks that `summary`, the directory's `read_summary` rows,
+    lists, ordered term-ascending, interaction in fixed kind order.
 
-    The networks are the items of `fork_map`: call this from a single-threaded process.
+    The summary rows are the items of `fork_map`, in summary order: each reads
+    and checks its own edge file (`read_network`) and returns its finished
+    line, so no process holds more than one network's graph, and of several
+    bad files the first listed is the one named.  Call this from a
+    single-threaded process.
     """
     term_deltas()  # the census's table, built here once, not again in each forked process
-    with fork_map(_feature_row, sorted(refs, key=lambda r: (r.term, KINDS.index(r.kind)))) as rows:
-        return list(rows)
+    with fork_map(lambda row: _feature_line(networks_dir, row), summary) as lines:
+        keyed = sorted(zip([(row[0], KINDS.index(row[1])) for row in summary], lines, strict=True))
+    return [line for _, line in keyed]
 
 
-def write_features_csv(rows: list[list], path, manifest_hash: str) -> None:
-    if not rows:
+def write_features_csv(lines: list[str], path, manifest_hash: str) -> None:
+    """The stamped features.csv of `compute_features`'s lines, written as given."""
+    if not lines:
         raise InputError("no feature rows to write")
-    write_csv(path, manifest_hash, FEATURES_COLUMNS, rows)
+    write_lines(path, manifest_hash, FEATURES_COLUMNS, lines)
 
 
 def read_features_csv(path):

@@ -11,16 +11,20 @@ scan checks is the package's single-pass candidate index, not the pattern.
 `reference_class_table` builds the class table array-wise with numpy, a
 second route beside the package's orbit enumeration.  `label_distribution`
 tabulates ratings as the paper does; no stage writes that table.  The
-random digraph generators at the end make inputs, not answers, and
-`assert_no_child_is_left` checks a process, not an answer.
+random digraph generators at the end make inputs, not answers,
+`assert_no_child_is_left` checks a process, not an answer, and `cores` sets
+the core count the forked stages see.
 """
 
+import contextlib
 import itertools
 import math
 import os
 
 import numpy as np
+import pytest
 
+from termnet import ingest
 from termnet.graphs import DirectedGraph, build_graph
 from termnet.ingest import InteractionKind, TermNetworkSet, _term_pattern
 from termnet.manifest import InputError
@@ -642,3 +646,12 @@ def assert_no_child_is_left():
     except ChildProcessError:
         return
     raise AssertionError("a child process is left")
+
+
+@contextlib.contextmanager
+def cores(n: int):
+    """As on a host of `n` usable cores; `networks` cuts a records file into parts of 4 KiB or more."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: range(n))
+        patch.setattr(ingest, "_PART_BYTES", 1 << 12)
+        yield

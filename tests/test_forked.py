@@ -16,19 +16,10 @@ from termnet.forked import fork_map, usable_cores
 from termnet.manifest import InputError
 from termnet.ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
 
-from oracles import assert_no_child_is_left
+from oracles import assert_no_child_is_left, cores
 
 census = importlib.import_module("termnet.census")  # `termnet.census` is also the package's census function
 SLOW_S = 0.5  # how long item 0 takes where the other processes must take the later items meanwhile
-
-
-@contextlib.contextmanager
-def cores(n: int):
-    """As on a host of `n` usable cores; `networks` cuts a records file into parts of 4 KiB or more."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: range(n))
-        patch.setattr(ingest, "_PART_BYTES", 1 << 12)
-        yield
 
 
 def square(x):
@@ -269,7 +260,7 @@ def test_a_network_that_fails_in_a_child_fails_features_as_in_one_process(serial
             raise ValueError(f"a census of {graph.edge_count} edges fails")
         return census(graph)
 
-    refs = sorted(pipeline.read_networks(serial[1] / "nets"), key=lambda r: (r.term, pipeline.KINDS.index(r.kind)))
+    refs = pipeline.read_networks(serial[1] / "nets")  # in summary order, the order of features' items
     first_nodes, failing_edges = refs[0].graph.node_count, max(ref.graph.edge_count for ref in refs[1:])
     monkeypatch.setattr(pipeline, "census", failing)
     want = (2, f"internal error: ValueError: a census of {failing_edges} edges fails\n")

@@ -8,6 +8,7 @@ from termnet.manifest import (
     InputError,
     RunManifest,
     count,
+    csv_line,
     finite,
     json_text,
     one_of,
@@ -63,6 +64,16 @@ def test_write_csv_quotes_only_rows_holding_a_carriage_return(tmp_path):
     write_csv(path, "ab12", ["name", "n"], rows)
     assert path.read_bytes() == b'# manifest_sha256=ab12\nname,n\n"a\r","1"\nb,2\n"c\r\nd","3"\n'
     assert list(read_csv(path)) == [["name", "n"], ["a\r", "1"], ["b", "2"], ["c\r\nd", "3"]]
+
+
+def test_csv_line_is_the_line_write_csv_writes_and_a_cr_row_reads_back_unchanged(tmp_path):
+    # the one quoting rule: a row holding a CR comes out fully quoted, every other row minimally
+    rows = [["a\rb", "x,y"], ["plain", 'say "hi"'], ["c\r\n", "d"]]
+    assert [csv_line(row) for row in rows] == ['"a\rb","x,y"\n', 'plain,"say ""hi"""\n', '"c\r\n","d"\n']
+    path = tmp_path / "t.csv"
+    write_csv(path, "ab12", ["name", "value"], rows)
+    assert path.read_bytes().decode("utf-8") == "# manifest_sha256=ab12\nname,value\n" + "".join(map(csv_line, rows))
+    assert read_table(path, dict(name=str, value=str), "test", key=1) == rows
 
 
 def test_json_text_is_the_manifest_file_form(tmp_path):

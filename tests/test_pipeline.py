@@ -4,15 +4,16 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import termnet
-from termnet import ml
-from termnet.census import get_class_table
+from termnet import ml, pipeline
+from termnet.census import census, get_class_table
 from termnet.cli import main
-from termnet.graphs import build_graph
+from termnet.graphs import build_graph, write_edge_csv
 from termnet.ingest import (
     InteractionKind,
     TermNetworkSet,
@@ -22,13 +23,15 @@ from termnet.ingest import (
     parse_window_bound,
     read_terms_file,
 )
-from termnet.manifest import InputError
+from termnet.manifest import InputError, write_csv
+from termnet.metrics import global_feature_vector
 from termnet.pipeline import (
     CLASSIFIER_ORDER,
     FEATURE_SET_ORDER,
     compute_features,
     read_features_csv,
     read_networks,
+    read_summary,
     slugify_terms,
     write_features_csv,
     write_networks,
@@ -37,7 +40,7 @@ from termnet.ranking import read_labels_csv, write_labels_csv
 from termnet.synth import SynthSpec, generate_corpus, write_corpus
 
 import oracles
-from oracles import assert_no_child_is_left, gen_random_digraph_m
+from oracles import assert_no_child_is_left, cores, gen_random_digraph_m
 
 
 # ---------------------------------------------------------------- helpers
@@ -166,18 +169,18 @@ def test_features_csv_round_trip(tmp_path, corpus_dir):
     corpus = build_corpus(records, read_terms_file(corpus_dir / "terms.txt"))
     outdir = tmp_path / "nets"
     write_networks(corpus, outdir, manifest_hash="e" * 64)
-    refs = read_networks(outdir)
-    rows = compute_features(refs)
+    lines = compute_features(outdir, read_summary(outdir))
     path = tmp_path / "features.csv"
-    write_features_csv(rows, path, manifest_hash="e" * 64)
+    write_features_csv(lines, path, manifest_hash="e" * 64)
 
+    rows = list(csv.reader(lines))
     global_vecs, local_vecs = read_features_csv(path)
     assert set(global_vecs) == set(local_vecs) == {(row[0], row[1]) for row in rows}
-    for row in rows:
-        key = (row[0], row[1])
-        # repr round trip is exact, not approximate
-        assert global_vecs[key] == row[2:11]
-        assert local_vecs[key] == row[-212:]
+    for ref in read_networks(outdir):
+        key = (ref.term, ref.kind)
+        # repr round trip is exact, not approximate: the floats read back are the floats computed
+        assert global_vecs[key] == global_feature_vector(ref.graph)[0]
+        assert local_vecs[key] == list(census(ref.graph).normalized)
         assert len(local_vecs[key]) == 212
 
 
@@ -186,9 +189,9 @@ def test_features_csv_header_layout(tmp_path, corpus_dir):
     corpus = build_corpus(records, read_terms_file(corpus_dir / "terms.txt"))
     outdir = tmp_path / "nets"
     write_networks(corpus, outdir, manifest_hash="d" * 64)
-    rows = compute_features(read_networks(outdir))
+    lines = compute_features(outdir, read_summary(outdir))
     path = tmp_path / "features.csv"
-    write_features_csv(rows, path, manifest_hash="d" * 64)
+    write_features_csv(lines, path, manifest_hash="d" * 64)
     lines = path.read_text().splitlines()
     assert lines[0] == "# manifest_sha256=" + "d" * 64
     header = lines[1].split(",")
@@ -226,9 +229,9 @@ def test_read_features_rejects_bad_cell(tmp_path, corpus_dir):
     corpus = build_corpus(records, read_terms_file(corpus_dir / "terms.txt"))
     outdir = tmp_path / "nets"
     write_networks(corpus, outdir, manifest_hash="a" * 64)
-    rows = compute_features(read_networks(outdir))
+    lines = compute_features(outdir, read_summary(outdir))
     path = tmp_path / "features.csv"
-    write_features_csv(rows, path, manifest_hash="a" * 64)
+    write_features_csv(lines, path, manifest_hash="a" * 64)
     text = path.read_text().splitlines()
     text[2] = text[2].replace(text[2].split(",")[2], "not-a-number", 1)
     path.write_text("\n".join(text) + "\n")
@@ -375,20 +378,106 @@ def big_nets(tmp_path, capsys):
     return nets
 
 
-def test_cli_features_byte_identical_across_workers(tmp_path, capsys, big_nets):
-    # --workers is still parsed but ignored: features forks per network on the usable cores
-    f1, f3 = tmp_path / "f1.csv", tmp_path / "f3.csv"
+def test_cli_features_byte_identical_across_workers(tmp_path, capsys, monkeypatch, big_nets):
+    # --workers is still parsed but ignored: features forks per network on the usable cores, so the bytes
+    # are the same at 1 and 2 usable cores, whatever --workers says
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     threads = threading.active_count()
-    assert run_cli("features", big_nets, "-o", f1, "--workers", 1) == 0
-    assert run_cli("features", big_nets, "-o", f3, "--workers", 3) == 0
+    outputs = []
+    for n in (1, 2):
+        forks.clear()
+        for workers in (1, 3):
+            out = tmp_path / f"f{n}-{workers}.csv"
+            with cores(n):
+                assert run_cli("features", big_nets, "-o", out, "--workers", workers) == 0
+            outputs.append((out.read_bytes(), json.loads((tmp_path / f"{out.name}.manifest.json").read_text())))
+        assert len(forks) == 2 * (n - 1)  # one child per extra usable core, in each run
+        capsys.readouterr()
+        assert_no_child_is_left()
+        assert threading.active_count() == threads
+    assert outputs[0][0].count(b"\n") == 2 + 3 * 4
+    assert all(output == outputs[0] for output in outputs)  # worker count must not enter the manifest
+    assert outputs[0][1]["parameters"] == {} and len(outputs[0][1]["class_table_hash"]) == 64
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cli_features_names_the_first_listed_bad_network_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, corpus_dir, n
+):
+    # two edge files disagree with summary.csv; it lists them in the reverse of features.csv's order, and
+    # the error names the one it lists first, as read_networks does.  The first failing item in summary
+    # order is the one reported: a census that fails on a network listed before both bad files wins
+    nets = tmp_path / "nets"
+    records = parse_records((corpus_dir / "records.jsonl").read_text()).records
+    rows = write_networks(build_corpus(records, read_terms_file(corpus_dir / "terms.txt")), nets, "f" * 64)
+    rows.sort(key=lambda row: (row[0], pipeline.KINDS.index(row[1])), reverse=True)
+    for row in rows[1], rows[-2]:
+        row[3] += 1  # its edge count
+    write_csv(nets / pipeline.SUMMARY_NAME, "f" * 64, pipeline.SUMMARY_COLUMNS, rows)
+    with pytest.raises(InputError) as info:
+        read_networks(nets)
+    assert rows[1][-1] in str(info.value)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "features.csv").write_bytes(b"an older features.csv\n")
     capsys.readouterr()
+    with cores(n):
+        assert run_cli("features", nets, "-o", outdir / "features.csv") == 1
+    assert capsys.readouterr() == ("", f"error: {info.value}\n")
+    first = pipeline.read_network(nets, rows[0]).graph
+
+    def failing(graph):
+        if graph == first:
+            raise ValueError("the first listed census fails")
+        return census(graph)
+
+    monkeypatch.setattr(pipeline, "census", failing)
+    with cores(n):
+        assert run_cli("features", nets, "-o", outdir / "features.csv") == 2
+    assert capsys.readouterr() == ("", "internal error: ValueError: the first listed census fails\n")
+    assert os.listdir(outdir) == ["features.csv"]
+    assert (outdir / "features.csv").read_bytes() == b"an older features.csv\n"
     assert_no_child_is_left()
-    assert threading.active_count() == threads
-    assert f1.read_bytes() == f3.read_bytes()
-    m1 = json.loads((tmp_path / "f1.csv.manifest.json").read_text())
-    m3 = json.loads((tmp_path / "f3.csv.manifest.json").read_text())
-    assert m1 == m3  # worker count must not enter the manifest
-    assert m1["parameters"] == {} and len(m1["class_table_hash"]) == 64
+
+
+def test_compute_features_holds_one_network_at_a_time(tmp_path):
+    # at 1 usable core every network is computed in this process; 24 more networks must add less to its
+    # memory peak than one network's graph does
+    graph = build_graph(pair for t in range(1500) for pair in ((f"a{t}", f"b{t}"), (f"b{t}", f"a{t}")))
+    assert graph.edge_count == 3000  # 1500 reciprocated pairs: many objects, and a census with nothing to count
+
+    def networks(n):
+        nets = tmp_path / f"nets{n}"
+        nets.mkdir()
+        rows = []
+        for t in range(n):
+            rows.append([f"t{t:02d}", "mention", graph.node_count, graph.edge_count, 3000, f"t{t:02d}.mention.edges.csv"])
+            write_edge_csv(graph, nets / rows[-1][-1], "f" * 64)
+        write_csv(nets / pipeline.SUMMARY_NAME, "f" * 64, pipeline.SUMMARY_COLUMNS, rows)
+        return nets
+
+    def peak(nets):
+        tracemalloc.start()
+        try:
+            with cores(1):
+                compute_features(nets, read_summary(nets))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = networks(8), networks(32)
+    with cores(1):
+        compute_features(few, read_summary(few))  # the census table and every other cache are built before measuring
+    row = read_summary(few)[0]
+    tracemalloc.start()
+    try:
+        one = pipeline.read_network(few, row)
+        graph_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert one.graph == graph and graph_bytes > 500_000
+    assert peak(many) - peak(few) < graph_bytes
 
 
 def test_cli_features_has_no_block_options(tmp_path, capsys, corpus_dir):
@@ -725,7 +814,7 @@ def test_compute_features_order(tmp_path, corpus_dir):
     corpus = build_corpus(records, read_terms_file(corpus_dir / "terms.txt"))
     outdir = tmp_path / "nets"
     write_networks(corpus, outdir, manifest_hash="b" * 64)
-    rows = compute_features(read_networks(outdir))
+    rows = list(csv.reader(compute_features(outdir, read_summary(outdir))))
     keys = [(row[0], row[1]) for row in rows]
     terms = sorted({row[0] for row in rows})
     assert keys == [(t, k) for t in terms for k in ("mention", "reply", "quote")]

@@ -21,7 +21,6 @@ import os
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timezone
-from enum import Enum
 from itertools import chain, pairwise, repeat
 from json.decoder import WHITESPACE
 from json.scanner import make_scanner
@@ -32,8 +31,8 @@ from .graphs import DirectedGraph, build_graph
 from .manifest import FIELD_LIMIT, InputError, open_text
 
 __all__ = [
+    "KINDS",
     "MAX_BAD_FRACTION",
-    "InteractionKind",
     "InteractionRecord",
     "ParseResult",
     "TermNetworkSet",
@@ -50,12 +49,9 @@ MAX_BAD_FRACTION = 0.10  # more malformed non-blank lines than this is a hard er
 _JSON_WHITESPACE = " \t\r\n"  # a line of these alone is blank; str.strip() would also drop \xa0, \x0c, ...
 
 
-class InteractionKind(Enum):
-    """The three pairwise interactions; enum order is the fixed export order."""
-
-    MENTION = "mention"
-    REPLY = "reply"
-    QUOTE_RETWEET = "quote"
+# The three pairwise interactions, by their on-disk names, in the fixed export order:
+# author -> mentioned user, author -> replied-to author, author -> quoted author
+KINDS = ("mention", "reply", "quote")
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,7 +74,7 @@ class ParseResult:
 @dataclass(frozen=True)
 class TermNetworkSet:
     term: str
-    graphs: dict[InteractionKind, DirectedGraph] = field(compare=False)
+    graphs: dict[str, DirectedGraph] = field(compare=False)  # keyed by KINDS, in that order
     matched_records: int = 0
 
 
@@ -333,14 +329,14 @@ class _TermEdges:
 
     `matched[i]` counts the records that match term i, and `kinds[k][i]`
     holds the distinct (author, target) pairs of interaction k
-    (InteractionKind order) as dict keys, in order of first appearance.
+    (KINDS order) as dict keys, in order of first appearance.
     `handles` maps each handle in the pairs to its one shared object.
     """
 
     def __init__(self, terms: list[str]):
         self.terms = terms
         self.matched = [0] * len(terms)
-        self.kinds = tuple([{} for _ in terms] for _ in InteractionKind)
+        self.kinds = tuple([{} for _ in terms] for _ in KINDS)
         self.handles: dict[str, str] = {}
 
     def networks(self) -> list[TermNetworkSet]:
@@ -348,7 +344,7 @@ class _TermEdges:
         return [
             TermNetworkSet(
                 term=term,
-                graphs={kind: build_graph(pairs[i]) for kind, pairs in zip(InteractionKind, self.kinds)},
+                graphs={kind: build_graph(pairs[i]) for kind, pairs in zip(KINDS, self.kinds)},
                 matched_records=self.matched[i],
             )
             for i, term in enumerate(self.terms)

@@ -16,12 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from .census import TOTAL_CLASSES
-from .ingest import InteractionKind
+from .ingest import KINDS
 from .manifest import InputError
 from .metrics import METRIC_NAMES
 from .ranking import CONTROVERSIAL
 
 __all__ = [
+    "CLASSIFIERS",
     "Dataset",
     "FoldPlan",
     "LogisticModel",
@@ -91,7 +92,9 @@ def assemble_feature_sets(
     local_vecs: dict[tuple[str, str], Sequence[float]],
     labels: list,
 ) -> dict[str, Dataset]:
-    """The eight datasets {global, local} x {mention, reply, quote, combined}.
+    """The eight datasets {global, local} x {mention, reply, quote, combined}, keyed by name, in the
+    grid order of `classify`: global-mention, global-reply, global-quote, global-combined, then the
+    same four local sets.
 
     `labels` is a list of ranking.TermLabel; rows are terms in ascending
     order, y = 1 for the controversial class.  Every labeled term must have
@@ -105,11 +108,10 @@ def assemble_feature_sets(
     label_of = {lab.term: lab.label for lab in labels}
     y = np.array([1 if label_of[t] == CONTROVERSIAL else 0 for t in terms], dtype=np.int64)
 
-    kinds = [kind.value for kind in InteractionKind]
     missing = [
         (t, k)
         for t in terms
-        for k in kinds
+        for k in KINDS
         if (t, k) not in global_vecs or (t, k) not in local_vecs
     ]
     if missing:
@@ -123,7 +125,7 @@ def assemble_feature_sets(
         ("local", local_vecs, local_names),
     ):
         per_kind = {}
-        for kind in kinds:
+        for kind in KINDS:
             X = np.array([vecs[(t, kind)] for t in terms], dtype=np.float64)
             if X.shape[1] != len(names):
                 raise InputError(f"{family}/{kind}: expected {len(names)} columns, got {X.shape[1]}")
@@ -131,8 +133,8 @@ def assemble_feature_sets(
             datasets[f"{family}-{kind}"] = Dataset(
                 name=f"{family}-{kind}", X=X, y=y, row_terms=tuple(terms), col_names=names
             )
-        combined = np.hstack([per_kind[k] for k in kinds])
-        combined_names = tuple(f"{k}_{c}" for k in kinds for c in names)
+        combined = np.hstack([per_kind[k] for k in KINDS])
+        combined_names = tuple(f"{k}_{c}" for k in KINDS for c in names)
         datasets[f"{family}-combined"] = Dataset(
             name=f"{family}-combined", X=combined, y=y, row_terms=tuple(terms), col_names=combined_names
         )
@@ -536,6 +538,7 @@ _HYPERPARAMS = {
     "svm": {"C": SVM_C, "iterations": SVM_ITERATIONS},
     "rfc": {"n_trees": RFC_TREES, "split": "gini", "mtry": "max(1, isqrt(d))"},
 }
+CLASSIFIERS = tuple(_HYPERPARAMS)  # the grid's classifier order: blr, svm, rfc
 
 
 @dataclass(frozen=True)

@@ -19,16 +19,13 @@ from itertools import islice
 from .census import TOTAL_CLASSES, census, term_deltas
 from .forked import fork_map
 from .graphs import DirectedGraph, read_edge_csv, write_edge_csv
-from .ingest import InteractionKind, TermNetworkSet
+from .ingest import KINDS, TermNetworkSet
 from .manifest import InputError, count, csv_line, finite, one_of, read_table, write_csv, write_json, write_lines
 from .metrics import METRIC_NAMES, global_feature_vector
 from .ranking import CONTROVERSIAL, TermLabel
 
 __all__ = [
-    "CLASSIFIER_ORDER",
     "FEATURES_COLUMNS",
-    "FEATURE_SET_ORDER",
-    "KINDS",
     "NetworkRef",
     "SUMMARY_COLUMNS",
     "SUMMARY_NAME",
@@ -42,10 +39,6 @@ __all__ = [
     "write_features_csv",
     "write_networks",
 ]
-
-KINDS = tuple(k.value for k in InteractionKind)
-FEATURE_SET_ORDER = tuple(f"{family}-{part}" for family in ("global", "local") for part in KINDS + ("combined",))
-CLASSIFIER_ORDER = ("blr", "svm", "rfc")
 
 SUMMARY_NAME = "summary.csv"
 
@@ -109,11 +102,11 @@ def write_networks(corpus: list[TermNetworkSet], outdir, manifest_hash: str) -> 
     slugs = slugify_terms([ts.term for ts in corpus])
     rows = []
     for ts in corpus:
-        for kind in InteractionKind:
+        for kind in KINDS:
             g = ts.graphs[kind]
-            fname = f"{slugs[ts.term]}.{kind.value}.edges.csv"
+            fname = f"{slugs[ts.term]}.{kind}.edges.csv"
             write_edge_csv(g, os.path.join(str(outdir), fname), manifest_hash)
-            rows.append([ts.term, kind.value, g.node_count, g.edge_count, ts.matched_records, fname])
+            rows.append([ts.term, kind, g.node_count, g.edge_count, ts.matched_records, fname])
     write_csv(summary, manifest_hash, SUMMARY_COLUMNS, rows)
     return rows
 
@@ -215,27 +208,28 @@ def classify_datasets(
 ) -> dict:
     """Run the 3-classifier x 8-feature-set grid and write report + PCA files.
 
-    The controversial class is always positive; the report states it once as
-    `positive_class`.  Outputs depend only on the inputs and manifest
-    parameters.  Each grid entry is the dict `ml.cross_validate` returns,
-    laid out as a fold plan first (a bad argument fails here, before any
-    fork); the training problems of all 24 plans, a BLR or forest fold or one
-    entry's SVM, are the items of `fork_map`, and `ml.pool_folds` builds each
-    entry from its own.  Call this from a single-threaded process.
+    The grid runs in the order of `ml.assemble_feature_sets`'s datasets, each
+    with every one of `ml.CLASSIFIERS`.  The controversial class is always
+    positive; the report states it once as `positive_class`.  Outputs depend
+    only on the inputs and manifest parameters.  Each grid entry is the dict
+    `ml.cross_validate` returns, laid out as a fold plan first (a bad argument
+    fails here, before any fork); the training problems of all 24 plans, a
+    BLR or forest fold or one entry's SVM, are the items of `fork_map`, and
+    `ml.pool_folds` builds each entry from its own.  Call this from a
+    single-threaded process.
     """
     from . import ml  # here, not at the top: only classify and synth load numpy
 
     datasets = ml.assemble_feature_sets(global_vecs, local_vecs, labels)
     os.makedirs(outdir, exist_ok=True)
-    plans = [ml.plan_folds(datasets[s], clf, folds, seed) for s in FEATURE_SET_ORDER for clf in CLASSIFIER_ORDER]
+    plans = [ml.plan_folds(ds, clf, folds, seed) for ds in datasets.values() for clf in ml.CLASSIFIERS]
     problems = [(plan, problem) for plan in plans for problem in plan.problems]
     with fork_map(lambda item: ml.train_problem(*item), problems) as solved:
         entries = [ml.pool_folds(plan, islice(solved, len(plan.problems))) for plan in plans]
 
     pca_info: dict[str, dict] = {}
     label_of = {lab.term: lab.label for lab in labels}
-    for set_name in FEATURE_SET_ORDER:
-        ds = datasets[set_name]
+    for set_name, ds in datasets.items():
         try:
             X_std, _, _ = ml.standardize(ds.X)
             res = ml.pca2(X_std)

@@ -21,10 +21,9 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from .manifest import InputError
-from .ranking import RATINGS_COLUMNS
+from .ranking import CONTROVERSIAL, NON_CONTROVERSIAL, RATINGS_COLUMNS
 
 __all__ = [
-    "SynthCorpus",
     "SynthSpec",
     "generate_corpus",
     "write_corpus",
@@ -61,14 +60,6 @@ class SynthSpec:
             raise InputError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class SynthCorpus:
-    records_jsonl: str
-    terms_txt: str
-    ratings_csv: str
-    ground_truth_csv: str
-
-
 def _term_surface(i: int) -> str:
     # every third term is a hashtag so both matchers get exercised
     name = f"term{i:03d}"
@@ -79,8 +70,9 @@ def _controversial(i: int) -> bool:
     return i % 2 == 0
 
 
-def generate_corpus(spec: SynthSpec) -> SynthCorpus:
-    """Build the four corpus files in memory; byte-identical under one spec."""
+def generate_corpus(spec: SynthSpec) -> dict[str, str]:
+    """The four corpus files in memory, {file name: text}: records.jsonl, terms.txt, ratings.csv and
+    ground_truth.csv; byte-identical under one spec."""
     master = np.random.SeedSequence(spec.seed)
     term_seeds = master.spawn(spec.n_terms)
 
@@ -141,27 +133,22 @@ def generate_corpus(spec: SynthSpec) -> SynthCorpus:
                 scores[int(pos)] = 1
         for p_idx, score in enumerate(scores, start=1):
             rating_lines.append(f"{surface},p{p_idx},{score}")
-        truth_lines.append(f"{surface},{'controversial' if controversial else 'non-controversial'}")
+        truth_lines.append(f"{surface},{CONTROVERSIAL if controversial else NON_CONTROVERSIAL}")
 
-    return SynthCorpus(
-        records_jsonl="\n".join(record_lines) + "\n",
-        terms_txt="\n".join(term_lines) + "\n",
-        ratings_csv="\n".join(rating_lines) + "\n",
-        ground_truth_csv="\n".join(truth_lines) + "\n",
-    )
+    files = {
+        "records.jsonl": record_lines,
+        "terms.txt": term_lines,
+        "ratings.csv": rating_lines,
+        "ground_truth.csv": truth_lines,
+    }
+    return {fname: "\n".join(lines) + "\n" for fname, lines in files.items()}
 
 
 def write_corpus(spec: SynthSpec, outdir) -> dict[str, str]:
-    """Write records.jsonl, terms.txt, ratings.csv, ground_truth.csv."""
-    corpus = generate_corpus(spec)
+    """Write the files of `generate_corpus(spec)` into `outdir`; returns {file name: path}."""
     os.makedirs(outdir, exist_ok=True)
     paths = {}
-    for fname, content in (
-        ("records.jsonl", corpus.records_jsonl),
-        ("terms.txt", corpus.terms_txt),
-        ("ratings.csv", corpus.ratings_csv),
-        ("ground_truth.csv", corpus.ground_truth_csv),
-    ):
+    for fname, content in generate_corpus(spec).items():
         path = os.path.join(str(outdir), fname)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)

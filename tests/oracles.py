@@ -26,7 +26,7 @@ import pytest
 
 from termnet import ingest
 from termnet.graphs import DirectedGraph, build_graph
-from termnet.ingest import InteractionKind, TermNetworkSet, _term_pattern
+from termnet.ingest import TermNetworkSet, _term_pattern
 from termnet.manifest import InputError
 
 # row-major ordered pairs (i, j), i != j; bit 0 of the code is the LAST pair
@@ -573,21 +573,34 @@ def scan_corpus(records, terms):
     """
     corpus = []
     for term in terms:
-        pairs = {kind: [] for kind in InteractionKind}
+        pairs = {"mention": [], "reply": [], "quote": []}
         matched = 0
         for rec in records:
             if not term_matches(rec.text, term):
                 continue
             matched += 1
             for m in rec.mentioned:
-                pairs[InteractionKind.MENTION].append((rec.author, m))
+                pairs["mention"].append((rec.author, m))
             if rec.reply_to_author is not None:
-                pairs[InteractionKind.REPLY].append((rec.author, rec.reply_to_author))
+                pairs["reply"].append((rec.author, rec.reply_to_author))
             if rec.quoted_author is not None:
-                pairs[InteractionKind.QUOTE_RETWEET].append((rec.author, rec.quoted_author))
+                pairs["quote"].append((rec.author, rec.quoted_author))
         graphs = {kind: build_graph(p) for kind, p in pairs.items()}
         corpus.append(TermNetworkSet(term=term, graphs=graphs, matched_records=matched))
     return corpus
+
+
+# The classify grid, (feature set, classifier), in report.json's order
+GRID = [
+    ("global-mention", "blr"), ("global-mention", "svm"), ("global-mention", "rfc"),
+    ("global-reply", "blr"), ("global-reply", "svm"), ("global-reply", "rfc"),
+    ("global-quote", "blr"), ("global-quote", "svm"), ("global-quote", "rfc"),
+    ("global-combined", "blr"), ("global-combined", "svm"), ("global-combined", "rfc"),
+    ("local-mention", "blr"), ("local-mention", "svm"), ("local-mention", "rfc"),
+    ("local-reply", "blr"), ("local-reply", "svm"), ("local-reply", "rfc"),
+    ("local-quote", "blr"), ("local-quote", "svm"), ("local-quote", "rfc"),
+    ("local-combined", "blr"), ("local-combined", "svm"), ("local-combined", "rfc"),
+]
 
 
 LIKERT_NAMES = (

@@ -115,16 +115,16 @@ def test_acceptance_4_global_metrics_oracle(capsys):
 
 def _corpus_datasets(seed: int, signal: float):
     corpus = generate_corpus(SynthSpec(n_terms=60, records_per_term=150, seed=seed, signal=signal))
-    records = parse_records(corpus.records_jsonl).records
-    terms = corpus.terms_txt.splitlines()
+    records = parse_records(corpus["records.jsonl"]).records
+    terms = corpus["terms.txt"].splitlines()
     gv, lv = {}, {}
     for ts in build_corpus(records, terms):
         for kind, g in ts.graphs.items():
-            gv[(ts.term, kind.value)] = global_feature_vector(g)[0]
-            lv[(ts.term, kind.value)] = list(census(g).normalized)
+            gv[(ts.term, kind)] = global_feature_vector(g)[0]
+            lv[(ts.term, kind)] = list(census(g).normalized)
     rows = [
         RatingRow(*line.rsplit(",", 2)[:2], int(line.rsplit(",", 2)[2]))
-        for line in corpus.ratings_csv.splitlines()[1:]
+        for line in corpus["ratings.csv"].splitlines()[1:]
     ]
     labels = partition_terms(aggregate_ratings(rows))
     return ml.assemble_feature_sets(gv, lv, labels)

@@ -67,3 +67,19 @@ def test_only_manifest_catches_a_decode_error():
         if isinstance(node, ast.ExceptHandler) and node.type and "UnicodeDecodeError" in ast.unparse(node.type)
     }
     assert catchers == {"manifest.py"}
+
+
+def test_only_ingest_kinds_spells_an_interaction_kind():
+    # "mention", "reply" and "quote" are written once, as `ingest.KINDS`: every other module reads that tuple
+    names = {"mention", "reply", "quote"}
+    found, in_kinds = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in names:
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["KINDS"]:
+                constants = [c for c in ast.walk(node.value) if isinstance(c, ast.Constant)]
+                in_kinds += [f"{path.name}:{c.lineno}: {c.value!r}" for c in constants]
+    assert in_kinds and in_kinds[0].startswith("ingest.py:")
+    assert found == in_kinds

@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import itertools
 import time
 from math import comb, prod
@@ -19,6 +18,7 @@ from termnet.census import (
     census_parallel,
     get_class_table,
 )
+import termnet.census as census_mod
 from termnet.graphs import DirectedGraph, build_graph
 
 import oracles
@@ -319,7 +319,6 @@ def test_class_table_equals_reference_class_table(class_table):
     ],
 )
 def test_class_table_checks_raise(monkeypatch, code, canonical, problem):
-    census_mod = importlib.import_module("termnet.census")  # `termnet.census` is also the function
     canonicalize_all = census_mod._canonicalize_all
 
     def corrupted(k):

@@ -2,7 +2,6 @@
 
 import contextlib
 import functools
-import importlib
 import io
 import os
 import time
@@ -10,15 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from termnet import forked, ingest, ml, pipeline
+from termnet import census, forked, ingest, ml, pipeline
 from termnet.cli import main
 from termnet.forked import fork_map, usable_cores
 from termnet.manifest import InputError
 from termnet.ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
 
-from oracles import assert_no_child_is_left, cores
+from oracles import GRID, assert_no_child_is_left, cores
 
-census = importlib.import_module("termnet.census")  # `termnet.census` is also the package's census function
 SLOW_S = 0.5  # how long item 0 takes where the other processes must take the later items meanwhile
 
 
@@ -196,8 +194,7 @@ def failing_entries(monkeypatch, tmp_path):
     train_problem, noted = ml.train_problem, tmp_path / "pids"
 
     def failing(plan, problem):
-        entry = pipeline.FEATURE_SET_ORDER.index(plan.dataset.name) * 3
-        entry += pipeline.CLASSIFIER_ORDER.index(plan.classifier)
+        entry = GRID.index((plan.dataset.name, plan.classifier))
         if entry == 0 and problem == plan.problems[0]:
             time.sleep(SLOW_S)
         if entry in (4, 10):
@@ -230,7 +227,7 @@ def test_classify_of_unconverged_and_skipped_folds_is_byte_identical_at_any_core
     terms = [f"t{i}" for i in range(8)]
     labels = [TermLabel(t, CONTROVERSIAL if t == "t3" else NON_CONTROVERSIAL, 0.0) for t in terms]
     global_vecs, local_vecs = {}, {}
-    for kind in pipeline.KINDS:
+    for kind in ingest.KINDS:
         for t in terms:
             global_vecs[t, kind] = rng.normal(size=9)
             local_vecs[t, kind] = rng.dirichlet(np.ones(census.TOTAL_CLASSES))
@@ -244,7 +241,7 @@ def test_classify_of_unconverged_and_skipped_folds_is_byte_identical_at_any_core
         outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
         assert_no_child_is_left()
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-    assert len(outputs[0]) == 1 + 2 * len(pipeline.FEATURE_SET_ORDER)
+    assert len(outputs[0]) == 1 + 2 * 8  # report.json and two PCA files per feature set
     blr = [entry for entry in report["entries"] if entry["classifier"] == "blr"]
     assert all(len(entry["skipped_folds"]) == 1 for entry in blr)
     assert sum(entry["convergence_warnings"] for entry in blr) >= len(blr)

@@ -140,7 +140,7 @@ def test_classify_loads_numpy_after_setting_one_blas_thread(stage_inputs):
 
 @pytest.mark.parametrize("name", ["termnet"] + [f"termnet.{m.name}" for m in pkgutil.iter_modules(termnet.__path__)])
 def test_every_exported_name_resolves(name):
-    # a name left in __all__ after its definition is deleted fails here, the lazy numpy names too
+    # a name left in __all__ after its definition is deleted fails here
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", ())
     assert [n for n in exported if not hasattr(module, n)] == []

@@ -27,7 +27,7 @@ from termnet.ingest import (
     _matcher,
     _part_bounds,
     _token_keys,
-    InteractionKind,
+    KINDS,
     InteractionRecord,
     build_corpus,
     parse_records,
@@ -201,10 +201,10 @@ def test_empty_handles_mean_none():
     (rec,) = parse_records(line).records
     assert (rec.mentioned, rec.reply_to_author, rec.quoted_author) == (("b",), None, None)
     (nets,) = build_corpus([rec], ["topic"])
-    mention = nets.graphs[InteractionKind.MENTION]
+    mention = nets.graphs["mention"]
     assert {(mention.handle(u), mention.handle(v)) for u, v in mention.edges} == {("a", "b")}
     assert mention.handles == ("a", "b")
-    assert nets.graphs[InteractionKind.REPLY].node_count == nets.graphs[InteractionKind.QUOTE_RETWEET].node_count == 0
+    assert nets.graphs["reply"].node_count == nets.graphs["quote"].node_count == 0
 
 
 def test_a_raw_lone_surrogate_in_a_str_line_is_malformed():
@@ -409,9 +409,9 @@ def test_build_corpus_example():
         make_record(post_id="1", text="on topic", mentioned=["b", "c"], reply_to_author="b"),
     ]
     (nets,) = build_corpus(parse_records("\n".join(lines)).records, ["topic"])
-    mention = nets.graphs[InteractionKind.MENTION]
-    reply = nets.graphs[InteractionKind.REPLY]
-    quote = nets.graphs[InteractionKind.QUOTE_RETWEET]
+    mention = nets.graphs["mention"]
+    reply = nets.graphs["reply"]
+    quote = nets.graphs["quote"]
     assert {(mention.handle(u), mention.handle(v)) for u, v in mention.edges} == {("a", "b"), ("a", "c")}
     assert {(reply.handle(u), reply.handle(v)) for u, v in reply.edges} == {("a", "b")}
     assert quote.edge_count == 0
@@ -424,7 +424,7 @@ def test_build_corpus_dedups():
         make_record(post_id="2", text="topic b", mentioned=["b"]),
     ]
     (nets,) = build_corpus(parse_records("\n".join(lines)).records, ["topic"])
-    assert nets.graphs[InteractionKind.MENTION].edge_count == 1
+    assert nets.graphs["mention"].edge_count == 1
     assert nets.matched_records == 2
 
 
@@ -446,7 +446,7 @@ def test_build_corpus_order_and_overlap():
     corpus = build_corpus(records, ["beta", "alpha"])
     assert [ts.term for ts in corpus] == ["beta", "alpha"]
     # the record matches both terms and contributes to both networks
-    assert all(ts.graphs[InteractionKind.MENTION].edge_count == 1 for ts in corpus)
+    assert all(ts.graphs["mention"].edge_count == 1 for ts in corpus)
     assert len(corpus) * 3 == 6
 
 
@@ -492,7 +492,7 @@ def test_edges_traceable_to_matching_records():
     (nets,) = build_corpus(records, ["topic"])
     matching = [r for r in records if term_matches(r.text, "topic")]
     allowed = {(r.author, m) for r in matching for m in r.mentioned}
-    mention = nets.graphs[InteractionKind.MENTION]
+    mention = nets.graphs["mention"]
     for u, v in mention.edges:
         assert (mention.handle(u), mention.handle(v)) in allowed
     handles = {mention.handle(i) for i in range(mention.node_count)}
@@ -507,7 +507,7 @@ def assert_same_corpus(got, want):
     assert [ts.term for ts in got] == [ts.term for ts in want]
     for g, w in zip(got, want):
         assert g.matched_records == w.matched_records, g.term
-        for kind in InteractionKind:
+        for kind in KINDS:
             assert g.graphs[kind].handles == w.graphs[kind].handles, (g.term, kind)
             assert g.graphs[kind].edges == w.graphs[kind].edges, (g.term, kind)
 
@@ -645,7 +645,7 @@ def test_read_terms_file(tmp_path):
 
 
 def test_interaction_kind_names():
-    assert [k.value for k in InteractionKind] == ["mention", "reply", "quote"]
+    assert KINDS == ("mention", "reply", "quote")
 
 
 CORPUS_TERMS = ["vax", "#vax", "vax pass", "tag"]

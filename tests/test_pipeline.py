@@ -15,7 +15,7 @@ from termnet.census import census, get_class_table
 from termnet.cli import main
 from termnet.graphs import build_graph, write_edge_csv
 from termnet.ingest import (
-    InteractionKind,
+    KINDS,
     TermNetworkSet,
     build_corpus,
     parse_records,
@@ -26,8 +26,6 @@ from termnet.ingest import (
 from termnet.manifest import InputError, write_csv
 from termnet.metrics import global_feature_vector
 from termnet.pipeline import (
-    CLASSIFIER_ORDER,
-    FEATURE_SET_ORDER,
     compute_features,
     read_features_csv,
     read_networks,
@@ -40,7 +38,7 @@ from termnet.ranking import read_labels_csv, write_labels_csv
 from termnet.synth import SynthSpec, generate_corpus, write_corpus
 
 import oracles
-from oracles import assert_no_child_is_left, cores, gen_random_digraph_m
+from oracles import GRID, assert_no_child_is_left, cores, gen_random_digraph_m
 
 
 # ---------------------------------------------------------------- helpers
@@ -135,7 +133,7 @@ def test_write_read_networks_round_trip(tmp_path, corpus_dir):
     by_key = {(r.term, r.kind): r for r in refs}
     for ts in corpus:
         for kind, g in ts.graphs.items():
-            ref = by_key[(ts.term, kind.value)]
+            ref = by_key[(ts.term, kind)]
             assert ref.graph.node_count == g.node_count
             assert ref.graph.edge_count == g.edge_count
             want = {(g.handle(u), g.handle(v)) for u, v in g.edges}
@@ -286,13 +284,13 @@ def test_cli_full_flow(tmp_path, capsys):
     report = json.loads((outdir / "report.json").read_text())
     assert len(report["entries"]) == 24
     grid = [(e["feature_set"], e["classifier"]) for e in report["entries"]]
-    assert grid == [(s, c) for s in FEATURE_SET_ORDER for c in CLASSIFIER_ORDER]
+    assert grid == GRID
     assert report["positive_class"] == "controversial"
     assert report["folds"] == 3
     for e in report["entries"]:
         assert sum(e["confusion"].values()) == 6
     # PCA exports for every feature set
-    for set_name in FEATURE_SET_ORDER:
+    for set_name in dict.fromkeys(s for s, _ in GRID):
         assert (outdir / f"pca-{set_name}-projection.csv").exists()
         assert report["pca"][set_name]["error"] is None
         # the variance header holds bare floats, whatever the numpy version prints
@@ -370,8 +368,8 @@ def big_nets(tmp_path, capsys):
     records = parse_records((corpus / "records.jsonl").read_text()).records
     networks = build_corpus(records, read_terms_file(corpus / "terms.txt"))
     big = gen_random_digraph_m(900, 3000, seed=4)
-    graphs = {kind: build_graph([]) for kind in InteractionKind}
-    graphs[InteractionKind.MENTION] = build_graph((f"u{u}", f"u{v}") for u, v in big.sorted_edges())
+    graphs = {kind: build_graph([]) for kind in KINDS}
+    graphs["mention"] = build_graph((f"u{u}", f"u{v}") for u, v in big.sorted_edges())
     networks.append(TermNetworkSet(term="#big", graphs=graphs, matched_records=3000))
     write_networks(networks, nets, manifest_hash="c" * 64)
     assert max(ref.graph.node_count for ref in read_networks(nets)) >= 800
@@ -411,7 +409,7 @@ def test_cli_features_names_the_first_listed_bad_network_and_writes_nothing(
     nets = tmp_path / "nets"
     records = parse_records((corpus_dir / "records.jsonl").read_text()).records
     rows = write_networks(build_corpus(records, read_terms_file(corpus_dir / "terms.txt")), nets, "f" * 64)
-    rows.sort(key=lambda row: (row[0], pipeline.KINDS.index(row[1])), reverse=True)
+    rows.sort(key=lambda row: (row[0], KINDS.index(row[1])), reverse=True)
     for row in rows[1], rows[-2]:
         row[3] += 1  # its edge count
     write_csv(nets / pipeline.SUMMARY_NAME, "f" * 64, pipeline.SUMMARY_COLUMNS, rows)

@@ -69,19 +69,19 @@ def test_corpus_byte_deterministic():
     b = generate_corpus(SynthSpec(n_terms=6, records_per_term=20, seed=5, signal=0.7))
     assert a == b
     c = generate_corpus(SynthSpec(n_terms=6, records_per_term=20, seed=6, signal=0.7))
-    assert a.records_jsonl != c.records_jsonl
+    assert a["records.jsonl"] != c["records.jsonl"]
 
 
 def test_corpus_term_surfaces():
     corpus = generate_corpus(SynthSpec(n_terms=7, records_per_term=1, seed=0))
-    terms = corpus.terms_txt.splitlines()
+    terms = corpus["terms.txt"].splitlines()
     assert terms == ["#term000", "term001", "term002", "#term003", "term004", "term005", "#term006"]
 
 
 def test_corpus_parses_cleanly():
     spec = SynthSpec(n_terms=4, records_per_term=30, seed=2)
     corpus = generate_corpus(spec)
-    result = parse_records(corpus.records_jsonl)
+    result = parse_records(corpus["records.jsonl"])
     assert result.failures == []
     assert len(result.records) == 4 * 30
     # authors never target themselves
@@ -94,8 +94,8 @@ def test_corpus_parses_cleanly():
 def test_corpus_records_match_their_own_term_only():
     spec = SynthSpec(n_terms=6, records_per_term=10, seed=3)
     corpus = generate_corpus(spec)
-    records = parse_records(corpus.records_jsonl).records
-    terms = corpus.terms_txt.splitlines()
+    records = parse_records(corpus["records.jsonl"]).records
+    terms = corpus["terms.txt"].splitlines()
     for term in terms:
         matching = [r for r in records if term_matches(r.text, term)]
         assert len(matching) == 10
@@ -121,7 +121,7 @@ def test_ratings_recover_ground_truth_exactly(tmp_path):
 def test_rating_score_regimes():
     corpus = generate_corpus(SynthSpec(n_terms=10, records_per_term=1, seed=4))
     by_term: dict[str, list[int]] = {}
-    for line in corpus.ratings_csv.splitlines()[1:]:
+    for line in corpus["ratings.csv"].splitlines()[1:]:
         term, _, score = line.rsplit(",", 2)
         by_term.setdefault(term, []).append(int(score))
     for i, (term, scores) in enumerate(sorted(by_term.items(), key=lambda kv: kv[0].lstrip("#"))):
@@ -148,8 +148,8 @@ def test_signal_separates_hub_usage():
     # signal=1: controversial terms route essentially every event through the
     # three hubs; non-controversial terms stay inside the 12-user community
     corpus = generate_corpus(SynthSpec(n_terms=2, records_per_term=80, seed=13, signal=1.0))
-    records = parse_records(corpus.records_jsonl).records
-    contr_term, non_term = corpus.terms_txt.split()
+    records = parse_records(corpus["records.jsonl"]).records
+    contr_term, non_term = corpus["terms.txt"].split()
     contr = [r for r in records if r.text.startswith(f"{contr_term} take ")]
     non = [r for r in records if r.text.startswith(f"{non_term} take ")]
     assert len(contr) == len(non) == 80
@@ -162,8 +162,8 @@ def test_signal_separates_hub_usage():
 
 def test_zero_signal_mixes_regimes():
     corpus = generate_corpus(SynthSpec(n_terms=2, records_per_term=200, seed=17, signal=0.0))
-    records = parse_records(corpus.records_jsonl).records
-    for i, term in enumerate(corpus.terms_txt.split()):
+    records = parse_records(corpus["records.jsonl"]).records
+    for i, term in enumerate(corpus["terms.txt"].split()):
         subset = [r for r in records if r.text.startswith(f"{term} take ")]
         assert len(subset) == 200
         hub_names = {f"u{i:03d}x{j:02d}" for j in range(3)}
@@ -173,15 +173,18 @@ def test_zero_signal_mixes_regimes():
 
 
 def test_write_corpus_files(tmp_path):
-    paths = write_corpus(SynthSpec(n_terms=2, records_per_term=3, seed=1), tmp_path / "out")
+    spec = SynthSpec(n_terms=2, records_per_term=3, seed=1)
+    paths = write_corpus(spec, tmp_path / "out")
     assert set(paths) == {"records.jsonl", "terms.txt", "ratings.csv", "ground_truth.csv"}
     for p in paths.values():
         assert (len(open(p, "rb").read())) > 0
+    # written as generated: the same names, and the same text with LF line ends
+    assert {name: open(p, "rb").read().decode() for name, p in paths.items()} == generate_corpus(spec)
 
 
 def test_timestamps_inside_window():
     corpus = generate_corpus(SynthSpec(n_terms=2, records_per_term=50, seed=8))
-    lines = corpus.records_jsonl.splitlines()
+    lines = corpus["records.jsonl"].splitlines()
     assert len(parse_records(lines).records) == len(lines)
     stamps = sorted(parse_timestamp(json.loads(line)["timestamp"]) for line in lines)
     assert stamps[0].isoformat() >= "2020-11-09T00:00:00+00:00"

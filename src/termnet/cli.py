@@ -159,13 +159,11 @@ def _cmd_rank(args) -> int:
     )
     if args.manifest:
         return _emit_manifest(manifest)
-    rows = read_ratings_csv(args.ratings)
-    aggs = aggregate_ratings(rows)
-    labels = partition_terms(aggs, args.threshold)
-    write_labels_csv(args.out, labels, aggs, manifest.sha256)
+    rows = partition_terms(aggregate_ratings(read_ratings_csv(args.ratings)), args.threshold)
+    write_labels_csv(args.out, rows, manifest.sha256)
     manifest.write(args.out + ".manifest.json")
-    n_pos = sum(1 for lab in labels if lab.label == CONTROVERSIAL)
-    print(f"labeled {len(labels)} terms: {n_pos} controversial, {len(labels) - n_pos} non-controversial")
+    n_pos = sum(1 for row in rows if row[-1] == CONTROVERSIAL)
+    print(f"labeled {len(rows)} terms: {n_pos} controversial, {len(rows) - n_pos} non-controversial")
     return 0
 
 

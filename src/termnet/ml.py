@@ -90,23 +90,20 @@ def _rescale(X: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
 def assemble_feature_sets(
     global_vecs: dict[tuple[str, str], Sequence[float]],
     local_vecs: dict[tuple[str, str], Sequence[float]],
-    labels: list,
+    labels: dict[str, str],
 ) -> dict[str, Dataset]:
     """The eight datasets {global, local} x {mention, reply, quote, combined}, keyed by name, in the
     grid order of `classify`: global-mention, global-reply, global-quote, global-combined, then the
     same four local sets.
 
-    `labels` is a list of ranking.TermLabel; rows are terms in ascending
+    `labels` is `{term: label}`, as `ranking.read_labels_csv` returns it; rows are terms in ascending
     order, y = 1 for the controversial class.  Every labeled term must have
     vectors for all three interaction kinds in both families.
     """
-    terms = sorted({lab.term for lab in labels})
+    terms = sorted(labels)
     if not terms:
         raise InputError("no labeled terms")
-    if len(terms) != len(labels):
-        raise InputError("duplicate terms in labels")
-    label_of = {lab.term: lab.label for lab in labels}
-    y = np.array([1 if label_of[t] == CONTROVERSIAL else 0 for t in terms], dtype=np.int64)
+    y = np.array([1 if labels[t] == CONTROVERSIAL else 0 for t in terms], dtype=np.int64)
 
     missing = [
         (t, k)

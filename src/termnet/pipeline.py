@@ -22,7 +22,7 @@ from .graphs import DirectedGraph, read_edge_csv, write_edge_csv
 from .ingest import KINDS, TermNetworkSet
 from .manifest import InputError, count, csv_line, finite, one_of, read_table, write_csv, write_json, write_lines
 from .metrics import METRIC_NAMES, global_feature_vector
-from .ranking import CONTROVERSIAL, TermLabel
+from .ranking import CONTROVERSIAL
 
 __all__ = [
     "FEATURES_COLUMNS",
@@ -200,35 +200,35 @@ def read_features_csv(path):
 def classify_datasets(
     global_vecs,
     local_vecs,
-    labels: list[TermLabel],
+    labels: dict[str, str],
     outdir,
     manifest_hash: str,
     seed: int = 0,
     folds: int = 10,
 ) -> dict:
-    """Run the 3-classifier x 8-feature-set grid and write report + PCA files.
+    """Run the 3-classifier x 8-feature-set grid on `labels`, `{term: label}`, and write report + PCA files.
 
     The grid runs in the order of `ml.assemble_feature_sets`'s datasets, each
     with every one of `ml.CLASSIFIERS`.  The controversial class is always
     positive; the report states it once as `positive_class`.  Outputs depend
     only on the inputs and manifest parameters.  Each grid entry is the dict
     `ml.cross_validate` returns, laid out as a fold plan first (a bad argument
-    fails here, before any fork); the training problems of all 24 plans, a
-    BLR or forest fold or one entry's SVM, are the items of `fork_map`, and
-    `ml.pool_folds` builds each entry from its own.  Call this from a
+    fails here, before any fork and before `outdir` is made); the training
+    problems of all 24 plans, a BLR or forest fold or one entry's SVM, are
+    the items of `fork_map`, and `ml.pool_folds` builds each entry from its
+    own.  Call this from a
     single-threaded process.
     """
     from . import ml  # here, not at the top: only classify and synth load numpy
 
     datasets = ml.assemble_feature_sets(global_vecs, local_vecs, labels)
-    os.makedirs(outdir, exist_ok=True)
     plans = [ml.plan_folds(ds, clf, folds, seed) for ds in datasets.values() for clf in ml.CLASSIFIERS]
+    os.makedirs(outdir, exist_ok=True)
     problems = [(plan, problem) for plan in plans for problem in plan.problems]
     with fork_map(lambda item: ml.train_problem(*item), problems) as solved:
         entries = [ml.pool_folds(plan, islice(solved, len(plan.problems))) for plan in plans]
 
     pca_info: dict[str, dict] = {}
-    label_of = {lab.term: lab.label for lab in labels}
     for set_name, ds in datasets.items():
         try:
             X_std, _, _ = ml.standardize(ds.X)
@@ -242,7 +242,7 @@ def classify_datasets(
             os.path.join(str(outdir), f"pca-{set_name}-projection.csv"),
             manifest_hash,
             ["term", "label", "pc1", "pc2"],
-            ([t, label_of[t], float(x), float(y)] for t, (x, y) in zip(ds.row_terms, res.projected)),
+            ([t, labels[t], float(x), float(y)] for t, (x, y) in zip(ds.row_terms, res.projected)),
         )
         pc1, pc2 = res.components
         write_csv(

@@ -613,14 +613,14 @@ LIKERT_NAMES = (
 
 
 def label_distribution(rows) -> dict[str, float]:
-    """Percentage of all ratings at each Likert level, keyed by level name."""
+    """Percentage of all `[term, participant, score]` ratings at each Likert level, keyed by level name."""
     if not rows:
         raise InputError("label_distribution requires at least one rating")
     counts = [0] * 5
-    for row in rows:
-        if not 0 <= row.score <= 4:
-            raise InputError(f"score {row.score} outside 0..4")
-        counts[row.score] += 1
+    for _, _, score in rows:
+        if not 0 <= score <= 4:
+            raise InputError(f"score {score} outside 0..4")
+        counts[score] += 1
     n = len(rows)
     return {LIKERT_NAMES[i]: 100.0 * counts[i] / n for i in range(5)}
 

@@ -21,7 +21,7 @@ from termnet.census import build_class_table, census
 from termnet.cli import main as cli_main
 from termnet.ingest import build_corpus, parse_records
 from termnet.metrics import global_feature_vector
-from termnet.ranking import RatingRow, aggregate_ratings, partition_terms
+from termnet.ranking import aggregate_ratings, partition_terms
 from termnet.synth import SynthSpec, generate_corpus
 
 
@@ -123,10 +123,10 @@ def _corpus_datasets(seed: int, signal: float):
             gv[(ts.term, kind)] = global_feature_vector(g)[0]
             lv[(ts.term, kind)] = list(census(g).normalized)
     rows = [
-        RatingRow(*line.rsplit(",", 2)[:2], int(line.rsplit(",", 2)[2]))
+        [*line.rsplit(",", 2)[:2], int(line.rsplit(",", 2)[2])]
         for line in corpus["ratings.csv"].splitlines()[1:]
     ]
-    labels = partition_terms(aggregate_ratings(rows))
+    labels = {row[0]: row[-1] for row in partition_terms(aggregate_ratings(rows))}
     return ml.assemble_feature_sets(gv, lv, labels)
 
 
@@ -178,7 +178,7 @@ def test_acceptance_6_ranking_partition(capsys):
     for j in range(115):
         term = f"hot{j:03d}"
         scores = [1, 1, 1, 1, 1] if j % 3 else [2, 1, 1, 0, 1]  # means 1.0
-        rows += [RatingRow(term, f"p{i}", s) for i, s in enumerate(scores)]
+        rows += [[term, f"p{i}", s] for i, s in enumerate(scores)]
     # 84 terms with mean <= 0.95, including exact-threshold cases
     for j in range(84):
         term = f"cold{j:03d}"
@@ -186,14 +186,14 @@ def test_acceptance_6_ranking_partition(capsys):
             scores = [1] * 19 + [0]  # mean exactly 0.95: strict threshold keeps it out
         else:
             scores = [1, 1, 0, 0, 0]  # mean 0.4
-        rows += [RatingRow(term, f"p{i}", s) for i, s in enumerate(scores)]
+        rows += [[term, f"p{i}", s] for i, s in enumerate(scores)]
 
     labels = partition_terms(aggregate_ratings(rows), threshold=0.95)
-    n_hot = sum(1 for lab in labels if lab.label == "controversial")
-    n_cold = sum(1 for lab in labels if lab.label == "non-controversial")
+    n_hot = sum(1 for row in labels if row[-1] == "controversial")
+    n_cold = sum(1 for row in labels if row[-1] == "non-controversial")
     exhaustive = n_hot + n_cold == len(labels) == 199
     correct = all(
-        (lab.label == "controversial") == lab.term.startswith("hot") for lab in labels
+        (row[-1] == "controversial") == row[0].startswith("hot") for row in labels
     )
     ok = (n_hot, n_cold) == (115, 84) and exhaustive and correct
     announce(capsys, 6, ok, f"strict 0.95 split: {n_hot}/{n_cold} (want 115/84), exhaustive and exclusive")

@@ -393,6 +393,12 @@ def test_negative_seed_is_an_input_error(valid, tmp_path, command):
     assert "seed must be >= 0" in err and not (tmp_path / "out").exists()
 
 
+def test_more_folds_than_terms_is_an_input_error_before_classify_makes_its_outdir(valid, tmp_path):
+    rc, err = run("classify", valid / "features.csv", valid / "labels.csv", "-o", tmp_path / "out", "--folds", 7)
+    assert_input_error(rc, err)
+    assert "6 rows < 7 folds" in err and not (tmp_path / "out").exists()
+
+
 def test_byte_order_mark_is_skipped(valid, tmp_path):
     terms = tmp_path / "terms.txt"
     terms.write_bytes(b"\xef\xbb\xbf" + (valid / "corpus/terms.txt").read_bytes())

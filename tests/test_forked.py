@@ -13,7 +13,7 @@ from termnet import census, forked, ingest, ml, pipeline
 from termnet.cli import main
 from termnet.forked import fork_map, usable_cores
 from termnet.manifest import InputError
-from termnet.ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
+from termnet.ranking import CONTROVERSIAL, NON_CONTROVERSIAL
 
 from oracles import GRID, assert_no_child_is_left, cores
 
@@ -225,7 +225,7 @@ def test_classify_of_unconverged_and_skipped_folds_is_byte_identical_at_any_core
     # both (6 rows, separable by a thin margin) run out of iterations
     rng = np.random.default_rng(1)
     terms = [f"t{i}" for i in range(8)]
-    labels = [TermLabel(t, CONTROVERSIAL if t == "t3" else NON_CONTROVERSIAL, 0.0) for t in terms]
+    labels = {t: CONTROVERSIAL if t == "t3" else NON_CONTROVERSIAL for t in terms}
     global_vecs, local_vecs = {}, {}
     for kind in ingest.KINDS:
         for t in terms:

@@ -29,7 +29,7 @@ from termnet.ml import (
     train_problem,
     train_rfc,
 )
-from termnet.ranking import CONTROVERSIAL, NON_CONTROVERSIAL, TermLabel
+from termnet.ranking import CONTROVERSIAL, NON_CONTROVERSIAL
 
 from oracles import (
     compensated_sum,
@@ -749,12 +749,7 @@ def _fake_vectors(terms):
 def test_assemble_feature_sets_shapes():
     terms = ["beta", "alpha", "gamma", "delta"]
     gv, lv = _fake_vectors(terms)
-    labels = [
-        TermLabel(term="alpha", label=CONTROVERSIAL, mean=2.0),
-        TermLabel(term="beta", label=NON_CONTROVERSIAL, mean=0.1),
-        TermLabel(term="gamma", label=CONTROVERSIAL, mean=1.5),
-        TermLabel(term="delta", label=NON_CONTROVERSIAL, mean=0.2),
-    ]
+    labels = {"alpha": CONTROVERSIAL, "beta": NON_CONTROVERSIAL, "gamma": CONTROVERSIAL, "delta": NON_CONTROVERSIAL}
     sets = assemble_feature_sets(gv, lv, labels)
     assert set(sets) == {
         f"{fam}-{kind}" for fam in ("global", "local") for kind in ("mention", "reply", "quote", "combined")
@@ -774,13 +769,13 @@ def test_assemble_feature_sets_shapes():
 
 def test_assemble_feature_sets_needs_a_labeled_term():
     with pytest.raises(InputError, match="no labeled terms"):
-        assemble_feature_sets({}, {}, [])
+        assemble_feature_sets({}, {}, {})
 
 
 def test_assemble_feature_sets_missing_vector():
     gv, lv = _fake_vectors(["a", "b"])
     del gv[("b", "reply")]
-    labels = [TermLabel("a", CONTROVERSIAL, 2.0), TermLabel("b", NON_CONTROVERSIAL, 0.0)]
+    labels = {"a": CONTROVERSIAL, "b": NON_CONTROVERSIAL}
     with pytest.raises(InputError, match="lack features"):
         assemble_feature_sets(gv, lv, labels)
 

@@ -277,8 +277,7 @@ def test_cli_full_flow(tmp_path, capsys):
     truth = dict(
         line.split(",") for line in (corpus / "ground_truth.csv").read_text().splitlines()[1:]
     )
-    got = {lab.term: lab.label for lab in read_labels_csv(labels)}
-    assert got == truth
+    assert read_labels_csv(labels) == truth
 
     # classification report: full grid in fixed order
     report = json.loads((outdir / "report.json").read_text())
@@ -720,7 +719,7 @@ def test_cli_classify_rejects_labels_without_terms(tmp_path, capsys, corpus_dir)
     nets, features, labels = tmp_path / "nets", tmp_path / "features.csv", tmp_path / "labels.csv"
     assert run_cli("networks", corpus_dir / "records.jsonl", corpus_dir / "terms.txt", "-o", nets) == 0
     assert run_cli("features", nets, "-o", features) == 0
-    write_labels_csv(labels, [], [], manifest_hash="c" * 64)
+    write_labels_csv(labels, [], manifest_hash="c" * 64)
     capsys.readouterr()
     assert run_cli("classify", features, labels, "-o", tmp_path / "cls", "--folds", 2) == 1
     assert capsys.readouterr().err.splitlines() == ["error: no labeled terms"]
@@ -773,8 +772,7 @@ def test_cli_rank_threshold_flag(tmp_path, capsys):
     labels = tmp_path / "labels.csv"
     assert run_cli("rank", ratings, "-o", labels, "--threshold", "1.5") == 0
     capsys.readouterr()
-    got = {lab.term: lab.label for lab in read_labels_csv(labels)}
-    assert got == {"hot": "controversial", "mild": "non-controversial"}
+    assert read_labels_csv(labels) == {"hot": "controversial", "mild": "non-controversial"}
 
 
 def test_cli_class_table(tmp_path, capsys):

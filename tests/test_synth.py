@@ -107,7 +107,7 @@ def test_ratings_recover_ground_truth_exactly(tmp_path):
     paths = write_corpus(spec, tmp_path)
     rows = read_ratings_csv(paths["ratings.csv"])
     labels = partition_terms(aggregate_ratings(rows))
-    got = {lab.term: lab.label for lab in labels}
+    got = {row[0]: row[-1] for row in labels}
     truth = {}
     for line in (tmp_path / "ground_truth.csv").read_text().splitlines()[1:]:
         term, label = line.split(",")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import unicodedata
 
 from . import __version__
 from .census import get_class_table
@@ -107,6 +108,8 @@ def _cmd_networks(args) -> int:
         parameters={
             "window_from": window_from.isoformat() if window_from else None,
             "window_to": window_to.isoformat() if window_to else None,
+            # term matching (re.IGNORECASE, \w) follows the interpreter's Unicode database
+            "unidata_version": unicodedata.unidata_version,
         },
         input_hashes={"records": file_sha256(args.records), "terms": file_sha256(args.terms)},
     )

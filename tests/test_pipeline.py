@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import unicodedata
 
 import numpy as np
 import pytest
@@ -561,6 +562,15 @@ def test_cli_manifest_dry_run(tmp_path, capsys):
     assert len(printed["manifest_sha256"]) == 64
     assert set(printed["input_hashes"]) == {"records", "terms"}
     assert not out.exists()  # dry run writes nothing
+
+
+def test_networks_manifest_records_the_unicode_database_version(tmp_path, capsys):
+    # which characters are letters, and how case folds, follows this version, and so do the edges
+    corpus = tmp_path / "corpus"
+    run_cli("synth", "-o", corpus, "--terms", 2, "--records", 5, "--seed", 0)
+    capsys.readouterr()
+    assert run_cli("networks", corpus / "records.jsonl", corpus / "terms.txt", "-o", tmp_path / "o", "--manifest") == 0
+    assert json.loads(capsys.readouterr().out)["parameters"]["unidata_version"] == unicodedata.unidata_version
 
 
 def test_cli_manifest_tracks_content_not_path(tmp_path, capsys):
